@@ -436,6 +436,41 @@ func BenchmarkEngineSteadyStateEnergy(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSubRate is BenchmarkEngineSteadyState with two clock
+// domains: even-numbered routers serve at 3.0/3.8 of the base clock
+// (the full-system interposer-to-chiplet ratio), under lighter load.
+// It measures the slot-table lookups on the event scan; the tables are
+// sized to the cycle budget at setup, so allocs/op stays setup-only.
+func BenchmarkEngineSubRate(b *testing.B) {
+	s, err := sim.Prepare(expert.Mesh(layout.Grid4x5), sim.UseNDBT, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rates := make([]float64, s.Topo.N())
+	for r := range rates {
+		rates[r] = 1
+		if r%2 == 0 {
+			rates[r] = 3.0 / 3.8
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(sim.Config{
+			Topo: s.Topo, Routing: s.Routing, VC: s.VC,
+			Pattern: traffic.Uniform{N: 20}, InjectionRate: 0.05,
+			WarmupCycles: 2000, MeasureCycles: 8000, DrainCycles: 8000,
+			NodeRate: rates,
+			Seed:     int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stalled {
+			b.Fatal("stalled")
+		}
+	}
+}
+
 // BenchmarkEngineIdleFastForward measures the hybrid stepper's win on
 // quiescent stretches: a trace that dries up early in the warmup window
 // leaves the engine with nothing to do until the measure-window end,

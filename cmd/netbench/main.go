@@ -18,7 +18,6 @@
 //	netbench -matrix -topos ns -robust-weight 50 # fragility-priced synthesis
 //	netbench -matrix -store .netsmith-store     # cached + resumable
 //	netbench -matrix -store S -shard 0/2        # this machine's half
-//	netbench -matrix -unbatched                 # fresh engine per cell
 //	netbench -pareto                            # energy-weight Pareto frontier
 //	netbench -pareto -energy-weights 0,1,2 -robust-weights 0,50 \
 //	    -store S -csv out                       # cached sweep + frontier.csv/.json
@@ -104,7 +103,6 @@ func realMain() int {
 	faults := flag.String("faults", "", "matrix: comma-separated fault schedules added as a matrix axis (name or name:key=val:..., e.g. klinks:k=2:at=400; a fault-free cell set always runs)")
 	storeDir := flag.String("store", "", "matrix: content-addressed result store directory (cells cached; runs resume)")
 	shardArg := flag.String("shard", "", "matrix: compute only shard i/n of the cells (e.g. 0/2; requires -store)")
-	unbatched := flag.Bool("unbatched", false, "matrix: build a fresh engine per cell instead of reusing per-worker engines (bit-identical output; for A/B verification)")
 	population := flag.Int("population", 0, "matrix: ns synthesis population size (0 = restart annealer; >= 2 enables population mode)")
 	generations := flag.Int("generations", 0, "matrix: ns synthesis evolution rounds (default 8 when -population is set)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -143,7 +141,7 @@ func realMain() int {
 	}
 
 	if *matrix {
-		if err := runMatrix(*grid, *class, *topos, *patterns, *rates, *traceFile, *faults, *csvDir, *storeDir, *shardArg, *smoke, *full, *energy, *unbatched, *energyWeight, *robustWeight, *seed, *population, *generations); err != nil {
+		if err := runMatrix(*grid, *class, *topos, *patterns, *rates, *traceFile, *faults, *csvDir, *storeDir, *shardArg, *smoke, *full, *energy, *energyWeight, *robustWeight, *seed, *population, *generations); err != nil {
 			fmt.Fprintf(os.Stderr, "matrix: %v\n", err)
 			return 1
 		}
@@ -322,7 +320,7 @@ func matrixFaults(args string, g *layout.Grid) ([]sim.FaultFactory, error) {
 	return factories, nil
 }
 
-func runMatrix(grid, class, topos, patterns, rates, traceFile, faults, csvDir, storeDir, shardArg string, smoke, full, energy, unbatched bool, energyWeight, robustWeight float64, seed int64, population, generations int) error {
+func runMatrix(grid, class, topos, patterns, rates, traceFile, faults, csvDir, storeDir, shardArg string, smoke, full, energy bool, energyWeight, robustWeight float64, seed int64, population, generations int) error {
 	g, err := layout.ParseGrid(grid)
 	if err != nil {
 		return err
@@ -417,7 +415,6 @@ func runMatrix(grid, class, topos, patterns, rates, traceFile, faults, csvDir, s
 		Rates: rateGrid,
 		Base:  base, Seed: seed,
 		Store: st, Shard: shard,
-		Unbatched: unbatched,
 	})
 	var inc *sim.IncompleteError
 	if errors.As(err, &inc) {

@@ -201,57 +201,47 @@ func (e *engine) growLinkRings() {
 	e.lqMask = int32(newCap - 1)
 }
 
-// active reports whether router r has a service slot this cycle
-// (multi-clock domains: slower routers skip base-clock ticks).
-func (e *engine) active(r int) bool {
-	if e.rate[r] >= 1 {
-		return true
+// slotTable returns the cumulative service-slot counts of a router
+// clocked at rate (0 < rate < 1) times the base clock: entry c+1 is the
+// number of slots in cycles [0, c], for c < total. It replays the float
+// accumulator a sub-rate router ticks once per base cycle, so the
+// counts are exact for rates that are not binary fractions too.
+func slotTable(rate float64, total int) []int32 {
+	tab := make([]int32, total+1)
+	acc := 0.0
+	for c := 1; c <= total; c++ {
+		tab[c] = tab[c-1]
+		acc += rate
+		if acc >= 1 {
+			acc--
+			tab[c]++
+		}
 	}
-	e.accRate[r] += e.rate[r]
-	if e.accRate[r] >= 1 {
-		e.accRate[r]--
-		return true
-	}
-	return false
+	return tab
 }
 
-// ejectAndSwitch performs, for each active router, local ejection and
-// output-link switch allocation. Uniform-clock engines take the
-// event-driven path; engines with sub-rate clock domains keep the full
-// per-router scan because active() mutates per-cycle accumulator state
-// that a skip would desynchronize.
+// slot returns router r's service-slot count through the current cycle
+// and whether the current cycle is one of its slots. Full-rate routers
+// (no table) serve every cycle.
+func (e *engine) slot(r int) (int64, bool) {
+	tab := e.slotTab[r]
+	if tab == nil {
+		return e.cycle + 1, true
+	}
+	n := tab[e.cycle+1]
+	return int64(n), n != tab[e.cycle]
+}
+
+// ejectAndSwitch performs local ejection and output-link switch
+// allocation for the routers that have a service slot this cycle. It
+// visits only routers with eject-ready heads and links with switch
+// candidates, in the order a full router-major scan would use: dense
+// link IDs are assigned router-major in topo.refresh, so ascending link
+// ID order is each router's out-links in turn. A router or link skipped
+// because its router has no slot keeps its pending bit until the
+// router's next slot. Round-robin pointers of skipped routers/links
+// catch up lazily inside eject/allocateOutput.
 func (e *engine) ejectAndSwitch() {
-	if e.eventDriven {
-		e.ejectAndSwitchEvent()
-		return
-	}
-	for r := 0; r < e.n; r++ {
-		e.activeNow[r] = e.active(r)
-	}
-	// Ejection first: frees buffer slots for this cycle's switching.
-	for r := 0; r < e.n; r++ {
-		if e.activeNow[r] {
-			e.eject(r)
-		}
-	}
-	// Switch allocation per output link, round-robin across (port, vc).
-	for r := 0; r < e.n; r++ {
-		if !e.activeNow[r] {
-			continue
-		}
-		for _, lid := range e.outLinks[r] {
-			e.allocateOutput(lid)
-		}
-	}
-}
-
-// ejectAndSwitchEvent visits only routers with eject-ready heads and
-// links with switch candidates, in the same ascending orders the full
-// scan uses: dense link IDs are assigned router-major in topo.refresh,
-// so ascending link ID equals the legacy router-major outLinks order.
-// Round-robin pointers of skipped routers/links catch up lazily inside
-// eject/allocateOutput.
-func (e *engine) ejectAndSwitchEvent() {
 	if e.bufferedFlits == 0 {
 		return
 	}
@@ -262,15 +252,17 @@ func (e *engine) ejectAndSwitchEvent() {
 		for w != 0 {
 			r := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			e.eject(r)
+			if now, ok := e.slot(r); ok {
+				e.eject(r, now)
+			}
 		}
 	}
 	// Switch allocation. Forwarding a flit can expose a new head that
 	// targets a *later* link of this same cycle's scan (which the full
 	// scan would reach), so re-read the word after every link and
 	// advance monotonically instead of snapshotting; bits set behind
-	// the scan position wait for the next cycle, exactly like the
-	// legacy ascending scan.
+	// the scan position wait for the next cycle, exactly like a full
+	// ascending scan.
 	for wi := range e.candPending {
 		pos := 0
 		for {
@@ -280,27 +272,30 @@ func (e *engine) ejectAndSwitchEvent() {
 			}
 			b := bits.TrailingZeros64(w)
 			pos = b + 1
-			e.allocateOutput(int32(wi<<6 + b))
+			lid := int32(wi<<6 + b)
+			r := int(e.linkFrom[lid])
+			if now, ok := e.slot(r); ok {
+				e.allocateOutput(lid, r, now)
+			}
 		}
 	}
 }
 
 // eject drains up to EjectBandwidth flits destined locally at router r,
 // scanning only slots whose head is at its final hop (ejectMask), in
-// round-robin order starting at rrEject[r].
-func (e *engine) eject(r int) {
+// round-robin order starting at rrEject[r]. now is the router's slot
+// count through this cycle.
+func (e *engine) eject(r int, now int64) {
 	budget := e.cfg.EjectBandwidth
 	slots := int(e.numPorts[r]) * e.numVCs
 	start := int(e.rrEject[r])
-	if e.eventDriven {
-		// Catch up the +1-per-cycle advance of the cycles skipped since
-		// this router was last visited (the full scan calls eject every
-		// cycle; the event scan only on pending work).
-		if d := e.cycle - e.lastEject[r] - 1; d > 0 {
-			start = int((int64(start) + d) % int64(slots))
-		}
-		e.lastEject[r] = e.cycle
+	// Catch up the +1-per-slot advance of the router's slots since its
+	// last visit: a full scan calls eject on every slot, the event scan
+	// only on pending work.
+	if d := now - e.lastEject[r] - 1; d > 0 {
+		start = int((int64(start) + d) % int64(slots))
 	}
+	e.lastEject[r] = now
 	next := start + 1
 	if next == slots {
 		next = 0
@@ -387,21 +382,19 @@ func (e *engine) completePacket(p *packet) {
 	e.recyclePacket(p)
 }
 
-// allocateOutput picks one (port, vc) whose head flit targets link lid
-// and forwards it, honoring credits and per-packet VC ownership. Only
-// candidate slots (candMask) are scanned, in round-robin order.
-func (e *engine) allocateOutput(lid int32) {
-	r := int(e.linkFrom[lid])
+// allocateOutput picks one (port, vc) of router r whose head flit
+// targets link lid and forwards it, honoring credits and per-packet VC
+// ownership. Only candidate slots (candMask) are scanned, in
+// round-robin order. now is r's slot count through this cycle.
+func (e *engine) allocateOutput(lid int32, r int, now int64) {
 	slots := int(e.numPorts[r]) * e.numVCs
 	start := int(e.rrOut[lid])
-	if e.eventDriven {
-		// Same lazy catch-up as eject: the full scan advances rrOut by
-		// one on every no-forward cycle; reconstruct the skipped ones.
-		if d := e.cycle - e.lastOut[lid] - 1; d > 0 {
-			start = int((int64(start) + d) % int64(slots))
-		}
-		e.lastOut[lid] = e.cycle
+	// Same lazy catch-up as eject: a full scan advances rrOut by one on
+	// every no-forward slot; reconstruct the skipped ones.
+	if d := now - e.lastOut[lid] - 1; d > 0 {
+		start = int((int64(start) + d) % int64(slots))
 	}
+	e.lastOut[lid] = now
 	base := int(lid) * e.wordsPerRouter
 	sw := start >> 6
 	for wi := sw; wi < e.wordsPerRouter; wi++ {

@@ -30,13 +30,38 @@ func ffTrace(t testing.TB) []traffic.TraceRecord {
 	return recs
 }
 
-// ffScenarios returns fresh-Config builders covering the paths hybrid
-// stepping must keep bit-identical: steady uniform load, energy
-// collection, fault epochs (including a boundary inside a fast-forward
-// window), stateful patterns, trace replay that dries up, and sub-rate
-// clock domains (which must fall back to cycle-by-cycle stepping).
-// Builders return fresh pattern instances so the paired fast/slow runs
-// never share state.
+// fullSystemRates clocks routers at the full-system interposer/chiplet
+// ratios (3.6, 3.0 and 2.7 GHz over a 3.8 GHz base) in rotation, with
+// every fourth router at full rate. None of the ratios is a binary
+// fraction, so a slot table that drifted from the float accumulator
+// would show.
+func fullSystemRates(n int) []float64 {
+	ratios := []float64{1, 3.6 / 3.8, 3.0 / 3.8, 2.7 / 3.8}
+	rates := make([]float64, n)
+	for r := range rates {
+		rates[r] = ratios[r%len(ratios)]
+	}
+	return rates
+}
+
+// cdcLatency adds a 2-cycle clock-domain-crossing penalty to every link
+// joining routers of different rates.
+func cdcLatency(tp *topo.Topology, rates []float64) map[[2]int]int {
+	extra := map[[2]int]int{}
+	for _, l := range tp.Links() {
+		if rates[l.From] != rates[l.To] {
+			extra[[2]int{l.From, l.To}] = 2
+		}
+	}
+	return extra
+}
+
+// ffScenarios returns fresh-Config builders covering the paths the
+// event-driven stepper must keep bit-identical to runReference: steady
+// uniform load, energy collection, fault epochs (including a boundary
+// inside a fast-forward window), stateful patterns, trace replay that
+// dries up, and sub-rate clock domains. Builders return fresh pattern
+// instances so paired runs never share state.
 func ffScenarios(t *testing.T) map[string]func() Config {
 	t.Helper()
 	s := meshSetup(t)
@@ -126,28 +151,39 @@ func ffScenarios(t *testing.T) map[string]func() Config {
 			cfg.NodeRate = rates
 			return cfg
 		},
+		"full-system-ratios": func() Config {
+			// The full-system clock domains: three sub-rate ratios on
+			// different routers, CDC latency on every domain crossing,
+			// energy counters, and a fault epoch.
+			cfg := base()
+			cfg.Pattern = traffic.Uniform{N: 20}
+			cfg.InjectionRate = 0.05
+			cfg.CollectEnergy = true
+			cfg.NodeRate = fullSystemRates(20)
+			cfg.ExtraLinkLatency = cdcLatency(s.Topo, cfg.NodeRate)
+			cfg.FaultSchedule = buildSched(t, cfg, "klinks:k=2:seed=9:at=600")
+			return cfg
+		},
 	}
 }
 
-// TestFastForwardEquivalence pins the tentpole claim: the event-driven
-// fast-forward engine and the cycle-by-cycle engine produce DeepEqual
-// Results — latency, energy counters, fault accounting — on every
-// scenario class.
+// TestFastForwardEquivalence pins the stepper's contract: the
+// event-driven, fast-forwarding engine and the plain every-cycle,
+// every-router reference loop produce DeepEqual Results — latency,
+// energy counters, fault accounting — on every scenario class.
 func TestFastForwardEquivalence(t *testing.T) {
 	for name, mk := range ffScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			fast, err := Run(mk())
+			got, err := Run(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			slowCfg := mk()
-			slowCfg.DisableFastForward = true
-			slow, err := Run(slowCfg)
+			want, err := runReference(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(fast, slow) {
-				t.Fatalf("fast-forward result diverged:\nfast: %+v\nslow: %+v", fast, slow)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("engine diverged from the reference stepper:\ngot:  %+v\nwant: %+v", got, want)
 			}
 		})
 	}
@@ -192,6 +228,37 @@ func TestFastForwardEngages(t *testing.T) {
 	// measure-window boundary, like the cycle-by-cycle path.
 	if want := int64(cfg2.WarmupCycles + cfg2.MeasureCycles); e2.cycle != want {
 		t.Fatalf("quiescent run ended at cycle %d, want %d", e2.cycle, want)
+	}
+	// Sub-rate clock domains skip quiescent windows too, and still
+	// match the reference loop. Measuring from cycle 1 puts the trace's
+	// packets into the latency average, and the long window outlasts
+	// the slower routers' drain of the burst.
+	dry := ffScenarios(t)["trace-dry-energy"]
+	mkSub := func() Config {
+		cfg := dry()
+		cfg.WarmupCycles, cfg.MeasureCycles = 1, 3000
+		cfg.NodeRate = fullSystemRates(20)
+		cfg.ExtraLinkLatency = cdcLatency(cfg.Topo, cfg.NodeRate)
+		return cfg
+	}
+	cfg3, err := defaulted(mkSub())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3 := newEngine(cfg3)
+	got, err := e3.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e3.ffSkipped < 100 {
+		t.Fatalf("quiescent sub-rate run skipped only %d cycles", e3.ffSkipped)
+	}
+	want, err := runReference(mkSub())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fast-forwarded sub-rate run diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -252,12 +319,41 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	if !reflect.DeepEqual(gotB, wantB) {
 		t.Fatalf("reused engine diverged on cfgB:\n%+v\nvs\n%+v", gotB, wantB)
 	}
+
+	// A reused sub-rate engine must grow its slot tables when a later
+	// run has a longer cycle budget, and may keep them for a shorter one.
+	mk := ffScenarios(t)["full-system-ratios"]
+	var sub *engine
+	for i, budget := range [][2]int{{500, 500}, {1500, 3000}, {500, 500}} {
+		mkBudget := func() Config {
+			cfg := mk()
+			cfg.MeasureCycles, cfg.DrainCycles = budget[0], budget[1]
+			return cfg
+		}
+		got, err := runReused(&sub, mkBudget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sub
+		} else if sub != first {
+			t.Fatal("compatible sub-rate config rebuilt the engine instead of resetting it")
+		}
+		want, err := runReference(mkBudget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused sub-rate engine diverged at budget %v:\n%+v\nvs\n%+v", budget, got, want)
+		}
+	}
 }
 
-// TestMatrixBatchedMatchesUnbatched pins the batched scheduler: the
-// per-worker engine-reuse path, the fresh-engine path, and a
-// single-threaded run all emit DeepEqual matrices.
-func TestMatrixBatchedMatchesUnbatched(t *testing.T) {
+// TestMatrixBatchedMatchesFresh pins the batched scheduler: every cell
+// of a batched matrix equals a fresh-engine Run of the cell's Config
+// at seed Seed + i*7919, and a single-threaded run emits a DeepEqual
+// matrix.
+func TestMatrixBatchedMatchesFresh(t *testing.T) {
 	s := meshSetup(t)
 	mc := MatrixConfig{
 		Setups: []*Setup{s},
@@ -287,14 +383,35 @@ func TestMatrixBatchedMatchesUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	un := mc
-	un.Unbatched = true
-	unbatched, err := RunMatrix(un)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batched, unbatched) {
-		t.Fatalf("batched matrix diverged from unbatched:\n%+v\nvs\n%+v", batched, unbatched)
+	// With one setup, cells are numbered pattern-major, then fault, then
+	// rate: the curve order.
+	i := 0
+	for ci, c := range batched.Curves {
+		want := make([]SweepPoint, len(mc.Rates))
+		for ri, rate := range mc.Rates {
+			pat, err := mc.Patterns[ci/len(mc.Faults)].New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := mc.Faults[ci%len(mc.Faults)].New(s.Topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := mc.Base
+			cfg.Topo, cfg.Routing, cfg.VC = s.Topo, s.Routing, s.VC
+			cfg.Pattern, cfg.InjectionRate, cfg.FaultSchedule = pat, rate, sched
+			cfg.Seed = mc.Seed + int64(i)*7919
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[ri] = cellPoint(rate, res)
+			i++
+		}
+		deriveSaturation(want)
+		if !reflect.DeepEqual(c.Points, want) {
+			t.Fatalf("curve %s/%s diverged from fresh-engine runs:\n%+v\nvs\n%+v", c.Pattern, c.Fault, c.Points, want)
+		}
 	}
 	old := runtime.GOMAXPROCS(1)
 	serial, err := RunMatrix(mc)

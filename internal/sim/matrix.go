@@ -13,17 +13,18 @@ import (
 	"netsmith/internal/traffic"
 )
 
-// The scenario matrix generalizes Sweep from "one topology, one
-// pattern, a rate grid" to the full cross product
-// {topology x pattern x fault schedule x injection rate}. Cells run on the same bounded
-// worker pool, each with a deterministic seed derived from its matrix
-// position and a fresh pattern instance built from its factory, so the
-// emitted result is bit-identical across reruns and GOMAXPROCS settings
-// (the contract the synthesis engine pinned in PR 2, extended to
-// workloads). That determinism is also what makes cells
-// content-addressable: with a Store attached, each cell's result is
-// cached under a canonical hash of its inputs, giving killed runs a
-// resume path and letting Shard split one matrix across machines.
+// The scenario matrix generalizes a saturation sweep from "one
+// topology, one pattern, a rate grid" (Setup.Curve, a one-row matrix)
+// to the full cross product {topology x pattern x fault schedule x
+// injection rate}. Cells run on one bounded worker pool, each with a
+// deterministic seed derived from its matrix position and a fresh
+// pattern instance built from its factory, so the emitted result is
+// bit-identical across reruns and GOMAXPROCS settings (the synthesis
+// engine's determinism contract, extended to workloads). That
+// determinism is also what makes cells content-addressable: with a
+// Store attached, each cell's result is cached under a canonical hash
+// of its inputs, giving killed runs a resume path and letting Shard
+// split one matrix across machines.
 
 // PatternFactory names a workload and constructs fresh instances of it.
 // A fresh instance per simulation keeps stateful patterns (bursty MMPP,
@@ -99,7 +100,11 @@ func RegistryFactory(reg *traffic.Registry, name string, env traffic.Env, params
 	return f
 }
 
-// MatrixConfig drives a scenario matrix run.
+// MatrixConfig drives a scenario matrix run. Cells execute batched:
+// each worker resets one engine between consecutive cells of the same
+// prepared topology instead of rebuilding it, and every cell's result
+// equals a fresh Run of the cell's Config (Base plus the per-cell
+// overrides and seed below).
 type MatrixConfig struct {
 	// Setups are the prepared topologies (routing + verified VCs).
 	Setups []*Setup
@@ -139,13 +144,6 @@ type MatrixConfig struct {
 	// is guaranteed on completion), and the callback must be cheap and
 	// safe for concurrent use.
 	Progress func(done, total int)
-
-	// Unbatched disables batched cell execution (each worker reusing
-	// one engine's flat arrays across consecutive cells of the same
-	// prepared topology) and builds a fresh engine per cell instead.
-	// Output is bit-identical either way — the knob exists for the
-	// equivalence tests and the CI leg that cmp the two paths.
-	Unbatched bool
 
 	// Store, when non-nil, content-addresses every cell: results are
 	// looked up before simulating and persisted after, so an
@@ -420,12 +418,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 				}
 				cfg := baseCfg(ti, fi, ri, i)
 				cfg.Pattern = pat
-				var res *Result
-				if mc.Unbatched {
-					res, err = Run(cfg)
-				} else {
-					res, err = runReused(&eng, cfg)
-				}
+				res, err := runReused(&eng, cfg)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s/%s@%g: %w", cfg.Topo.Name, mc.Patterns[pi].Name, rates[ri], err)
 					continue

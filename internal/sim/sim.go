@@ -79,17 +79,12 @@ type Config struct {
 	// dropped flits have buffer writes without matching ejections.
 	FaultSchedule *fault.Schedule
 
-	// DisableFastForward forces the fully cycle-by-cycle stepping path:
-	// no event-driven router/link scanning and no quiescent-window cycle
-	// skipping. Results are bit-identical either way — the flag exists
-	// for the equivalence tests and CI cross-checks that pin that claim
-	// (and it is deliberately excluded from matrix store cell keys).
-	// Engines with sub-rate clock domains (any NodeRate entry < 1) take
-	// the cycle-by-cycle path regardless.
-	DisableFastForward bool
-
 	// NodeRate optionally scales each router's service rate relative to
-	// the base clock (multi-clock domains); 0 entries default to 1.0.
+	// the base clock (multi-clock domains); 0 entries default to 1.0. A
+	// sub-rate router (0 < rate < 1) ejects and switches only on its
+	// service slots: the base cycles on which a per-router accumulator,
+	// advanced by rate every cycle, reaches 1. Sub-rate engines use the
+	// same event scan and fast-forward as uniform-clock ones.
 	NodeRate []float64
 	// ExtraLinkLatency adds per-link latency cycles (e.g. CDC
 	// crossings), keyed by [from][to]. Nil = none. The engine densifies
@@ -308,7 +303,6 @@ type engine struct {
 	linkDownBase []int32 // destination slot base: (to*maxPorts+downPort)*numVCs
 	linkLat      []int64 // LinkLatency + ExtraLinkLatency, per link
 	linkIDAt     []int32 // n*n lookup (from*n+to) -> link ID, -1 absent
-	outLinks     [][]int32
 
 	// Link in-flight queues: per-link rings of capacity lqCap over one
 	// shared backing array. At most one flit enters a link per cycle and
@@ -320,29 +314,27 @@ type engine struct {
 	lqHead  []int32
 	lqCount []int32
 
-	injectQ   []pktRing
-	rrOut     []int32 // RR scan start per output link (local slot index)
-	rrEject   []int32
-	activeNow []bool // per-cycle scratch
+	injectQ []pktRing
+	rrOut   []int32 // RR scan start per output link (local slot index)
+	rrEject []int32
 
-	accRate []float64 // multi-clock accumulators
-	rate    []float64
+	// Clock domains: slotTab[r] is sub-rate router r's cumulative
+	// service-slot table (see slotTable), sized to cover the run's cycle
+	// budget; routers of equal rate share one table. Full-rate routers
+	// have none.
+	slotTab [][]int32
 
-	// Hybrid event-driven stepping (see DESIGN.md "Time stepping").
-	// uniformClock is true when every router has a service slot each
-	// cycle (all rates >= 1); eventDriven additionally requires the
-	// fast path not be disabled. lqPending/ejectPending/candPending are
-	// one-bit-per-link (resp. per-router) summaries of the occupancy
-	// state — a link with in-flight flits, a router with eject-ready
-	// heads, a link with switch candidates — so idle elements are never
-	// scanned. lastEject/lastOut record the cycle a router's ejector /
-	// a link's switch allocator last ran, letting the +1-per-cycle
-	// round-robin advance of skipped no-op cycles be reconstructed
+	// Event-driven stepping (see DESIGN.md "Time stepping").
+	// lqPending/ejectPending/candPending are one-bit-per-link (resp.
+	// per-router) summaries of the occupancy state — a link with
+	// in-flight flits, a router with eject-ready heads, a link with
+	// switch candidates — so idle elements are never scanned.
+	// lastEject/lastOut record the router's slot count when its ejector
+	// / a link's switch allocator last ran, letting the +1-per-slot
+	// round-robin advance of skipped no-op slots be reconstructed
 	// lazily (the property that also makes whole-cycle fast-forward
 	// round-robin-exact). queuedPkts counts packets across all
 	// injection queues for an O(1) idle check.
-	uniformClock bool
-	eventDriven  bool
 	lqPending    []uint64
 	ejectPending []uint64
 	candPending  []uint64
@@ -499,8 +491,7 @@ func newEngine(cfg Config) *engine {
 		numVCs:   cfg.NumVCs,
 		bufDepth: cfg.BufDepth,
 		numPorts: make([]int32, n),
-		accRate:  make([]float64, n),
-		rate:     make([]float64, n),
+		slotTab:  make([][]int32, n),
 	}
 	// Port geometry. portOf is setup-only: the per-link downstream port
 	// is densified into linkDownBase below.
@@ -517,22 +508,10 @@ func newEngine(cfg Config) *engine {
 		if ports > maxPorts {
 			maxPorts = ports
 		}
-		e.rate[r] = 1
-		if cfg.NodeRate != nil && cfg.NodeRate[r] > 0 {
-			e.rate[r] = cfg.NodeRate[r]
-		}
 	}
 	e.maxPorts = maxPorts
 	e.slotsPerRouter = maxPorts * e.numVCs
 	e.wordsPerRouter = (e.slotsPerRouter + 63) / 64
-
-	e.uniformClock = true
-	for r := 0; r < n; r++ {
-		if e.rate[r] < 1 {
-			e.uniformClock = false
-			break
-		}
-	}
 
 	totalSlots := n * e.slotsPerRouter
 	e.bufCap = pow2(e.bufDepth)
@@ -581,17 +560,6 @@ func newEngine(cfg Config) *engine {
 	e.lqPending = make([]uint64, (L+63)/64)
 	e.rrOut = make([]int32, L)
 	e.lastOut = make([]int64, L)
-	outBacking := make([]int32, L)
-	e.outLinks = make([][]int32, n)
-	pos := 0
-	for r := 0; r < n; r++ {
-		start := pos
-		for _, v := range cfg.Topo.Out(r) {
-			outBacking[pos] = int32(cfg.Topo.LinkID(r, v))
-			pos++
-		}
-		e.outLinks[r] = outBacking[start:pos:pos]
-	}
 
 	e.lqCap = pow2(int(maxLat) + 1)
 	e.lqMask = int32(e.lqCap - 1)
@@ -601,7 +569,6 @@ func newEngine(cfg Config) *engine {
 
 	e.injectQ = make([]pktRing, n)
 	e.rrEject = make([]int32, n)
-	e.activeNow = make([]bool, n)
 	e.reset(cfg)
 	return e
 }
@@ -646,7 +613,7 @@ func (e *engine) reset(cfg Config) {
 	e.cfg = cfg
 	e.rng = rand.New(rand.NewSource(cfg.Seed))
 	e.hinter, _ = cfg.Pattern.(traffic.InjectionHinter)
-	e.eventDriven = e.uniformClock && !cfg.DisableFastForward
+	e.sizeSlotTables(cfg)
 
 	clear(e.bufHead)
 	clear(e.bufCount)
@@ -671,13 +638,8 @@ func (e *engine) reset(cfg Config) {
 	clear(e.lqCount)
 	clear(e.rrOut)
 	clear(e.rrEject)
-	clear(e.accRate)
-	for i := range e.lastOut {
-		e.lastOut[i] = -1
-	}
-	for i := range e.lastEject {
-		e.lastEject[i] = -1
-	}
+	clear(e.lastOut)
+	clear(e.lastEject)
 	for r := range e.injectQ {
 		q := &e.injectQ[r]
 		clear(q.q)
@@ -741,6 +703,30 @@ func (e *engine) reset(cfg Config) {
 	e.ffSkipped = 0
 }
 
+// sizeSlotTables gives every sub-rate router a slot table covering
+// cfg's cycle budget. Tables only grow: slot counts depend on the cycle
+// alone, so a reused engine keeps its tables for any shorter budget and
+// rebuilds them for a longer one.
+func (e *engine) sizeSlotTables(cfg Config) {
+	total := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
+	var byRate map[float64][]int32
+	for r := 0; r < e.n && r < len(cfg.NodeRate); r++ {
+		rate := cfg.NodeRate[r]
+		if !(rate > 0 && rate < 1) || len(e.slotTab[r]) > total {
+			continue
+		}
+		if byRate == nil {
+			byRate = map[float64][]int32{}
+		}
+		tab, ok := byRate[rate]
+		if !ok {
+			tab = slotTable(rate, total)
+			byRate[rate] = tab
+		}
+		e.slotTab[r] = tab
+	}
+}
+
 // step advances the engine by one cycle body (the run loop owns the
 // cycle counter, watchdog and drain logic).
 func (e *engine) step(generating, measuring bool) {
@@ -765,7 +751,7 @@ func (e *engine) run() (*Result, error) {
 			e.applyFaultBoundary()
 			e.nextBoundary++
 		}
-		if e.eventDriven && e.bufferedFlits == 0 && e.queuedPkts == 0 {
+		if e.bufferedFlits == 0 && e.queuedPkts == 0 {
 			if target := e.skipTarget(measEnd, total); target > e.cycle {
 				// Nothing observable happens in [cycle, target): no flit
 				// can move (buffers and injection queues are empty; link
@@ -773,8 +759,9 @@ func (e *engine) run() (*Result, error) {
 				// can occur (drain phase, or the pattern promised Never),
 				// and no fault boundary lands inside the window. Jump the
 				// cycle counter: leakage energy integrates over the final
-				// e.cycle at report time, and round-robin state catches up
-				// lazily from lastEject/lastOut.
+				// e.cycle at report time, round-robin state catches up
+				// lazily from lastEject/lastOut, and service slots are a
+				// function of the cycle alone.
 				e.ffSkipped += target - e.cycle
 				if e.networkEmpty() {
 					idleCycles = 0
@@ -808,6 +795,12 @@ func (e *engine) run() (*Result, error) {
 			break
 		}
 	}
+	return e.result()
+}
+
+// result assembles the Result of a finished (non-stalled) run.
+func (e *engine) result() (*Result, error) {
+	cfg := e.cfg
 	res := &Result{
 		OfferedRate: cfg.InjectionRate,
 		Measured:    e.measured,

@@ -2,9 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"netsmith/internal/route"
 	"netsmith/internal/topo"
@@ -61,70 +58,9 @@ type SweepResult struct {
 // SaturationFactor defines the latency blow-up treated as saturation.
 const SaturationFactor = 5.0
 
-// SweepConfig drives a saturation sweep for one topology+routing+pattern.
-type SweepConfig struct {
-	Base  Config    // InjectionRate is overridden per point
-	Rates []float64 // offered packets/node/cycle; default DefaultRates()
-}
-
 // DefaultRates returns the standard offered-rate grid.
 func DefaultRates() []float64 {
 	return []float64{0.005, 0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.20, 0.24, 0.28, 0.32, 0.38, 0.45}
-}
-
-// Sweep runs the rate grid on a bounded worker pool and derives
-// saturation. Each point is seeded deterministically from its index, so
-// sweep results do not depend on scheduling order. The configured
-// Pattern instance is shared across concurrently simulated points, so it
-// must be stateless; for stateful patterns (bursty, trace replay) use
-// RunMatrix, which builds a fresh instance per cell from a factory.
-func Sweep(sc SweepConfig) (*SweepResult, error) {
-	rates := sc.Rates
-	if rates == nil {
-		rates = DefaultRates()
-	}
-	points := make([]SweepPoint, len(rates))
-	errs := make([]error, len(rates))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rates) {
-		workers = len(rates)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(rates) {
-					return
-				}
-				cfg := sc.Base
-				cfg.InjectionRate = rates[i]
-				cfg.Seed = sc.Base.Seed + int64(i)*7919
-				res, err := Run(cfg)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				points[i] = cellPoint(rates[i], res)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &SweepResult{
-		Topology: sc.Base.Topo.Name,
-		Pattern:  sc.Base.Pattern.Name(),
-		Points:   points,
-	}
-	out.ZeroLoadLatencyNs, out.SaturationPerNs = deriveSaturation(points)
-	return out, nil
 }
 
 // deriveSaturation marks saturated points in place (latency blow-up past
@@ -199,17 +135,37 @@ func Prepare(t *topo.Topology, kind RoutingKind, seed int64) (*Setup, error) {
 	return &Setup{Topo: t, Routing: r, VC: a}, nil
 }
 
-// Curve runs a sweep for a prepared setup and pattern with the given
-// fidelity (warmup/measure cycles scale with fast=false).
+// Curve runs a saturation sweep for a prepared setup and pattern: a
+// one-setup, one-pattern RunMatrix over rates (default DefaultRates()),
+// at FidelityFast budgets when fast is set and the simulator defaults
+// otherwise. Point i simulates with seed + i*7919. Every point shares
+// the one pattern instance, so it must be stateless; stateful patterns
+// (bursty, trace replay) go through RunMatrix with a factory.
 func (s *Setup) Curve(p traffic.Pattern, rates []float64, fast bool, seed int64) (*SweepResult, error) {
-	base := Config{
-		Topo: s.Topo, Routing: s.Routing, VC: s.VC,
-		Pattern: p, Seed: seed,
-	}
+	var base Config
+	fidelity := FidelityFull
 	if fast {
-		base.WarmupCycles = 1500
-		base.MeasureCycles = 4000
-		base.DrainCycles = 6000
+		fidelity = FidelityFast
 	}
-	return Sweep(SweepConfig{Base: base, Rates: rates})
+	if err := ApplyFidelity(&base, fidelity); err != nil {
+		return nil, err
+	}
+	m, err := RunMatrix(MatrixConfig{
+		Setups:   []*Setup{s},
+		Patterns: []PatternFactory{{Name: p.Name(), New: func() (traffic.Pattern, error) { return p, nil }}},
+		Rates:    rates,
+		Base:     base,
+		Seed:     seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c := m.Curves[0]
+	return &SweepResult{
+		Topology:          c.Topology,
+		Pattern:           c.Pattern,
+		Points:            c.Points,
+		ZeroLoadLatencyNs: c.ZeroLoadLatencyNs,
+		SaturationPerNs:   c.SaturationPerNs,
+	}, nil
 }

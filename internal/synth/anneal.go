@@ -226,7 +226,10 @@ func (a *annealer) setBest(s *bitgraph.Graph, score float64) {
 // improvement history against the current incumbent, emitting the
 // progress points a sequential run of the restarts would have produced
 // (each restart's history is strictly improving, so every point below
-// the incumbent is a global improvement in replay order).
+// the incumbent is a global improvement in replay order). Parallel
+// restarts stamp their points with their own wall clock, so a replayed
+// point's Elapsed is clamped to the last emitted point's: the trace's
+// time axis never runs backwards.
 func (a *annealer) offerResult(res restartResult) {
 	if res.snap == nil {
 		return
@@ -243,6 +246,9 @@ func (a *annealer) offerResult(res restartResult) {
 				Incumbent: p.incumbent,
 				Bound:     a.bound,
 				Gap:       a.gapOf(p.incumbent),
+			}
+			if n := len(a.trace); n > 0 && pt.Elapsed < a.trace[n-1].Elapsed {
+				pt.Elapsed = a.trace[n-1].Elapsed
 			}
 			a.trace = append(a.trace, pt)
 			if a.cfg.Progress != nil {
