@@ -18,11 +18,13 @@ import (
 	"netsmith/internal/bitgraph"
 	"netsmith/internal/exp"
 	"netsmith/internal/expert"
+	"netsmith/internal/fullsys"
 	"netsmith/internal/layout"
 	"netsmith/internal/route"
 	"netsmith/internal/sim"
 	"netsmith/internal/synth"
 	"netsmith/internal/traffic"
+	"netsmith/internal/vc"
 )
 
 var (
@@ -295,6 +297,32 @@ func BenchmarkMCLB20(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := route.MCLB(t, route.MCLBOptions{Seed: int64(i), Restarts: 2, Sweeps: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVCAssign measures deadlock-free VC layering, vc.Assign plus
+// its Verify certificate, on the 84-router full-system network around
+// the NS-LatOp-medium NoI at two tries, as fullsys.Build calls it. The
+// MCLB routing is built once, outside the timer.
+func BenchmarkVCAssign(b *testing.B) {
+	res, err := synth.Generate(synth.MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 42, 20000, 0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := fullsys.Build(res.Topology, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := sys.Routing
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := vc.Assign(r, vc.Options{Seed: 1, Tries: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Verify(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,9 @@
 package fullsys
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,6 +11,7 @@ import (
 	"netsmith/internal/expert"
 	"netsmith/internal/layout"
 	"netsmith/internal/sim"
+	"netsmith/internal/synth"
 	"netsmith/internal/traffic"
 )
 
@@ -78,6 +82,39 @@ func TestBuildStructure(t *testing.T) {
 	// Chiplet isolation: no mesh link crosses the chiplet boundary.
 	if sys.Net.Has(coreID(0, 3), coreID(0, 4)) || sys.Net.Has(coreID(3, 0), coreID(4, 0)) {
 		t.Error("NoC mesh links must not cross chiplet boundaries")
+	}
+}
+
+// TestBuildGoldenLayering pins the VC layers of the two Figure 8
+// systems the parsec benchmark builds: the mesh NoI with expert routing
+// and the NS-LatOp-medium NoI (seed 42, 20000 iterations, 4 restarts)
+// with MCLB, both at seed 1. The digest is the SHA-256 of
+// (NumVCs, LayerOf).
+func TestBuildGoldenLayering(t *testing.T) {
+	ns, err := synth.Generate(synth.MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 42, 20000, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (*System, error)
+		want  string
+	}{
+		{"mesh-expert", func() (*System, error) { return BuildExpert(expert.Mesh(layout.Grid4x5), 1) }, "f01b08d69c1d1ae10187f5c460c67125ece62943a36fb391bca15b0572b8189c"},
+		{"ns-latop-medium", func() (*System, error) { return Build(ns.Topology, 1) }, "b50dd2d38cf2dea17eda54e737682f0d900fde42fa91da028c9421124d1aa3c4"},
+	} {
+		sys, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := json.Marshal([]any{sys.VC.NumVCs, sys.VC.LayerOf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: layering digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -634,10 +635,19 @@ func ExecutePareto(ctx context.Context, st *store.Store, req ParetoRequest, prog
 
 // ---- job-creating handlers ----
 
+// decodeStrict decodes a body holding exactly one JSON value into v:
+// unknown fields, a second value or trailing garbage are errors.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var extra json.RawMessage
+	if dec.Decode(&extra) != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {

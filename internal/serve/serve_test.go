@@ -287,56 +287,69 @@ func TestMatrixJobCacheHit(t *testing.T) {
 	}
 }
 
+// badRequests are POSTs every endpoint must answer with 400
+// bad_request; FuzzJobBody seeds its corpus from their bodies.
+var badRequests = []struct{ path, body string }{
+	{"/v1/synth", `{"grid":"bogus"}`},
+	{"/v1/synth", `{"grid":"4x5","objective":"nope"}`},
+	{"/v1/synth", `{"grid":"4x5","unknown_field":1}`},
+	{"/v1/synth", `{"grid":"100x100"}`},                                                                       // router cap
+	{"/v1/synth", `{"grid":"4x5","iterations":2000000}`},                                                      // iteration cap
+	{"/v1/synth", `{"grid":"4x5","restarts":1000}`},                                                           // restart cap
+	{"/v1/matrix", `{"grid":"4x4","topos":["mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh"]}`}, // topo cap
+	{"/v1/matrix", `{"grid":"4x5","patterns":["nosuch"]}`},
+	{"/v1/matrix", `{"grid":"4x5","rates":[-1]}`},
+	{"/v1/matrix", `{"grid":"4x5","topos":["ring"]}`},
+	{"/v1/matrix", `{"grid":"4x5","fidelity":"warp"}`},
+	{"/v1/matrix", `{"grid":"200x200"}`},                              // router cap
+	{"/v1/matrix", `{"grid":"4x5","synth_iterations":2000000}`},       // iteration cap
+	{"/v1/matrix", `{"grid":"4x5","patterns":["trace:file=/etc/x"]}`}, // trace is CLI-only
+	{"/v1/synth", `{"grid":"4x5","iterations":-1}`},                   // negative budget
+	{"/v1/synth", `{"grid":"4x5","energy_weight":-1}`},                // negative weight
+	{"/v1/synth", `{"grid":"4x5","radix":-2}`},                        // negative radix
+	{"/v1/matrix", `{"grid":"4x5","energy_weight":-1}`},               // negative weight
+	{"/v1/synth", `{"grid":"4x5","robust_weight":-1}`},                // negative weight
+	{"/v1/matrix", `{"grid":"4x5","robust_weight":-1}`},               // negative weight
+	{"/v1/matrix", `{"grid":"4x5","faults":["nosuch"]}`},              // unknown schedule
+	{"/v1/matrix", `{"grid":"4x5","faults":["klinks:k=abc"]}`},        // bad param
+	{"/v1/matrix", `{"grid":"4x5","faults":["klinks:k=1","klinks:k=2","klinks:k=3","klinks:k=4","klinks:k=5","klinks:k=6","klinks:k=7","klinks:k=8","klinks:k=9","klinks:k=10","klinks:k=11","klinks:k=12","klinks:k=13","klinks:k=14","klinks:k=15","klinks:k=16","klinks:k=17"]}`}, // fault cap
+	{"/v1/matrix", `not json`},
+	// Unified-endpoint rejections: missing/unknown kind, bad
+	// priority, out-of-range shards, typoed fields.
+	{"/v1/jobs", `{"grid":"4x5"}`},                                // missing kind
+	{"/v1/jobs", `{"kind":"paint","grid":"4x5"}`},                 // unknown kind
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","priority":9000}`}, // priority range
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","shards":-1}`},    // negative shards
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","shards":100}`},   // shard cap
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","unknown_field":1}`},
+	{"/v1/jobs", `not json`},
+	// Population knobs: population 1 is invalid, generations need a
+	// population, caps hold, and the total population budget
+	// (population x generations x iterations) is bounded even when
+	// each knob individually passes its cap.
+	{"/v1/synth", `{"grid":"4x5","population":1}`},
+	{"/v1/synth", `{"grid":"4x5","population":100}`},
+	{"/v1/synth", `{"grid":"4x5","generations":2}`},
+	{"/v1/synth", `{"grid":"4x5","population":2,"generations":100}`},
+	{"/v1/synth", `{"grid":"4x5","population":64,"generations":64,"iterations":1000000}`},
+	{"/v1/matrix", `{"grid":"4x5","synth_population":1}`},
+	{"/v1/matrix", `{"grid":"4x5","synth_generations":2}`},
+	{"/v1/matrix", `{"grid":"4x5","synth_population":64,"synth_generations":64,"synth_iterations":1000000}`},
+	// Exactly one JSON value per body: trailing garbage or a second
+	// object must not be silently dropped.
+	{"/v1/synth", `{"grid":"4x5"} garbage`},
+	{"/v1/synth", `{"grid":"4x5"}{"grid":"4x5"}`},
+	{"/v1/matrix", `{"grid":"3x3"} garbage`},
+	{"/v1/matrix", `{"grid":"3x3"}{"grid":"3x3"}`},
+	{"/v1/pareto", `{"grid":"3x3"} garbage`},
+	{"/v1/pareto", `{"grid":"3x3"}{"grid":"3x3"}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"} garbage`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"}{"kind":"matrix","grid":"3x3"}`},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct{ path, body string }{
-		{"/v1/synth", `{"grid":"bogus"}`},
-		{"/v1/synth", `{"grid":"4x5","objective":"nope"}`},
-		{"/v1/synth", `{"grid":"4x5","unknown_field":1}`},
-		{"/v1/synth", `{"grid":"100x100"}`},                                                                       // router cap
-		{"/v1/synth", `{"grid":"4x5","iterations":2000000}`},                                                      // iteration cap
-		{"/v1/synth", `{"grid":"4x5","restarts":1000}`},                                                           // restart cap
-		{"/v1/matrix", `{"grid":"4x4","topos":["mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh"]}`}, // topo cap
-		{"/v1/matrix", `{"grid":"4x5","patterns":["nosuch"]}`},
-		{"/v1/matrix", `{"grid":"4x5","rates":[-1]}`},
-		{"/v1/matrix", `{"grid":"4x5","topos":["ring"]}`},
-		{"/v1/matrix", `{"grid":"4x5","fidelity":"warp"}`},
-		{"/v1/matrix", `{"grid":"200x200"}`},                              // router cap
-		{"/v1/matrix", `{"grid":"4x5","synth_iterations":2000000}`},       // iteration cap
-		{"/v1/matrix", `{"grid":"4x5","patterns":["trace:file=/etc/x"]}`}, // trace is CLI-only
-		{"/v1/synth", `{"grid":"4x5","iterations":-1}`},                   // negative budget
-		{"/v1/synth", `{"grid":"4x5","energy_weight":-1}`},                // negative weight
-		{"/v1/synth", `{"grid":"4x5","radix":-2}`},                        // negative radix
-		{"/v1/matrix", `{"grid":"4x5","energy_weight":-1}`},               // negative weight
-		{"/v1/synth", `{"grid":"4x5","robust_weight":-1}`},                // negative weight
-		{"/v1/matrix", `{"grid":"4x5","robust_weight":-1}`},               // negative weight
-		{"/v1/matrix", `{"grid":"4x5","faults":["nosuch"]}`},              // unknown schedule
-		{"/v1/matrix", `{"grid":"4x5","faults":["klinks:k=abc"]}`},        // bad param
-		{"/v1/matrix", `{"grid":"4x5","faults":["klinks:k=1","klinks:k=2","klinks:k=3","klinks:k=4","klinks:k=5","klinks:k=6","klinks:k=7","klinks:k=8","klinks:k=9","klinks:k=10","klinks:k=11","klinks:k=12","klinks:k=13","klinks:k=14","klinks:k=15","klinks:k=16","klinks:k=17"]}`}, // fault cap
-		{"/v1/matrix", `not json`},
-		// Unified-endpoint rejections: missing/unknown kind, bad
-		// priority, out-of-range shards, typoed fields.
-		{"/v1/jobs", `{"grid":"4x5"}`},                                // missing kind
-		{"/v1/jobs", `{"kind":"paint","grid":"4x5"}`},                 // unknown kind
-		{"/v1/jobs", `{"kind":"synth","grid":"4x5","priority":9000}`}, // priority range
-		{"/v1/jobs", `{"kind":"matrix","grid":"4x5","shards":-1}`},    // negative shards
-		{"/v1/jobs", `{"kind":"matrix","grid":"4x5","shards":100}`},   // shard cap
-		{"/v1/jobs", `{"kind":"synth","grid":"4x5","unknown_field":1}`},
-		{"/v1/jobs", `not json`},
-		// Population knobs: population 1 is invalid, generations need a
-		// population, caps hold, and the total population budget
-		// (population x generations x iterations) is bounded even when
-		// each knob individually passes its cap.
-		{"/v1/synth", `{"grid":"4x5","population":1}`},
-		{"/v1/synth", `{"grid":"4x5","population":100}`},
-		{"/v1/synth", `{"grid":"4x5","generations":2}`},
-		{"/v1/synth", `{"grid":"4x5","population":2,"generations":100}`},
-		{"/v1/synth", `{"grid":"4x5","population":64,"generations":64,"iterations":1000000}`},
-		{"/v1/matrix", `{"grid":"4x5","synth_population":1}`},
-		{"/v1/matrix", `{"grid":"4x5","synth_generations":2}`},
-		{"/v1/matrix", `{"grid":"4x5","synth_population":64,"synth_generations":64,"synth_iterations":1000000}`},
-	}
-	for _, c := range cases {
+	for _, c := range badRequests {
 		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
@@ -363,6 +376,28 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound || env.Error.Code != "not_found" {
 		t.Errorf("unknown job: status %d code %q, want 404 not_found", resp.StatusCode, env.Error.Code)
+	}
+}
+
+// TestDecodeStrictOneValue: a body is exactly one JSON value, with
+// surrounding whitespace allowed (curl and most clients end bodies with
+// a newline).
+func TestDecodeStrictOneValue(t *testing.T) {
+	for body, ok := range map[string]bool{
+		`{"grid":"3x3"}`:               true,
+		" {\"grid\":\"3x3\"}\n\t ":     true,
+		`{"grid":"3x3"} garbage`:       false,
+		`{"grid":"3x3"}{"grid":"3x3"}`: false,
+		`{"grid":"3x3"} 7`:             false,
+		`{"grid":"3x3"} {`:             false,
+		`{"grid":"3x3","unknown":1}`:   false,
+		`{"grid":"3x3"`:                false,
+		``:                             false,
+	} {
+		var req MatrixRequest
+		if err := decodeStrict([]byte(body), &req); (err == nil) != ok {
+			t.Errorf("decodeStrict(%q) = %v, want ok=%v", body, err, ok)
+		}
 	}
 }
 
