@@ -328,6 +328,28 @@ func BenchmarkVCAssign(b *testing.B) {
 	}
 }
 
+// BenchmarkFullSystemBuild measures the parsec benchmark's set-up: the
+// two Figure 8 full systems, the mesh NoI with expert routing and the
+// NS-LatOp-medium NoI (seed 42, 20000 iterations, 4 restarts) with
+// MCLB, each routed and given verified VC layers at seed 1. The NoI
+// synthesis runs once, outside the timer.
+func BenchmarkFullSystemBuild(b *testing.B) {
+	res, err := synth.Generate(synth.MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 42, 20000, 0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mesh := Mesh(Grid4x5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildFullSystemExpert(mesh, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := BuildFullSystem(res.Topology, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSynthesisIteration measures annealing throughput
 // (iterations/second) via a fixed-iteration LatOp run on the paper's
 // 4x5 medium configuration. PR 2's incremental evaluator took this

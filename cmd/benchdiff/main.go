@@ -16,15 +16,24 @@
 // coverage cannot silently disappear) unless -allow-missing is set;
 // benchmarks missing from the baseline are reported but do not fail.
 //
+// The baseline records the machine it was measured on: the bench
+// output's goos, goarch and cpu header lines, and the Go version. That
+// version is benchdiff's own, which `go run` builds with the toolchain
+// that ran the benchmarks. A compare prints both machines and warns,
+// without failing, when they differ: ns/op is then not like for like.
+//
 // Exit status: 0 clean, 1 regression, 2 usage or parse error.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,28 +45,48 @@ type BaselineEntry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// Machine is where a bench output was recorded.
+type Machine struct {
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	CPU    string `json:"cpu"`
+	Go     string `json:"go"`
+}
+
+func (m *Machine) String() string {
+	if m == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s/%s, %s, %s", m.GOOS, m.GOARCH, m.CPU, m.Go)
+}
+
 // Baseline is the committed BENCH_BASELINE.json shape.
 type Baseline struct {
 	Note       string                   `json:"note,omitempty"`
+	Machine    *Machine                 `json:"machine,omitempty"`
 	Benchmarks map[string]BaselineEntry `json:"benchmarks"`
 }
 
 // parseBench extracts name -> (ns/op, allocs/op) from go test -bench
-// output. The trailing -N GOMAXPROCS suffix is stripped so baselines
+// output, and the machine from its goos/goarch/cpu header lines (the
+// first of each, for concatenated runs); the caller fills in the Go
+// version. The trailing -N GOMAXPROCS suffix is stripped so baselines
 // port across machines; extra ReportMetric pairs are ignored. Duplicate
 // lines for one benchmark (e.g. a baseline recorded from several
 // concatenated runs, for worst-case headroom against timing noise) are
 // aggregated by maximum.
-func parseBench(path string) (map[string]BaselineEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[string]BaselineEntry{}
-	sc := bufio.NewScanner(f)
+func parseBench(r io.Reader) (Baseline, error) {
+	out := Baseline{Machine: &Machine{}, Benchmarks: map[string]BaselineEntry{}}
+	header := map[string]*string{"goos:": &out.Machine.GOOS, "goarch:": &out.Machine.GOARCH, "cpu:": &out.Machine.CPU}
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
+		if len(fields) >= 2 {
+			if v, ok := header[fields[0]]; ok && *v == "" {
+				*v = strings.Join(fields[1:], " ")
+				continue
+			}
+		}
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -84,7 +113,7 @@ func parseBench(path string) (map[string]BaselineEntry, error) {
 		if e.NsPerOp < 0 {
 			continue
 		}
-		if prev, ok := out[name]; ok {
+		if prev, ok := out.Benchmarks[name]; ok {
 			if prev.NsPerOp > e.NsPerOp {
 				e.NsPerOp = prev.NsPerOp
 			}
@@ -92,24 +121,75 @@ func parseBench(path string) (map[string]BaselineEntry, error) {
 				e.AllocsPerOp = prev.AllocsPerOp
 			}
 		}
-		out[name] = e
+		out.Benchmarks[name] = e
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return Baseline{}, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no benchmark lines found in %s", path)
+	if len(out.Benchmarks) == 0 {
+		return Baseline{}, errors.New("no benchmark lines found")
 	}
 	return out, nil
 }
 
-func writeBaseline(path string, measured map[string]BaselineEntry, note string) error {
-	b := Baseline{Note: note, Benchmarks: measured}
+func writeBaseline(path string, b Baseline) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// compare prints the run against the baseline, one line per baseline
+// benchmark, and reports whether the gate fails.
+func compare(w io.Writer, base, run Baseline, nsThreshold float64, allowMissing bool) bool {
+	fmt.Fprintf(w, "baseline machine: %s\n", base.Machine)
+	fmt.Fprintf(w, "this run machine: %s\n", run.Machine)
+	if base.Machine == nil || *base.Machine != *run.Machine {
+		fmt.Fprintln(w, "benchdiff: warning: the machines differ, so ns/op is not like for like (allocs/op still is)")
+	}
+	names := make([]string, 0, len(base.Benchmarks))
+	for n := range base.Benchmarks {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+
+	failed := false
+	for _, name := range names {
+		want := base.Benchmarks[name]
+		got, ok := run.Benchmarks[name]
+		if !ok {
+			if allowMissing {
+				fmt.Fprintf(w, "SKIP  %-32s not in bench output\n", name)
+				continue
+			}
+			fmt.Fprintf(w, "FAIL  %-32s missing from bench output (use -allow-missing to waive)\n", name)
+			failed = true
+			continue
+		}
+		status := "ok  "
+		var reasons []string
+		if want.NsPerOp > 0 && got.NsPerOp > want.NsPerOp*(1+nsThreshold) {
+			reasons = append(reasons, fmt.Sprintf("ns/op +%.0f%% > +%.0f%% allowed",
+				100*(got.NsPerOp/want.NsPerOp-1), 100*nsThreshold))
+		}
+		if want.AllocsPerOp >= 0 && got.AllocsPerOp > want.AllocsPerOp {
+			reasons = append(reasons, fmt.Sprintf("allocs/op %d > %d", got.AllocsPerOp, want.AllocsPerOp))
+		}
+		if len(reasons) > 0 {
+			status = "FAIL"
+			failed = true
+		}
+		fmt.Fprintf(w, "%s  %-32s ns/op %12.0f -> %12.0f (%+.1f%%)  allocs/op %6d -> %6d  %s\n",
+			status, name, want.NsPerOp, got.NsPerOp, 100*(got.NsPerOp/want.NsPerOp-1),
+			want.AllocsPerOp, got.AllocsPerOp, strings.Join(reasons, "; "))
+	}
+	for name := range run.Benchmarks {
+		if _, ok := base.Benchmarks[name]; !ok {
+			fmt.Fprintf(w, "NEW   %-32s not in baseline (add with -update)\n", name)
+		}
+	}
+	return failed
 }
 
 func main() {
@@ -120,20 +200,27 @@ func main() {
 	allowMissing := flag.Bool("allow-missing", false, "do not fail when a baseline benchmark is absent from the output")
 	flag.Parse()
 
-	measured, err := parseBench(*benchPath)
+	f, err := os.Open(*benchPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
+	run, err := parseBench(f)
+	f.Close()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchdiff: %s: %v\n", *benchPath, err)
+		os.Exit(2)
+	}
+	run.Machine.Go = runtime.Version()
 
 	if *update {
-		note := fmt.Sprintf("Regenerate with: go run ./cmd/benchdiff -bench <bench output> -update. "+
+		run.Note = fmt.Sprintf("Regenerate with: go run ./cmd/benchdiff -bench <bench output> -update. "+
 			"Gate: ns/op > +%.0f%% or any allocs/op increase fails CI.", 100**nsThreshold)
-		if err := writeBaseline(*baselinePath, measured, note); err != nil {
+		if err := writeBaseline(*baselinePath, run); err != nil {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", *baselinePath, len(measured))
+		fmt.Printf("wrote %s (%d benchmarks, %s)\n", *baselinePath, len(run.Benchmarks), run.Machine)
 		return
 	}
 
@@ -147,49 +234,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %s: %v\n", *baselinePath, err)
 		os.Exit(2)
 	}
-
-	names := make([]string, 0, len(base.Benchmarks))
-	for n := range base.Benchmarks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	failed := false
-	for _, name := range names {
-		want := base.Benchmarks[name]
-		got, ok := measured[name]
-		if !ok {
-			if *allowMissing {
-				fmt.Printf("SKIP  %-32s not in bench output\n", name)
-				continue
-			}
-			fmt.Printf("FAIL  %-32s missing from bench output (use -allow-missing to waive)\n", name)
-			failed = true
-			continue
-		}
-		status := "ok  "
-		var reasons []string
-		if want.NsPerOp > 0 && got.NsPerOp > want.NsPerOp*(1+*nsThreshold) {
-			reasons = append(reasons, fmt.Sprintf("ns/op +%.0f%% > +%.0f%% allowed",
-				100*(got.NsPerOp/want.NsPerOp-1), 100**nsThreshold))
-		}
-		if want.AllocsPerOp >= 0 && got.AllocsPerOp > want.AllocsPerOp {
-			reasons = append(reasons, fmt.Sprintf("allocs/op %d > %d", got.AllocsPerOp, want.AllocsPerOp))
-		}
-		if len(reasons) > 0 {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%s  %-32s ns/op %12.0f -> %12.0f (%+.1f%%)  allocs/op %6d -> %6d  %s\n",
-			status, name, want.NsPerOp, got.NsPerOp, 100*(got.NsPerOp/want.NsPerOp-1),
-			want.AllocsPerOp, got.AllocsPerOp, strings.Join(reasons, "; "))
-	}
-	for name := range measured {
-		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("NEW   %-32s not in baseline (add with -update)\n", name)
-		}
-	}
-	if failed {
+	if compare(os.Stdout, base, run, *nsThreshold, *allowMissing) {
 		fmt.Println("benchdiff: performance regression vs baseline")
 		os.Exit(1)
 	}

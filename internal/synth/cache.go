@@ -144,11 +144,34 @@ func Probe(st *store.Store, c Config) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	var cached cachedResult
-	if hit, err := st.Get(key, &cached); err == nil && hit {
-		return cached.result(), true
+	return lookup(st, key, c)
+}
+
+// lookup reads the config's stored result. A blob whose topology is
+// missing, or is not on the config's grid and class, is a miss like an
+// unreadable one, so CachedGenerate recomputes and overwrites it. The
+// grid is checked before the topology is built, so a corrupt blob
+// cannot make the decoder allocate for some other grid.
+func lookup(st *store.Store, key store.Key, c Config) (*Result, bool) {
+	var value json.RawMessage
+	if hit, err := st.Get(key, &value); err != nil || !hit {
+		return nil, false
 	}
-	return nil, false
+	var head struct {
+		Topology *struct {
+			Rows int `json:"rows"`
+			Cols int `json:"cols"`
+		} `json:"topology"`
+	}
+	if json.Unmarshal(value, &head) != nil || head.Topology == nil ||
+		head.Topology.Rows != c.Grid.Rows || head.Topology.Cols != c.Grid.Cols {
+		return nil, false
+	}
+	var cached cachedResult
+	if json.Unmarshal(value, &cached) != nil || cached.Topology == nil || cached.Topology.Class != c.Class {
+		return nil, false
+	}
+	return cached.result(), true
 }
 
 // MatrixNSConfig is the fixed-budget LatOp config the matrix front
@@ -187,9 +210,8 @@ func CachedGenerate(st *store.Store, c Config) (*Result, bool, error) {
 		res, err := Generate(c)
 		return res, false, err
 	}
-	var cached cachedResult
-	if hit, err := st.Get(key, &cached); err == nil && hit {
-		return cached.result(), true, nil
+	if res, hit := lookup(st, key, c); hit {
+		return res, true, nil
 	}
 	res, err := Generate(c)
 	if err != nil {

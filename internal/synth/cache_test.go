@@ -1,10 +1,15 @@
 package synth
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"netsmith/internal/layout"
 	"netsmith/internal/store"
+	"netsmith/internal/topo"
 )
 
 func smallCfg() Config {
@@ -139,4 +144,91 @@ func TestCachedGenerateTimeBudgetUncacheable(t *testing.T) {
 	if _, ok := cfg.cacheKey(); ok {
 		t.Fatal("time-budgeted config reported cacheable")
 	}
+}
+
+// TestCorruptBlobIsMiss: a stored result whose topology is missing or
+// is not on the config's grid and class reads as absent, and
+// CachedGenerate recomputes it and overwrites the blob.
+func TestCorruptBlobIsMiss(t *testing.T) {
+	cfg := smallCfg()
+	key, ok := cfg.cacheKey()
+	if !ok {
+		t.Fatal("config uncacheable")
+	}
+	for name, value := range map[string]string{
+		"null topology": `{"topology":null}`,
+		"no topology":   `{"objective":1}`,
+		"other grid":    `{"topology":{"name":"x","rows":3,"cols":3,"class":"medium","links":[[0,1]]}}`,
+		"other class":   `{"topology":{"name":"x","rows":4,"cols":5,"class":"large","links":[[0,1]]}}`,
+	} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, json.RawMessage(value)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := Probe(st, cfg); ok {
+			t.Errorf("%s: Probe reported the blob present", name)
+		}
+		res, hit, err := CachedGenerate(st, cfg)
+		if err != nil || hit || res.Topology == nil {
+			t.Fatalf("%s: CachedGenerate hit=%v err=%v", name, hit, err)
+		}
+		if again, ok := Probe(st, cfg); !ok || again.Topology.CanonicalLinkList() != res.Topology.CanonicalLinkList() {
+			t.Errorf("%s: the recomputed result did not overwrite the blob", name)
+		}
+	}
+}
+
+// FuzzSynthCacheBlob writes arbitrary bytes as the stored object of the
+// matrix front ends' NS config and reads it through Probe. The blob may
+// miss but must never panic, and a hit must carry a topology on the
+// config's grid and class.
+func FuzzSynthCacheBlob(f *testing.F) {
+	cfg := MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 11, 20000, 0, 0)
+	key, ok := cfg.cacheKey()
+	if !ok {
+		f.Fatal("config uncacheable")
+	}
+	hash, err := key.Hash()
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := store.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(st.Dir(), "objects", hash[:2], hash+".json")
+	tp := topo.New("seed", layout.Grid4x5, layout.Medium)
+	tp.AddLink(0, 1)
+	tp.AddLink(1, 0)
+	if err := st.Put(key, cachedResult{Topology: tp, Objective: 1.5}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(bytes.Replace(valid, []byte(`"rows":4`), []byte(`"rows":3`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"class":"medium"`), []byte(`"class":"large"`), 1))
+	f.Add([]byte(`{"key":{"kind":"synth","schema":2},"value":{"topology":null}}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := Probe(st, cfg)
+		if !ok {
+			return
+		}
+		if res == nil || res.Topology == nil {
+			t.Fatal("hit without a topology")
+		}
+		if g := res.Topology.Grid; g.Rows != 4 || g.Cols != 5 || res.Topology.Class != layout.Medium {
+			t.Fatalf("hit on a %dx%d %s topology", g.Rows, g.Cols, res.Topology.Class)
+		}
+	})
 }

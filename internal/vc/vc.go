@@ -14,6 +14,7 @@ package vc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netsmith/internal/route"
 )
@@ -37,11 +38,21 @@ type flow struct {
 // numberFlows numbers the directed links the routing's paths use, in
 // first-use order, and returns every routed flow in (src, dst) order
 // together with the link count. Graph state then is O(links), not
-// O(routers²).
+// O(routers²). Every flow's link IDs live in one shared array.
 func numberFlows(r *route.Routing) ([]flow, int) {
 	n := r.N
+	count, hops := 0, 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if p := r.Table[s][d]; s != d && p != nil {
+				count++
+				hops += p.Hops()
+			}
+		}
+	}
 	id := make([]int32, n*n) // from*n+to -> link ID + 1; 0 until first use
-	var flows []flow
+	flows := make([]flow, 0, count)
+	ids := make([]int32, hops)
 	links := 0
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
@@ -49,7 +60,8 @@ func numberFlows(r *route.Routing) ([]flow, int) {
 			if s == d || p == nil {
 				continue
 			}
-			f := flow{s: s, d: d, links: make([]int32, p.Hops())}
+			f := flow{s: s, d: d, links: ids[:p.Hops():p.Hops()]}
+			ids = ids[p.Hops():]
 			for i := range f.links {
 				k := p[i]*n + p[i+1]
 				if id[k] == 0 {
@@ -64,149 +76,260 @@ func numberFlows(r *route.Routing) ([]flow, int) {
 	return flows, links
 }
 
-// cdg is one layer's channel dependency graph: nodes are directed links,
-// and an edge a->b means some path of the layer takes link b right after
-// link a. Edges are refcounted so a path can be removed again.
-type cdg struct {
-	succ [][]edge // link -> successor links
-	dfs  *search
-}
+// cdg is a channel dependency graph: nodes are directed links, and an
+// edge a->b means some path takes link b right after link a. Each entry
+// is a link's successor list. Edges are refcounted so a path can be
+// removed again.
+type cdg [][]edge
 
 type edge struct{ to, refs int32 }
 
-func newCDG(links int, dfs *search) *cdg {
-	return &cdg{succ: make([][]edge, links), dfs: dfs}
-}
-
-func (g *cdg) add(links []int32) {
-	for i := 0; i+1 < len(links); i++ {
-		a, b := links[i], links[i+1]
-		out := g.succ[a]
-		j := 0
-		for j < len(out) && out[j].to != b {
-			j++
-		}
-		if j == len(out) {
-			g.succ[a] = append(out, edge{to: b, refs: 1})
-		} else {
+// ref adds a reference to edge a->b and reports whether the edge was
+// already there.
+func (g cdg) ref(a, b int32) bool {
+	out := g[a]
+	for j := range out {
+		if out[j].to == b {
 			out[j].refs++
-		}
-	}
-}
-
-func (g *cdg) remove(links []int32) {
-	for i := 0; i+1 < len(links); i++ {
-		a, b := links[i], links[i+1]
-		out := g.succ[a]
-		for j := range out {
-			if out[j].to != b {
-				continue
-			}
-			if out[j].refs--; out[j].refs == 0 {
-				out[j] = out[len(out)-1]
-				g.succ[a] = out[:len(out)-1]
-			}
-			break
-		}
-	}
-}
-
-// reset empties the graph, keeping its successor lists' capacity.
-func (g *cdg) reset() {
-	for l := range g.succ {
-		g.succ[l] = g.succ[l][:0]
-	}
-}
-
-// search is the three-colour DFS scratch shared by every graph of one
-// Assign or Verify call. Marks are epoch-stamped: per search, a link is
-// white below epoch, grey at epoch and black at epoch+1, so starting a
-// search costs nothing.
-type search struct {
-	mark   []uint64
-	onPath []uint64 // == epoch: the link is on the candidate path, followed by next
-	next   []int32
-	epoch  uint64 // 64 bits: the stamps never wrap
-	stack  []frame
-}
-
-type frame struct {
-	link int32
-	i    int32 // next successor to visit; len(succ) stands for the path edge
-}
-
-func newSearch(links int) *search {
-	return &search{mark: make([]uint64, links), onPath: make([]uint64, links), next: make([]int32, links)}
-}
-
-// findsCycle walks the graph, plus the candidate path's edges stamped
-// this epoch, from root, and reports whether it meets a grey link: a
-// back edge, hence a cycle.
-func (g *cdg) findsCycle(root int32) bool {
-	s := g.dfs
-	grey, black := s.epoch, s.epoch+1
-	s.mark[root] = grey
-	s.stack = append(s.stack[:0], frame{link: root})
-	for len(s.stack) > 0 {
-		top := &s.stack[len(s.stack)-1]
-		l := top.link
-		out := g.succ[l]
-		var to int32
-		switch {
-		case int(top.i) < len(out):
-			to = out[top.i].to
-		case int(top.i) == len(out) && s.onPath[l] == grey:
-			to = s.next[l]
-		default:
-			s.mark[l] = black
-			s.stack = s.stack[:len(s.stack)-1]
-			continue
-		}
-		top.i++
-		switch m := s.mark[to]; {
-		case m == grey:
 			return true
-		case m < grey:
-			s.mark[to] = grey
-			s.stack = append(s.stack, frame{link: to})
 		}
 	}
 	return false
 }
 
-// acyclic checks the whole graph for cycles, rooting a DFS at every
-// link not yet visited. It is Verify's independent certificate.
-func (g *cdg) acyclic() bool {
-	g.dfs.epoch += 2 // a new search: every link is white
-	for root := range g.succ {
-		if g.dfs.mark[root] < g.dfs.epoch && g.findsCycle(int32(root)) {
+// unref drops a reference to edge a->b, which must be there, and
+// reports whether that removed the edge.
+func (g cdg) unref(a, b int32) bool {
+	out := g[a]
+	for j := range out {
+		if out[j].to != b {
+			continue
+		}
+		if out[j].refs--; out[j].refs > 0 {
+			return false
+		}
+		out[j] = out[len(out)-1]
+		g[a] = out[:len(out)-1]
+		return true
+	}
+	panic("vc: removing an edge the graph does not hold")
+}
+
+// add adds the path's edges, whether or not they close a cycle. Only
+// Verify builds graphs this way; layering goes through orderedCDG.
+func (g cdg) add(links []int32) {
+	for i := 0; i+1 < len(links); i++ {
+		if a, b := links[i], links[i+1]; !g.ref(a, b) {
+			g[a] = append(g[a], edge{to: b, refs: 1})
+		}
+	}
+}
+
+// acyclic reports whether the graph has no cycle, by a three-colour
+// DFS rooted at every link not yet visited. It is Verify's certificate
+// and does not rely on how the graph was built.
+func (g cdg) acyclic(s *search) bool {
+	grey := s.begin()
+	black := grey + 1
+	for root := range g {
+		if s.mark[root] >= grey {
+			continue
+		}
+		s.mark[root] = grey
+		s.stack = append(s.stack[:0], frame{link: int32(root)})
+		for len(s.stack) > 0 {
+			top := &s.stack[len(s.stack)-1]
+			out := g[top.link]
+			if int(top.i) == len(out) {
+				s.mark[top.link] = black
+				s.stack = s.stack[:len(s.stack)-1]
+				continue
+			}
+			to := out[top.i].to
+			top.i++
+			switch m := s.mark[to]; {
+			case m == grey:
+				return false // a back edge
+			case m < grey:
+				s.mark[to] = grey
+				s.stack = append(s.stack, frame{link: to})
+			}
+		}
+	}
+	return true
+}
+
+// orderedCDG is one layer's CDG together with a topological order of
+// all its links, kept valid under edge insertion by the Pearce–Kelly
+// algorithm (ACM JEA 11, 2006). An edge that agrees with the order
+// cannot close a cycle, so it costs no search; any other edge moves
+// only the links between its endpoints' positions.
+type orderedCDG struct {
+	succ cdg
+	pred [][]int32 // link -> predecessor links, one entry per edge
+	ord  []int32   // link -> position in the order
+	at   []int32   // position -> link: the inverse of ord
+	s    *search
+}
+
+func newOrderedCDG(links int, s *search) *orderedCDG {
+	g := &orderedCDG{
+		succ: make(cdg, links),
+		pred: make([][]int32, links),
+		ord:  make([]int32, links),
+		at:   make([]int32, links),
+		s:    s,
+	}
+	for l := range g.ord {
+		g.ord[l] = int32(l)
+		g.at[l] = int32(l)
+	}
+	return g
+}
+
+// tryAdd adds the path's edges unless that would close a cycle, and
+// reports whether it did. Edges are inserted in turn; an existing edge
+// just gains a reference. On a cycle, the edges added so far are
+// removed again and the graph holds exactly the edges it held before.
+func (g *orderedCDG) tryAdd(links []int32) bool {
+	for i := 0; i+1 < len(links); i++ {
+		if !g.insert(links[i], links[i+1]) {
+			g.remove(links[:i+1])
 			return false
 		}
 	}
 	return true
 }
 
-// wouldStayAcyclic reports whether adding the path keeps the CDG
-// acyclic, without changing the graph. The graph is acyclic by
-// construction (every path in it passed this check), so a cycle after
-// the add must use one of the path's own edges, and all of those are
-// reachable from the path's first link. A DFS from there over the graph
-// plus the path's edges therefore finds a cycle exactly when a
-// whole-graph DFS after the add would.
-func (g *cdg) wouldStayAcyclic(links []int32) bool {
-	if len(links) < 2 {
-		return true // no edges to add
+// insert adds a reference to edge a->b unless the edge is new and
+// closes a cycle, and reports whether it did.
+func (g *orderedCDG) insert(a, b int32) bool {
+	if g.succ.ref(a, b) {
+		return true
 	}
-	s := g.dfs
-	s.epoch += 2 // a new search: every link is white and off the path
-	for i, l := range links[:len(links)-1] {
-		if s.onPath[l] == s.epoch {
-			return false // the path repeats a link: its own edges close a cycle
+	if g.ord[a] >= g.ord[b] && !g.reorder(a, b) {
+		return false
+	}
+	g.succ[a] = append(g.succ[a], edge{to: b, refs: 1})
+	g.pred[b] = append(g.pred[b], a)
+	return true
+}
+
+// reorder makes the order agree with a new edge x->y, where y is not
+// after x, and reports false, changing nothing, when the edge would
+// close a cycle. A cycle through x->y needs a path from y to x, and
+// every link on such a path lies between y and x in the order. So the
+// forward search from y visits only links ordered before x, and reaching
+// x means a cycle. Otherwise the backward search from x visits the links
+// ordered after y that reach x. Only the links the two searches reached
+// move, within the positions they held: the backward set (x and what
+// reaches it) takes the first of them and the forward set (y and what
+// it reaches) the rest, each set in its old relative order.
+func (g *orderedCDG) reorder(x, y int32) bool {
+	if x == y {
+		return false
+	}
+	s := g.s
+	lo, hi := g.ord[y], g.ord[x]
+	fwd := s.begin()
+	bwd := fwd + 1
+	s.mark[y] = fwd
+	s.work = append(s.work[:0], y)
+	for len(s.work) > 0 {
+		l := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		for _, e := range g.succ[l] {
+			if w := e.to; w == x {
+				return false
+			} else if g.ord[w] < hi && s.mark[w] != fwd {
+				s.mark[w] = fwd
+				s.work = append(s.work, w)
+			}
 		}
-		s.onPath[l] = s.epoch
-		s.next[l] = links[i+1]
 	}
-	return !g.findsCycle(links[0])
+	s.mark[x] = bwd
+	s.work = append(s.work, x)
+	for len(s.work) > 0 {
+		l := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		for _, w := range g.pred[l] {
+			if g.ord[w] > lo && s.mark[w] != bwd {
+				s.mark[w] = bwd
+				s.work = append(s.work, w)
+			}
+		}
+	}
+	// Walk the positions from y's to x's: the marked links take those
+	// positions in increasing order, the backward set's first.
+	s.fwd, s.bwd, s.pos = s.fwd[:0], s.bwd[:0], s.pos[:0]
+	for p := lo; p <= hi; p++ {
+		switch l := g.at[p]; s.mark[l] {
+		case fwd:
+			s.fwd = append(s.fwd, l)
+			s.pos = append(s.pos, p)
+		case bwd:
+			s.bwd = append(s.bwd, l)
+			s.pos = append(s.pos, p)
+		}
+	}
+	i := 0
+	for _, set := range [2][]int32{s.bwd, s.fwd} {
+		for _, l := range set {
+			g.ord[l] = s.pos[i]
+			g.at[s.pos[i]] = l
+			i++
+		}
+	}
+	return true
+}
+
+// remove drops one reference to each of the path's edges, which must
+// all be in the graph. Removing an edge never breaks the order.
+func (g *orderedCDG) remove(links []int32) {
+	for i := 0; i+1 < len(links); i++ {
+		a, b := links[i], links[i+1]
+		if g.succ.unref(a, b) {
+			in := g.pred[b]
+			j := slices.Index(in, a)
+			in[j] = in[len(in)-1]
+			g.pred[b] = in[:len(in)-1]
+		}
+	}
+}
+
+// reset empties the graph, keeping its lists' capacity. Any order is
+// topological for no edges, so the order stays as it is.
+func (g *orderedCDG) reset() {
+	for l := range g.succ {
+		g.succ[l] = g.succ[l][:0]
+		g.pred[l] = g.pred[l][:0]
+	}
+}
+
+// search is the scratch shared by every graph of one Assign or Verify
+// call. Marks are epoch-stamped, so starting a search costs nothing:
+// per search, a link is unvisited below epoch, visited (grey in
+// Verify's DFS) at epoch and black at epoch+1.
+type search struct {
+	mark  []uint64
+	epoch uint64 // 64 bits: the stamps never wrap
+	stack []frame
+	// Pearce–Kelly scratch: the searches' worklist, then the links each
+	// search reached and the positions they share, in order.
+	work, fwd, bwd, pos []int32
+}
+
+type frame struct {
+	link int32
+	i    int32 // next successor to visit
+}
+
+func newSearch(links int) *search { return &search{mark: make([]uint64, links)} }
+
+// begin starts a new search and returns its epoch.
+func (s *search) begin() uint64 {
+	s.epoch += 2
+	return s.epoch
 }
 
 // Options controls VC assignment.
@@ -223,8 +346,8 @@ func Assign(r *route.Routing, opts Options) (*Assignment, error) {
 	}
 	n := r.N
 	flows, links := numberFlows(r)
-	dfs := newSearch(links)
-	g := newCDG(links, dfs)
+	s := newSearch(links)
+	g := newOrderedCDG(links, s)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var best *Assignment
 	for try := 0; try < opts.Tries; try++ {
@@ -242,8 +365,7 @@ func Assign(r *route.Routing, opts Options) (*Assignment, error) {
 			var deferred []int
 			for _, fi := range pending {
 				f := flows[fi]
-				if g.wouldStayAcyclic(f.links) {
-					g.add(f.links)
+				if g.tryAdd(f.links) {
 					layerOf[f.s][f.d] = layers
 				} else {
 					deferred = append(deferred, fi)
@@ -262,25 +384,35 @@ func Assign(r *route.Routing, opts Options) (*Assignment, error) {
 	if opts.MaxVCs > 0 && best.NumVCs > opts.MaxVCs {
 		return nil, fmt.Errorf("vc: %d layers needed, max %d", best.NumVCs, opts.MaxVCs)
 	}
-	balance(flows, links, dfs, best)
+	balance(flows, links, s, best)
 	return best, nil
+}
+
+// layerGraphs builds every layer's ordered CDG from the assignment,
+// whose layers must be acyclic.
+func layerGraphs(flows []flow, links int, s *search, a *Assignment) []*orderedCDG {
+	graphs := make([]*orderedCDG, a.NumVCs)
+	for v := range graphs {
+		graphs[v] = newOrderedCDG(links, s)
+	}
+	for _, f := range flows {
+		if !graphs[a.LayerOf[f.s][f.d]].tryAdd(f.links) {
+			panic("vc: an assigned layer's CDG has a cycle")
+		}
+	}
+	return graphs
 }
 
 // balance evens out path-length weighted VC occupancy: paths are moved
 // from heavier to lighter layers whenever the move preserves acyclicity.
-func balance(flows []flow, links int, dfs *search, a *Assignment) {
+func balance(flows []flow, links int, s *search, a *Assignment) {
 	if a.NumVCs < 2 {
 		return
 	}
-	graphs := make([]*cdg, a.NumVCs)
+	graphs := layerGraphs(flows, links, s, a)
 	weight := make([]int, a.NumVCs)
-	for v := range graphs {
-		graphs[v] = newCDG(links, dfs)
-	}
 	for _, f := range flows {
-		v := a.LayerOf[f.s][f.d]
-		graphs[v].add(f.links)
-		weight[v] += len(f.links)
+		weight[a.LayerOf[f.s][f.d]] += len(f.links)
 	}
 	for pass := 0; pass < 3; pass++ {
 		moved := false
@@ -290,9 +422,8 @@ func balance(flows []flow, links int, dfs *search, a *Assignment) {
 				if to == from || weight[to]+hops >= weight[from] {
 					continue
 				}
-				if graphs[to].wouldStayAcyclic(f.links) {
+				if graphs[to].tryAdd(f.links) {
 					graphs[from].remove(f.links)
-					graphs[to].add(f.links)
 					weight[from] -= hops
 					weight[to] += hops
 					a.LayerOf[f.s][f.d] = to
@@ -313,10 +444,9 @@ func balance(flows []flow, links int, dfs *search, a *Assignment) {
 // trusting how the layers were built.
 func (a *Assignment) Verify(r *route.Routing) error {
 	flows, links := numberFlows(r)
-	dfs := newSearch(links)
-	graphs := make([]*cdg, a.NumVCs)
+	graphs := make([]cdg, a.NumVCs)
 	for v := range graphs {
-		graphs[v] = newCDG(links, dfs)
+		graphs[v] = make(cdg, links)
 	}
 	for _, f := range flows {
 		v := a.LayerOf[f.s][f.d]
@@ -325,8 +455,9 @@ func (a *Assignment) Verify(r *route.Routing) error {
 		}
 		graphs[v].add(f.links)
 	}
+	s := newSearch(links)
 	for v, g := range graphs {
-		if !g.acyclic() {
+		if !g.acyclic(s) {
 			return fmt.Errorf("vc: layer %d CDG has a cycle", v)
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netsmith/internal/expert"
@@ -18,7 +20,7 @@ import (
 // refCDG is the reference CDG, a map of maps with links encoded as
 // from*n+to. Its check adds the path, runs a three-colour DFS over the
 // whole graph and removes the path again. It is the oracle for
-// cdg.wouldStayAcyclic and cdg.acyclic.
+// orderedCDG.tryAdd and cdg.acyclic.
 type refCDG struct {
 	n    int
 	succ map[int]map[int]int // link -> link -> refcount
@@ -111,11 +113,11 @@ func (g *refCDG) wouldStayAcyclic(p route.Path) bool {
 	return ok
 }
 
-// denseCDG returns an empty cdg over every directed link of an n-router
-// network, numbering link (a, b) as a*n+b, and the function that
-// rewrites a path as those IDs.
-func denseCDG(n int) (*cdg, func(route.Path) []int32) {
-	g := newCDG(n*n, newSearch(n*n))
+// denseCDG returns an empty ordered CDG over every directed link of an
+// n-router network, numbering link (a, b) as a*n+b, and the function
+// that rewrites a path as those IDs.
+func denseCDG(n int) (*orderedCDG, func(route.Path) []int32) {
+	g := newOrderedCDG(n*n, newSearch(n*n))
 	return g, func(p route.Path) []int32 {
 		ids := make([]int32, len(p)-1)
 		for i := range ids {
@@ -125,100 +127,173 @@ func denseCDG(n int) (*cdg, func(route.Path) []int32) {
 	}
 }
 
-// edgeCount counts the distinct edges of a cdg.
-func edgeCount(g *cdg) int {
-	n := 0
-	for _, out := range g.succ {
-		n += len(out)
+// edges returns a graph's edges with their refcounts.
+func edges(g cdg) map[[2]int32]int32 {
+	m := make(map[[2]int32]int32)
+	for a, out := range g {
+		for _, e := range out {
+			m[[2]int32{int32(a), e.to}] = e.refs
+		}
 	}
-	return n
+	return m
+}
+
+// checkOrder fails the test unless g's order is topological for the
+// graph's current edges (every edge a->b has ord[a] < ord[b]), at is
+// the inverse of ord, and each link's predecessor list names exactly
+// the tails of its incoming edges.
+func checkOrder(t *testing.T, g *orderedCDG) {
+	t.Helper()
+	for l, p := range g.ord {
+		if g.at[p] != int32(l) {
+			t.Fatalf("ord[%d] = %d but at[%d] = %d", l, p, p, g.at[p])
+		}
+	}
+	indeg := make([]int, len(g.pred))
+	for a, out := range g.succ {
+		for _, e := range out {
+			if g.ord[a] >= g.ord[e.to] {
+				t.Fatalf("edge %d->%d goes against the order: positions %d, %d", a, e.to, g.ord[a], g.ord[e.to])
+			}
+			indeg[e.to]++
+		}
+	}
+	for b, tails := range g.pred {
+		if len(tails) != indeg[b] {
+			t.Fatalf("link %d: %d predecessors listed, %d incoming edges", b, len(tails), indeg[b])
+		}
+		for i, a := range tails {
+			into := func(e edge) bool { return e.to == int32(b) }
+			if slices.Contains(tails[:i], a) || !slices.ContainsFunc(g.succ[a], into) {
+				t.Fatalf("link %d: predecessor %d listed twice or without an edge", b, a)
+			}
+		}
+	}
 }
 
 func TestCDGCycleDetection(t *testing.T) {
 	g, ids := denseCDG(4)
 	// Paths around a bidirectional ring 0-1-2-3 create a CDG cycle when
 	// all four "turns" exist: (0,1)->(1,2)->(2,3)->(3,0)->(0,1).
-	g.add(ids(route.Path{0, 1, 2}))
-	g.add(ids(route.Path{1, 2, 3}))
-	g.add(ids(route.Path{2, 3, 0}))
-	if !g.acyclic() {
-		t.Fatal("three turns cannot close the cycle")
+	turns := []route.Path{{0, 1, 2}, {1, 2, 3}, {2, 3, 0}, {3, 0, 1}}
+	for _, p := range turns[:3] {
+		if !g.tryAdd(ids(p)) {
+			t.Fatalf("turn %v refused: three turns cannot close the cycle", p)
+		}
+		checkOrder(t, g)
 	}
-	if g.wouldStayAcyclic(ids(route.Path{3, 0, 1})) {
+	before := edges(g.succ)
+	if g.tryAdd(ids(turns[3])) {
 		t.Fatal("the fourth turn must be refused")
 	}
-	if !g.wouldStayAcyclic(ids(route.Path{3, 0})) || !g.wouldStayAcyclic(ids(route.Path{1, 2, 3})) {
+	if !maps.Equal(edges(g.succ), before) {
+		t.Fatal("a refused path changed the graph")
+	}
+	checkOrder(t, g)
+	if !g.tryAdd(ids(route.Path{3, 0})) || !g.tryAdd(ids(turns[1])) {
 		t.Fatal("a one-hop path or a path already in the graph closes no cycle")
 	}
-	g.add(ids(route.Path{3, 0, 1}))
-	if g.acyclic() {
-		t.Fatal("four turns around a ring must form a CDG cycle")
+	g.remove(ids(turns[1]))
+	g.remove(ids(turns[1]))
+	if !g.tryAdd(ids(turns[3])) {
+		t.Fatal("without the second turn, the fourth closes no cycle")
 	}
-	g.remove(ids(route.Path{3, 0, 1}))
-	if !g.acyclic() {
-		t.Fatal("removing the closing path must restore acyclicity")
+	checkOrder(t, g)
+	// Verify's plain graph takes all four turns, and its whole-graph DFS
+	// finds the cycle.
+	all := make(cdg, 16)
+	for _, p := range turns {
+		all.add(ids(p))
+	}
+	if all.acyclic(newSearch(16)) {
+		t.Fatal("four turns around a ring must form a CDG cycle")
 	}
 	// A path that revisits a link closes a cycle with its own edges.
 	h, hids := denseCDG(3)
-	if h.wouldStayAcyclic(hids(route.Path{0, 1, 0, 1, 2})) {
+	if h.tryAdd(hids(route.Path{0, 1, 0, 1, 2})) {
 		t.Fatal("a path repeating link (0,1) must be refused")
 	}
+	if len(edges(h.succ)) != 0 {
+		t.Fatal("a refused path left edges behind")
+	}
+	checkOrder(t, h)
 }
 
 func TestCDGRefcounting(t *testing.T) {
 	g, ids := denseCDG(4)
 	p := ids(route.Path{0, 1, 2})
-	g.add(p)
-	g.add(p)
+	if !g.tryAdd(p) || !g.tryAdd(p) {
+		t.Fatal("an acyclic path was refused")
+	}
 	g.remove(p)
 	// One reference remains: edge still present.
-	if edgeCount(g) != 1 {
-		t.Fatalf("%d edges after one of two removes, want 1", edgeCount(g))
+	if n := len(edges(g.succ)); n != 1 {
+		t.Fatalf("%d edges after one of two removes, want 1", n)
 	}
+	checkOrder(t, g)
 	g.remove(p)
-	if edgeCount(g) != 0 {
+	if len(edges(g.succ)) != 0 {
 		t.Fatal("edges must vanish when refcount reaches zero")
 	}
+	checkOrder(t, g)
 }
 
-// checkAgainstOracle layers r's flows in a random order, then makes
-// random moves between layers, asking the dense check and the reference
-// check about every candidate path; they must always agree. A final
-// single layer holding every flow compares the whole-graph checks on a
-// graph that may have cycles. It returns how many candidates were
-// refused.
+// checkAgainstOracle layers r's flows in a random order, as Assign does,
+// then builds the layers' graphs as balance does and makes random moves
+// between layers: each removes a flow from its layer and tries to add it
+// to another. Every tryAdd must give the reference check's answer, a
+// refused path must leave the graph's edges as they were, and after
+// every tryAdd and removal the order must be topological. At the end
+// each layer must hold the reference layer's edges, and a plain graph
+// holding every flow (which may have cycles) must get the reference's
+// whole-graph answer. It returns how many candidates were refused.
 func checkAgainstOracle(t *testing.T, name string, r *route.Routing, seed int64) int {
 	t.Helper()
 	flows, links := numberFlows(r)
-	dfs := newSearch(links)
-	type layer struct {
-		g   *cdg
-		ref *refCDG
+	s := newSearch(links)
+	code := make([]int, links) // link ID -> from*n+to, the reference's link
+	for _, f := range flows {
+		p := r.Table[f.s][f.d]
+		for i, l := range f.links {
+			code[l] = p[i]*r.N + p[i+1]
+		}
 	}
 	refused := 0
-	agree := func(l layer, f flow) bool {
-		got, want := l.g.wouldStayAcyclic(f.links), l.ref.wouldStayAcyclic(r.Table[f.s][f.d])
-		if got != want {
-			t.Fatalf("%s: flow (%d,%d): local check %v, whole-graph check %v", name, f.s, f.d, got, want)
+	try := func(g *orderedCDG, ref *refCDG, f flow) bool {
+		p := r.Table[f.s][f.d]
+		want := ref.wouldStayAcyclic(p)
+		var before map[[2]int32]int32
+		if !want {
+			before = edges(g.succ)
 		}
-		if !got {
+		if got := g.tryAdd(f.links); got != want {
+			t.Fatalf("%s: flow (%d,%d): tryAdd %v, whole-graph check %v", name, f.s, f.d, got, want)
+		}
+		checkOrder(t, g)
+		if want {
+			ref.add(p)
+		} else {
 			refused++
+			if !maps.Equal(edges(g.succ), before) {
+				t.Fatalf("%s: flow (%d,%d): the refused path changed the graph", name, f.s, f.d)
+			}
 		}
-		return got
+		return want
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var layers []layer
-	layerOf := make([]int, len(flows))
-	pending := rng.Perm(len(flows))
-	for len(pending) > 0 {
-		l := layer{newCDG(links, dfs), newRefCDG(r.N)}
+	a := &Assignment{LayerOf: make([][]int, r.N)}
+	for src := range a.LayerOf {
+		a.LayerOf[src] = make([]int, r.N)
+	}
+	var refs []*refCDG
+	g := newOrderedCDG(links, s)
+	for pending := rng.Perm(len(flows)); len(pending) > 0; a.NumVCs++ {
+		g.reset()
+		refs = append(refs, newRefCDG(r.N))
 		var deferred []int
 		for _, fi := range pending {
-			f := flows[fi]
-			if agree(l, f) {
-				l.g.add(f.links)
-				l.ref.add(r.Table[f.s][f.d])
-				layerOf[fi] = len(layers)
+			if f := flows[fi]; try(g, refs[a.NumVCs], f) {
+				a.LayerOf[f.s][f.d] = a.NumVCs
 			} else {
 				deferred = append(deferred, fi)
 			}
@@ -226,41 +301,54 @@ func checkAgainstOracle(t *testing.T, name string, r *route.Routing, seed int64)
 		if len(deferred) == len(pending) {
 			t.Fatalf("%s: no progress", name)
 		}
-		layers = append(layers, l)
 		pending = deferred
 	}
+	graphs := layerGraphs(flows, links, s, a)
+	for _, g := range graphs {
+		checkOrder(t, g)
+	}
 	for i := 0; i < len(flows); i++ {
-		fi, to := rng.Intn(len(flows)), rng.Intn(len(layers))
-		f, from := flows[fi], layerOf[fi]
-		if to == from || !agree(layers[to], f) {
+		f, to := flows[rng.Intn(len(flows))], rng.Intn(a.NumVCs)
+		from := a.LayerOf[f.s][f.d]
+		if to == from || !try(graphs[to], refs[to], f) {
 			continue
 		}
-		layers[from].g.remove(f.links)
-		layers[from].ref.remove(r.Table[f.s][f.d])
-		layers[to].g.add(f.links)
-		layers[to].ref.add(r.Table[f.s][f.d])
-		layerOf[fi] = to
+		graphs[from].remove(f.links)
+		checkOrder(t, graphs[from])
+		refs[from].remove(r.Table[f.s][f.d])
+		a.LayerOf[f.s][f.d] = to
 	}
-	for v, l := range layers {
-		if !l.g.acyclic() || !l.ref.acyclic() {
-			t.Fatalf("%s: layer %d has a cycle", name, v)
+	for v, g := range graphs {
+		want := map[[2]int32]int32{}
+		for from, out := range refs[v].succ {
+			for to, n := range out {
+				want[[2]int32{int32(from), int32(to)}] = int32(n)
+			}
+		}
+		got := map[[2]int32]int32{}
+		for e, n := range edges(g.succ) {
+			got[[2]int32{int32(code[e[0]]), int32(code[e[1]])}] = n
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: layer %d holds other edges than the reference", name, v)
 		}
 	}
-	all := layer{newCDG(links, dfs), newRefCDG(r.N)}
+	all, ref := make(cdg, links), newRefCDG(r.N)
 	for _, f := range flows {
-		all.g.add(f.links)
-		all.ref.add(r.Table[f.s][f.d])
+		all.add(f.links)
+		ref.add(r.Table[f.s][f.d])
 	}
-	if got, want := all.g.acyclic(), all.ref.acyclic(); got != want {
+	if got, want := all.acyclic(s), ref.acyclic(); got != want {
 		t.Fatalf("%s: one-layer whole-graph check %v, reference %v", name, got, want)
 	}
 	return refused
 }
 
-// TestLocalCheckMatchesFullCheck pins the local cycle check to the
-// reference add / whole-graph DFS / remove on rings, meshes with random
-// shortest-path selection and a synthesized topology under MCLB.
-func TestLocalCheckMatchesFullCheck(t *testing.T) {
+// TestOrderedCheckMatchesFullCheck pins tryAdd to the reference add /
+// whole-graph DFS / remove, and the order to the layer's edges, on
+// rings, meshes with random shortest-path selection and a synthesized
+// topology under MCLB.
+func TestOrderedCheckMatchesFullCheck(t *testing.T) {
 	ring := func(n int, bidir bool) *topo.Topology {
 		tp := topo.New("ring", layout.NewGrid(1, n), layout.Large)
 		for i := 0; i < n; i++ {
