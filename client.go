@@ -155,10 +155,7 @@ func NewClient(opts ...ClientOption) (*Client, error) {
 // hit (the entire result came from the store).
 func (c *Client) Synth(ctx context.Context, job SynthJob) (*SynthJobResult, bool, error) {
 	if c.server == "" {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		return serve.ExecuteSynth(c.st, job)
+		return serve.ExecuteSynth(ctx, c.st, job)
 	}
 	var out SynthJobResult
 	hit, err := c.remote(ctx, "synth", job, &out)

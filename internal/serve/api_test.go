@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +119,19 @@ func TestCancelRunningJobFreesSlot(t *testing.T) {
 	}
 }
 
+// holdPlan wraps a plan so every progress report holds its pool worker
+// until the job's context ends: each worker resolves one cell and
+// waits, so a matrix with more cells than workers is still partial
+// whenever a DELETE lands.
+type holdPlan struct{ plan }
+
+func (h holdPlan) finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
+	return h.plan.finish(ctx, st, func(done, total int) {
+		progress(done, total)
+		<-ctx.Done()
+	}, tally)
+}
+
 // TestCancelRunningMatrixJob: a DELETE mid-matrix stops simulation
 // (cell-granular, via the context plumbed through RunMatrix), reports
 // the partial progress, and leaves the store consistent for a resume
@@ -132,16 +148,26 @@ func TestCancelRunningMatrixJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 
-	body := `{"kind":"matrix","grid":"3x3","patterns":["uniform","tornado"],"rates":[0.01,0.02,0.04,0.06,0.08,0.1],"fidelity":"fast","seed":13}`
-	code, j := postReq(t, ts.URL+"/v1/jobs", body)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST status %d", code)
+	// Two patterns at GOMAXPROCS/2+1 rates: more cells than RunMatrix
+	// has pool workers.
+	rates := make([]string, runtime.GOMAXPROCS(0)/2+1)
+	for i := range rates {
+		rates[i] = fmt.Sprint(0.01 * float64(i+1))
+	}
+	req := `{"grid":"3x3","patterns":["uniform","tornado"],"rates":[` + strings.Join(rates, ",") + `],"fidelity":"smoke","seed":13}`
+	p, err := decodeKind("matrix", []byte(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, qerr := s.submit("matrix", []byte(req), holdPlan{p}, 0)
+	if qerr != nil {
+		t.Fatal(qerr)
 	}
 	// Wait for the first resolved cell, then cancel.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		s.mu.Lock()
-		done := s.jobs[j.ID].progressDone
+		done := j.progressDone
 		s.mu.Unlock()
 		if done >= 1 {
 			break
@@ -151,10 +177,10 @@ func TestCancelRunningMatrixJob(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if code, _, _ := doDelete(t, ts.URL+"/v1/jobs/"+j.ID); code != http.StatusOK {
+	if code, _, _ := doDelete(t, ts.URL+"/v1/jobs/"+j.id); code != http.StatusOK {
 		t.Fatalf("DELETE running matrix: status %d", code)
 	}
-	v := pollDone(t, ts.URL, j.ID)
+	v := pollDone(t, ts.URL, j.id)
 	if v.State != StateCancelled {
 		t.Fatalf("cancelled matrix job state %q (error %q)", v.State, v.Error)
 	}
@@ -167,7 +193,7 @@ func TestCancelRunningMatrixJob(t *testing.T) {
 
 	// Resume: the identical request completes, serving the cancelled
 	// run's persisted cells from the store.
-	code, j2 := postReq(t, ts.URL+"/v1/jobs", body)
+	code, j2 := postReq(t, ts.URL+"/v1/jobs", `{"kind":"matrix",`+req[1:])
 	if code != http.StatusAccepted {
 		t.Fatalf("resume POST status %d", code)
 	}

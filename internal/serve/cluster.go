@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"netsmith/internal/exp"
 	"netsmith/internal/sim"
-	"netsmith/internal/store"
 )
 
 // Cluster mode: a matrix or pareto job with shards > 1 does not
@@ -25,8 +23,9 @@ import (
 // every finished unit is already content-addressed in the store
 // (matrix cells, synthesis results), the new claimant re-simulates
 // only what the dead worker never persisted. When all shards report,
-// the runner performs an unsharded cache-first merge over the warm
-// store — byte-identical to a single-process run.
+// the runner hands their tally to the plan's finish — the same
+// unsharded cache-first run a local job makes, over the warm store —
+// so the result is byte-identical to a single-process run.
 //
 // The protocol is deliberately coordinator-centric: workers keep no
 // state but the lease in hand, so killing one at any instant loses at
@@ -47,7 +46,7 @@ type shardState struct {
 	leaseID string
 	expires time.Time
 	created time.Time // when the slot became claimable (self-work grace anchor)
-	done    int       // cells resolved per the last heartbeat/completion
+	done    int       // progress units per the last heartbeat/completion
 }
 
 func (ss *shardState) stateName(now time.Time) string {
@@ -68,18 +67,14 @@ func (ss *shardState) stateName(now time.Time) string {
 type clusterRun struct {
 	jobID   string
 	job     *job
-	kind    string          // "matrix" | "pareto" (lease dispatch)
-	reqJSON json.RawMessage // canonical kind-specific request for lease bodies
-	cells   int             // total progress units (matrix cells, pareto sweep units)
+	kind    string          // kind-table key, sent with every lease
+	plan    plan            // the coordinator's plan of reqJSON
+	reqJSON json.RawMessage // the validated request bytes, sent with every lease
 
-	shards         []shardState
-	doneN          int
-	computed       int // Σ shard stats.Computed
-	storeErrs      int
-	pointsSynth    int // Σ shard pareto points synthesized
-	busy           time.Duration
-	synthAllCached bool
-	failure        string
+	shards  []shardState
+	doneN   int
+	tally   shardTally
+	failure string
 
 	finished chan struct{} // closed when all shards done, a shard fails, or the job dies
 	closed   bool
@@ -107,13 +102,12 @@ type ClaimRequest struct {
 
 // Lease grants one job shard to a worker: execute Request with
 // Shard{Index: Shard, Count: Of} against the shared store, heartbeat
-// well inside TTLMS, then complete. Kind selects the request type —
-// empty means "matrix", keeping pre-pareto workers and coordinators
-// wire-compatible.
+// well inside TTLMS, then complete. Kind names the job kind whose
+// table entry decodes Request.
 type Lease struct {
 	LeaseID string          `json:"lease_id"`
 	JobID   string          `json:"job_id"`
-	Kind    string          `json:"kind,omitempty"` // "" | "matrix" | "pareto"
+	Kind    string          `json:"kind,omitempty"` // "matrix" | "pareto"
 	Shard   int             `json:"shard"`
 	Of      int             `json:"of"`
 	TTLMS   int64           `json:"ttl_ms"`
@@ -144,6 +138,18 @@ type CompleteRequest struct {
 	// searched (0 for matrix shards and fully cached sweeps).
 	PointsSynthesized int   `json:"points_synthesized,omitempty"`
 	ElapsedMS         int64 `json:"elapsed_ms"`
+}
+
+// checkCounts rejects numbers no shard can report: negative, or so
+// large that summing a job's completions could wrap.
+func (c *CompleteRequest) checkCounts() error {
+	for _, n := range []int64{int64(c.Stats.Cells), int64(c.Stats.Computed), int64(c.Stats.CacheHits),
+		int64(c.Stats.StoreErrors), int64(c.PointsSynthesized), c.ElapsedMS} {
+		if n < 0 || n > math.MaxInt32 {
+			return fmt.Errorf("count %d outside [0, %d]", n, math.MaxInt32)
+		}
+	}
+	return nil
 }
 
 // ---- claim/heartbeat/complete core (shared by HTTP handlers and
@@ -214,20 +220,20 @@ func (s *Server) leaseShardLocked(jobID, leaseID string) (*clusterRun, *shardSta
 // the job envelope; false means the lease is gone (expired and
 // re-stolen, job cancelled, or cluster finished) and the holder must
 // abandon the shard.
-func (s *Server) heartbeatLease(jobID, leaseID, worker string, done int) bool {
+func (s *Server) heartbeatLease(hb HeartbeatRequest) bool {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if worker != "" {
-		s.workersSeen[worker] = now
+	if hb.Worker != "" {
+		s.workersSeen[hb.Worker] = now
 	}
-	cr, ss := s.leaseShardLocked(jobID, leaseID)
+	cr, ss := s.leaseShardLocked(hb.JobID, hb.LeaseID)
 	if cr == nil {
 		return false
 	}
 	ss.expires = now.Add(s.cfg.LeaseTTL)
-	if done > ss.done {
-		ss.done = done
+	if hb.Done > ss.done {
+		ss.done = min(hb.Done, cr.plan.units())
 	}
 	s.clusterProgressLocked(cr)
 	return true
@@ -242,13 +248,11 @@ func (s *Server) clusterProgressLocked(cr *clusterRun) {
 	for i := range cr.shards {
 		sum += cr.shards[i].done
 	}
-	if sum > cr.cells {
-		sum = cr.cells
-	}
+	sum = min(sum, cr.plan.units())
 	if sum > cr.job.progressDone {
 		cr.job.progressDone = sum
 	}
-	cr.job.progressTotal = cr.cells
+	cr.job.progressTotal = cr.plan.units()
 }
 
 // completeLease records a shard outcome; false means the lease was no
@@ -271,21 +275,12 @@ func (s *Server) completeLease(req CompleteRequest) bool {
 		return true
 	}
 	ss.state = shardDone
-	if cr.kind != "pareto" {
-		// Matrix progress is cell-denominated, so the completion stats
-		// are the exact tally. Pareto progress runs in sweep units —
-		// keep the shard's last heartbeat tally and let the merge pass
-		// drive the remainder.
-		ss.done = req.Stats.Computed + req.Stats.CacheHits
-	}
+	ss.done = max(ss.done, cr.plan.shardDone(req.Stats))
 	cr.doneN++
-	cr.computed += req.Stats.Computed
-	cr.storeErrs += req.Stats.StoreErrors
-	cr.pointsSynth += req.PointsSynthesized
-	cr.busy += time.Duration(req.ElapsedMS) * time.Millisecond
-	if !req.SynthCached {
-		cr.synthAllCached = false
-	}
+	cr.tally.computed += req.Stats.Computed
+	cr.tally.storeErrs += req.Stats.StoreErrors
+	cr.tally.pointsSynth += req.PointsSynthesized
+	cr.tally.synthSearched = cr.tally.synthSearched || !req.SynthCached
 	// Cache-hit cell accounting happens once at merge time (shard
 	// CacheHits overlap across shards); computed cells are exact.
 	s.stats.cellsComputed += int64(req.Stats.Computed)
@@ -332,7 +327,7 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "bad_request", "bad heartbeat body: %v", err)
 		return
 	}
-	if !s.heartbeatLease(req.JobID, req.LeaseID, req.Worker, req.Done) {
+	if !s.heartbeatLease(req) {
 		writeError(w, http.StatusGone, "lease_gone", "lease %s on job %s is no longer live", req.LeaseID, req.JobID)
 		return
 	}
@@ -347,6 +342,10 @@ func (s *Server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad completion body: %v", err)
 		return
 	}
+	if err := req.checkCounts(); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "bad completion: %v", err)
+		return
+	}
 	if !s.completeLease(req) {
 		writeError(w, http.StatusGone, "lease_gone", "lease %s on job %s is no longer live", req.LeaseID, req.JobID)
 		return
@@ -356,269 +355,86 @@ func (s *Server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 
 // ---- the coordinator-side job runner ----
 
-// shardReport is the successful outcome of one shard execution,
-// kind-agnostic: matrix shards fill the cell stats; pareto shards also
-// count the sweep points they synthesized.
+// shardReport is the successful outcome of one shard execution:
+// matrix shards fill the cell stats; pareto shards also count the
+// sweep points they synthesized.
 type shardReport struct {
 	stats       sim.MatrixStats
 	pointsSynth int
 	synthCached bool
 }
 
-// shardRunner executes one Shard{Index,Count} slice of a cluster job
-// against a store, reporting resolved work units through progress. It
-// classifies "my slice done, others pending" as success; a nil report
-// with a live error means the shard genuinely failed.
-type shardRunner func(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (*shardReport, error)
-
-// clusterAgg is the shard-phase tally handed to a cluster job's merge
-// step once every shard has reported.
-type clusterAgg struct {
-	computed    int // Σ shard computed cells
-	storeErrs   int
-	pointsSynth int // Σ shard pareto points synthesized
-	synthAll    bool
+// shardTally is what a cluster job's shards reported, handed to the
+// plan's finish. The zero value is a local run: no shards, nothing
+// done elsewhere.
+type shardTally struct {
+	shards        int
+	computed      int // Σ shard computed cells
+	storeErrs     int
+	pointsSynth   int  // Σ shard pareto points synthesized
+	synthSearched bool // some shard searched an "ns" topology
 }
 
-// clusterJobRun is the kind-agnostic coordinator runner for sharded
-// jobs: post the lease slots, wait for workers (optionally picking up
-// neglected shards itself via runShard), then hand the shard tallies
-// to merge for the final unsharded cache-first pass.
-func (s *Server) clusterJobRun(kind string, reqJSON []byte, units, shards int, runShard shardRunner,
-	merge func(ctx context.Context, j *job, agg clusterAgg) (any, bool, error)) runFunc {
-	return func(ctx context.Context, j *job) (any, bool, error) {
-		now := time.Now()
-		cr := &clusterRun{
-			jobID: j.id, job: j, kind: kind, reqJSON: reqJSON, cells: units,
-			shards:         make([]shardState, shards),
-			synthAllCached: true,
-			finished:       make(chan struct{}),
-		}
-		for i := range cr.shards {
-			cr.shards[i] = shardState{index: i, created: now}
-		}
+// runShards posts a sharded job's lease slots and waits for workers —
+// picking up neglected shards itself unless self-work is disabled —
+// until every shard has reported, and returns their tally.
+func (s *Server) runShards(ctx context.Context, j *job, kind string, body []byte, p plan, shards int) (shardTally, error) {
+	now := time.Now()
+	cr := &clusterRun{
+		jobID: j.id, job: j, kind: kind, plan: p, reqJSON: body,
+		shards:   make([]shardState, shards),
+		tally:    shardTally{shards: shards},
+		finished: make(chan struct{}),
+	}
+	for i := range cr.shards {
+		cr.shards[i] = shardState{index: i, created: now}
+	}
+	s.mu.Lock()
+	s.clusters[j.id] = cr
+	s.mu.Unlock()
+	defer func() {
 		s.mu.Lock()
-		s.clusters[j.id] = cr
+		cr.closeLocked()
+		delete(s.clusters, j.id)
 		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			cr.closeLocked()
-			delete(s.clusters, j.id)
-			s.mu.Unlock()
-		}()
-
-		// Self-work cadence: often enough to steal an expired lease
-		// promptly, bounded so short test TTLs don't spin.
-		tickEvery := s.cfg.LeaseTTL / 4
-		if tickEvery < 10*time.Millisecond {
-			tickEvery = 10 * time.Millisecond
-		}
-		tick := time.NewTicker(tickEvery)
-		defer tick.Stop()
-	wait:
-		for {
-			select {
-			case <-ctx.Done():
-				// Cancellation: close the run so in-flight workers'
-				// next heartbeat answers 410 and they abandon the
-				// shard mid-cell.
-				s.mu.Lock()
-				cr.failure = "job cancelled"
-				cr.closeLocked()
-				s.mu.Unlock()
-				return nil, false, ctx.Err()
-			case <-cr.finished:
-				break wait
-			case <-tick.C:
-				if s.cfg.DisableSelfWork {
-					continue
-				}
-				// External workers get a full lease TTL of first
-				// refusal on virgin shards; expired leases are fair
-				// game immediately.
-				s.mu.Lock()
-				lease := s.claimFromLocked(cr, "coordinator", time.Now(), s.cfg.LeaseTTL)
-				s.mu.Unlock()
-				if lease != nil {
-					s.runLeasedShard(ctx, lease, runShard)
-				}
-			}
-		}
-
-		s.mu.Lock()
-		failure := cr.failure
-		agg := clusterAgg{
-			computed: cr.computed, storeErrs: cr.storeErrs,
-			pointsSynth: cr.pointsSynth, synthAll: cr.synthAllCached,
-		}
-		s.mu.Unlock()
-		if failure != "" {
-			return nil, false, errors.New(failure)
-		}
-		return merge(ctx, j, agg)
-	}
-}
-
-// clusterMatrixRun returns the runFunc for a sharded matrix job.
-func (s *Server) clusterMatrixRun(plan *matrixPlan, reqJSON []byte, shards int) runFunc {
-	cells := plan.cellCount()
-	merge := func(ctx context.Context, j *job, agg clusterAgg) (any, bool, error) {
-		// Merge: an unsharded cache-first run over the now-warm store.
-		// Deterministic cell keys make this byte-identical to a local
-		// single-process run; it simulates nothing unless a worker's
-		// store write failed.
-		start := time.Now()
-		res, mergeSynthCached, err := plan.run(ctx, s.cfg.Store, sim.Shard{}, func(done, total int) {
-			s.setProgress(j, done, total)
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		totalComputed := agg.computed + res.Stats.Computed
-		if totalComputed > cells {
-			totalComputed = cells
-		}
-		stats := sim.MatrixStats{
-			Cells:    cells,
-			Computed: totalComputed, CacheHits: cells - totalComputed,
-			StoreErrors: agg.storeErrs + res.Stats.StoreErrors,
-		}
-		// Shard completions already counted their computed cells; count
-		// the effective cache hits (and any merge-time recomputation)
-		// exactly once here.
-		s.noteMatrix(sim.MatrixStats{Computed: res.Stats.Computed, CacheHits: stats.CacheHits}, time.Since(start))
-		out := MatrixJobResult{
-			Matrix: res, Stats: stats,
-			SynthCacheHit: agg.synthAll && mergeSynthCached,
-			Shards:        shards,
-		}
-		return out, totalComputed == 0 && agg.synthAll && mergeSynthCached, nil
-	}
-	return s.clusterJobRun("matrix", reqJSON, cells, shards, plan.shardRunner(), merge)
-}
-
-// clusterParetoRun returns the runFunc for a sharded pareto job: each
-// shard synthesizes and measures its owned sweep points into the
-// shared store, then the merge assembles the frontier unsharded over
-// the warm store (recomputing nothing).
-func (s *Server) clusterParetoRun(plan *paretoPlan, reqJSON []byte, shards int) runFunc {
-	merge := func(ctx context.Context, j *job, agg clusterAgg) (any, bool, error) {
-		start := time.Now()
-		fr, err := plan.run(ctx, s.cfg.Store, sim.Shard{}, func(done, total int) {
-			s.setProgress(j, done, total)
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		stats := fr.Stats
-		if !stats.FrontierCached {
-			// Fold the shards' work into cluster-wide truth: a point or
-			// cell the merge pass found in the store is "cached" only if
-			// no shard filled it this job.
-			totalComputed := agg.computed + fr.Stats.CellsComputed
-			if totalComputed > fr.Stats.Cells {
-				totalComputed = fr.Stats.Cells
-			}
-			totalSynth := agg.pointsSynth + fr.Stats.Synthesized
-			if totalSynth > stats.Points {
-				totalSynth = stats.Points
-			}
-			stats.Synthesized = totalSynth
-			stats.SynthCached = stats.Points - totalSynth
-			stats.CellsComputed = totalComputed
-			stats.CellsCached = fr.Stats.Cells - totalComputed
-			stats.StoreErrors += agg.storeErrs
-		}
-		// Shard completions already counted their computed cells; charge
-		// only the merge pass's own split here.
-		s.notePareto(fr, exp.ParetoStats{
-			CellsComputed: fr.Stats.CellsComputed, CellsCached: stats.CellsCached,
-		}, time.Since(start))
-		out := ParetoJobResult{Frontier: fr, Stats: stats, Shards: shards}
-		hit := stats.FrontierCached || (stats.Synthesized == 0 && stats.CellsComputed == 0)
-		return out, hit, nil
-	}
-	return s.clusterJobRun("pareto", reqJSON, plan.units(), shards, plan.shardRunner(), merge)
-}
-
-// runLeasedShard executes one shard in-process (coordinator
-// self-work), with the same heartbeat discipline a remote worker
-// keeps: if the lease is lost, the shard context dies and the slice is
-// abandoned mid-cell.
-func (s *Server) runLeasedShard(ctx context.Context, lease *Lease, runShard shardRunner) {
-	shardCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var doneUnits atomic.Int64
-	hbDone := make(chan struct{})
-	defer close(hbDone)
-	go func() {
-		t := time.NewTicker(time.Duration(lease.TTLMS) * time.Millisecond / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbDone:
-				return
-			case <-t.C:
-				if !s.heartbeatLease(lease.JobID, lease.LeaseID, "coordinator", int(doneUnits.Load())) {
-					cancel()
-					return
-				}
-			}
-		}
 	}()
-	start := time.Now()
-	rep, err := runShard(shardCtx, s.cfg.Store, sim.Shard{Index: lease.Shard, Count: lease.Of},
-		func(done, total int) { doneUnits.Store(int64(done)) })
-	if rep == nil {
-		if shardCtx.Err() != nil {
-			return // lease lost or job cancelled: let the slot move on
+
+	// Self-work cadence: often enough to steal an expired lease
+	// promptly, bounded so short test TTLs don't spin.
+	tick := time.NewTicker(max(s.cfg.LeaseTTL/4, 10*time.Millisecond))
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			// Cancellation: close the run so in-flight workers' next
+			// heartbeat answers 410 and they abandon the shard mid-cell.
+			s.mu.Lock()
+			cr.failure = "job cancelled"
+			cr.closeLocked()
+			s.mu.Unlock()
+			return shardTally{}, ctx.Err()
+		case <-cr.finished:
+			s.mu.Lock()
+			tally, failure := cr.tally, cr.failure
+			s.mu.Unlock()
+			if failure != "" {
+				return shardTally{}, errors.New(failure)
+			}
+			return tally, nil
+		case <-tick.C:
+			if s.cfg.DisableSelfWork {
+				continue
+			}
+			// External workers get a full lease TTL of first refusal on
+			// virgin shards; expired leases are fair game immediately.
+			s.mu.Lock()
+			lease := s.claimFromLocked(cr, "coordinator", time.Now(), s.cfg.LeaseTTL)
+			s.mu.Unlock()
+			if lease != nil {
+				executeLease(ctx, s.cfg.Store, "coordinator", lease,
+					func(_ context.Context, hb HeartbeatRequest) bool { return s.heartbeatLease(hb) },
+					func(c CompleteRequest) { s.completeLease(c) })
+			}
 		}
-		s.completeLease(CompleteRequest{
-			JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: "coordinator",
-			Error: err.Error(), ElapsedMS: time.Since(start).Milliseconds(),
-		})
-		return
 	}
-	s.completeLease(CompleteRequest{
-		JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: "coordinator",
-		Stats: rep.stats, SynthCached: rep.synthCached, PointsSynthesized: rep.pointsSynth,
-		ElapsedMS: time.Since(start).Milliseconds(),
-	})
-}
-
-// shardOutcome classifies a sharded matrix run: sim.IncompleteError —
-// "my slice is done, others pending" — IS success for a shard worker;
-// a full result (possible when other shards finished first) is too.
-func shardOutcome(res *sim.MatrixResult, err error) (sim.MatrixStats, bool) {
-	if err == nil {
-		return res.Stats, true
-	}
-	var inc *sim.IncompleteError
-	if errors.As(err, &inc) {
-		return sim.MatrixStats{Cells: inc.Cells, Computed: inc.Computed, CacheHits: inc.CacheHits}, true
-	}
-	return sim.MatrixStats{}, false
-}
-
-// paretoShardOutcome classifies a sharded sweep the same way:
-// exp.ParetoIncompleteError IS success (the shard's points are in
-// the store), as is a full frontier (the whole sweep was cached).
-func paretoShardOutcome(fr *exp.Frontier, err error) (*shardReport, error) {
-	if err == nil {
-		st := fr.Stats
-		return &shardReport{
-			stats:       sim.MatrixStats{Cells: st.Cells, Computed: st.CellsComputed, CacheHits: st.CellsCached, StoreErrors: st.StoreErrors},
-			pointsSynth: st.Synthesized,
-			synthCached: st.Synthesized == 0,
-		}, nil
-	}
-	var inc *exp.ParetoIncompleteError
-	if errors.As(err, &inc) {
-		return &shardReport{
-			stats:       sim.MatrixStats{Cells: inc.Cells, Computed: inc.CellsComputed, CacheHits: inc.CellsCached},
-			pointsSynth: inc.Synthesized,
-			synthCached: inc.Synthesized == 0,
-		}, nil
-	}
-	return nil, err
 }

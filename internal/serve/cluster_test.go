@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,26 +195,7 @@ func TestClusterWorkerKilledMidShard(t *testing.T) {
 
 	// Act as the doomed worker: claim a lease over HTTP the way
 	// RunWorker does...
-	var lease Lease
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Post(ts.URL+"/v1/cluster/claim", "application/json", strings.NewReader(`{"worker":"doomed"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			break
-		}
-		resp.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("never got a lease (job not registered?)")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	lease := claimOne(t, ts.URL, "doomed")
 
 	// ...execute PART of the shard (killed after the first cell: the
 	// context dies, no heartbeat, no completion — exactly a crash as
@@ -222,20 +204,15 @@ func TestClusterWorkerKilledMidShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req MatrixRequest
-	if err := json.Unmarshal(lease.Request, &req); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := req.plan()
+	p, err := decodeKind(lease.Kind, lease.Request)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
-	_, _, runErr := plan.run(ctx, wst, sim.Shard{Index: lease.Shard, Count: lease.Of},
-		func(done, total int) { once.Do(cancel) })
-	if runErr == nil {
+	if _, err := p.shard(ctx, wst, sim.Shard{Index: lease.Shard, Count: lease.Of},
+		func(done, total int) { once.Do(cancel) }); err == nil {
 		t.Fatal("partial shard run unexpectedly completed")
 	}
 	persisted, err := wst.Len()
@@ -285,26 +262,7 @@ func TestClusterCancelRevokesLeases(t *testing.T) {
 	waitState(t, s, j.ID, StateRunning)
 
 	// Hold a lease as a fake worker.
-	var lease Lease
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Post(ts.URL+"/v1/cluster/claim", "application/json", strings.NewReader(`{"worker":"w1"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			break
-		}
-		resp.Body.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("never got a lease")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	lease := claimOne(t, ts.URL, "w1")
 
 	if code, _, _ := doDelete(t, ts.URL+"/v1/jobs/"+j.ID); code != http.StatusOK {
 		t.Fatalf("DELETE cluster job: status %d", code)
@@ -341,5 +299,243 @@ func TestClusterCancelRevokesLeases(t *testing.T) {
 	}
 	if v := pollDone(t, ts.URL, j2.id); v.State != StateDone {
 		t.Fatalf("job after cluster cancellation: %+v", v)
+	}
+}
+
+// withoutShards re-marshals a job payload without its "shards" field,
+// the one field the execution paths legitimately differ on.
+func withoutShards(t *testing.T, raw []byte) string {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "shards")
+	b, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestPayloadParityAcrossPaths: a matrix job and a pareto sweep return
+// the same payload bytes (apart from "shards") and the same cache-hit
+// flag whether they run in-process through Execute*, as a served local
+// job, or as a served cluster job merged from two self-worked shards —
+// on a cold store and again on the warm one.
+func TestPayloadParityAcrossPaths(t *testing.T) {
+	for _, c := range []struct{ kind, body string }{
+		{"matrix", `{"grid":"3x3","topos":["mesh","ns"],"rates":[0.02,0.1],"fidelity":"smoke","seed":5,"synth_iterations":400}`},
+		{"pareto", smokeParetoBody},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			inProcess := func() (string, bool) {
+				var out any
+				var hit bool
+				switch c.kind {
+				case "matrix":
+					var req MatrixRequest
+					if err := decodeStrict([]byte(c.body), &req); err != nil {
+						t.Fatal(err)
+					}
+					out, hit, err = ExecuteMatrix(context.Background(), st, req, nil)
+				case "pareto":
+					var req ParetoRequest
+					if err := decodeStrict([]byte(c.body), &req); err != nil {
+						t.Fatal(err)
+					}
+					out, hit, err = ExecutePareto(context.Background(), st, req, nil)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return withoutShards(t, b), hit
+			}
+			served := func(url string, shards int) func() (string, bool) {
+				body := fmt.Sprintf(`{"kind":%q,"shards":%d,`, c.kind, shards) + c.body[1:]
+				return func() (string, bool) {
+					code, j := postReq(t, url+"/v1/jobs", body)
+					if code != http.StatusAccepted {
+						t.Fatalf("POST %s: status %d", body, code)
+					}
+					v := pollDone(t, url, j.ID)
+					if v.State != StateDone {
+						t.Fatalf("%s job: state %q error %q", c.kind, v.State, v.Error)
+					}
+					return withoutShards(t, v.Result), v.CacheHit
+				}
+			}
+			_, local := newTestServer(t)
+			_, cluster, _ := newClusterServer(t, Config{LeaseTTL: 50 * time.Millisecond})
+			paths := []struct {
+				name string
+				run  func() (string, bool)
+			}{
+				{"in-process", inProcess},
+				{"served local", served(local.URL, 1)},
+				{"served cluster", served(cluster.URL, 2)},
+			}
+			for _, temp := range []string{"cold", "warm"} {
+				want, wantHit := paths[0].run()
+				if wantHit != (temp == "warm") {
+					t.Errorf("%s in-process run: cache hit %v", temp, wantHit)
+				}
+				for _, p := range paths[1:] {
+					got, hit := p.run()
+					if got != want {
+						t.Errorf("%s %s payload differs from in-process:\n%s\n----\n%s", temp, p.name, got, want)
+					}
+					if hit != wantHit {
+						t.Errorf("%s %s cache hit %v, in-process %v", temp, p.name, hit, wantHit)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLeaseTTLBelowOneMillisecond: leases carry their TTL in whole
+// milliseconds, so New must refuse a LeaseTTL that would go out as
+// ttl_ms 0 (self-work would then tick a zero heartbeat interval).
+func TestLeaseTTLBelowOneMillisecond(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ttl := range []time.Duration{500 * time.Microsecond, -time.Second} {
+		if s, err := New(Config{Store: st, LeaseTTL: ttl}); err == nil {
+			s.Close()
+			t.Errorf("New accepted LeaseTTL %v", ttl)
+		}
+	}
+	s, err := New(Config{Store: st, LeaseTTL: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New refused a 1ms LeaseTTL: %v", err)
+	}
+	s.Close()
+}
+
+// claimOne claims a lease over HTTP as the named worker, polling until
+// the coordinator has one to offer.
+func claimOne(t *testing.T, url, worker string) Lease {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Post(url+"/v1/cluster/claim", "application/json", strings.NewReader(`{"worker":"`+worker+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			var lease Lease
+			err := json.NewDecoder(resp.Body).Decode(&lease)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lease
+		}
+		resp.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("never got a lease")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCompleteRejectsBadCounts: a completion reporting negative (or
+// absurdly large) counts is refused with 400 and leaves the lease live,
+// so it cannot corrupt the job's stats or /metrics; the honest
+// completion that follows is accepted.
+func TestCompleteRejectsBadCounts(t *testing.T) {
+	s, ts, _ := newClusterServer(t, Config{Workers: 1, DisableSelfWork: true})
+	code, j := postReq(t, ts.URL+"/v1/jobs", clusterReqBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status %d", code)
+	}
+	lease := claimOne(t, ts.URL, "w1")
+	post := func(path string, body any) int {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, bad := range []CompleteRequest{
+		{Stats: sim.MatrixStats{Computed: -100}},
+		{Stats: sim.MatrixStats{Cells: -1}},
+		{Stats: sim.MatrixStats{CacheHits: -1}},
+		{Stats: sim.MatrixStats{StoreErrors: -1}},
+		{PointsSynthesized: -1},
+		{ElapsedMS: -1},
+		{Stats: sim.MatrixStats{Computed: 1 << 62}},
+	} {
+		bad.JobID, bad.LeaseID, bad.Worker = lease.JobID, lease.LeaseID, "w1"
+		if code := post("/v1/cluster/complete", bad); code != http.StatusBadRequest {
+			t.Errorf("completion %+v: status %d, want 400", bad, code)
+		}
+	}
+	hb := HeartbeatRequest{JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: "w1"}
+	if code := post("/v1/cluster/heartbeat", hb); code != http.StatusOK {
+		t.Fatalf("heartbeat after refused completions: status %d, want 200 (lease still live)", code)
+	}
+	s.mu.Lock()
+	computed := s.stats.cellsComputed
+	s.mu.Unlock()
+	if computed != 0 {
+		t.Errorf("refused completions charged %d computed cells to /metrics", computed)
+	}
+	if code := post("/v1/cluster/complete", CompleteRequest{JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: "w1"}); code != http.StatusOK {
+		t.Fatalf("honest completion: status %d", code)
+	}
+	if code, _, _ := doDelete(t, ts.URL+"/v1/jobs/"+j.ID); code != http.StatusOK {
+		t.Fatalf("DELETE cluster job: status %d", code)
+	}
+}
+
+// TestExecuteLeaseOutsideInput: a lease is outside input to a worker.
+// One carrying ttl_ms <= 0 still runs its shard (heartbeating at a
+// fallback interval, not a zero one), and one with an empty or unknown
+// kind is reported as failed instead of being read as a matrix.
+func TestExecuteLeaseOutsideInput(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(clusterMatrixRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(lease Lease) CompleteRequest {
+		var comp CompleteRequest
+		executeLease(context.Background(), st, "w1", &lease,
+			func(context.Context, HeartbeatRequest) bool { return true },
+			func(c CompleteRequest) { comp = c })
+		return comp
+	}
+	for _, ttl := range []int64{0, -1} {
+		comp := run(Lease{LeaseID: "L1", JobID: "j1", Kind: "matrix", Shard: 0, Of: 2, TTLMS: ttl, Request: req})
+		if comp.Error != "" || comp.Stats.Computed+comp.Stats.CacheHits == 0 {
+			t.Errorf("ttl_ms %d: completion %+v, want the shard's cells", ttl, comp)
+		}
+	}
+	for _, kind := range []string{"", "paint"} {
+		comp := run(Lease{LeaseID: "L2", JobID: "j1", Kind: kind, Shard: 1, Of: 2, TTLMS: 1000, Request: req})
+		if !strings.Contains(comp.Error, "unknown kind") {
+			t.Errorf("lease kind %q: completion error %q, want unknown kind", kind, comp.Error)
+		}
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"net/http"
 	"sort"
 	"time"
-
-	"netsmith/internal/exp"
-	"netsmith/internal/sim"
 )
 
 // serverStats accumulates the counters behind /metrics; guarded by
@@ -34,44 +31,6 @@ type serverStats struct {
 	fleetIdleMW   float64
 	fleetActiveMW float64
 	fleetFlitPJ   float64 // Σ per-frontier mean energy per flit
-}
-
-func (s *Server) noteSynth(hit bool) {
-	s.mu.Lock()
-	s.stats.synthRuns++
-	if hit {
-		s.stats.synthCached++
-	}
-	s.mu.Unlock()
-}
-
-// noteMatrix folds one matrix (or shard) execution into the counters.
-// elapsed is wall time spent executing — cells/busy-second is the
-// cluster's aggregate simulation throughput.
-func (s *Server) noteMatrix(stats sim.MatrixStats, elapsed time.Duration) {
-	s.mu.Lock()
-	s.stats.cellsComputed += int64(stats.Computed)
-	s.stats.cellsCached += int64(stats.CacheHits)
-	s.stats.busy += elapsed
-	s.mu.Unlock()
-}
-
-// notePareto folds one completed sweep into the counters. stats
-// carries only the cell work to charge here — cluster merges pass the
-// merge-time split because shard completions already counted theirs.
-func (s *Server) notePareto(fr *exp.Frontier, stats exp.ParetoStats, elapsed time.Duration) {
-	s.mu.Lock()
-	s.stats.paretoSweeps++
-	s.stats.paretoKept += int64(len(fr.Points))
-	s.stats.paretoPruned += int64(fr.Pruned)
-	s.stats.fleetPowerMW += fr.Energy.AggregatePowerMW
-	s.stats.fleetIdleMW += fr.Energy.IdlePowerMW
-	s.stats.fleetActiveMW += fr.Energy.ActivePowerMW
-	s.stats.fleetFlitPJ += fr.Energy.EnergyPerFlitPJ
-	s.stats.cellsComputed += int64(stats.CellsComputed)
-	s.stats.cellsCached += int64(stats.CellsCached)
-	s.stats.busy += elapsed
-	s.mu.Unlock()
 }
 
 // handleMetrics is GET /metrics: Prometheus text exposition, hand

@@ -21,11 +21,92 @@ import (
 	"netsmith/internal/traffic"
 )
 
+// ---- the kind table ----
+
+// plan is the validated, executable form of one job request. Every
+// execution path runs it: a served local job, an in-process Execute*
+// call and a cluster job's final merge all call finish, and a shard
+// lease (remote worker or coordinator self-work) calls shard.
+type plan interface {
+	// units is the job's progress denominator; 0 for a plan that never
+	// shards.
+	units() int
+	// shards resolves the job's shard count from the request's and the
+	// server default def; below 2 the job runs locally.
+	shards(def int) int
+	// shard runs one slice cache-first into st. Finishing the slice
+	// while other shards are still pending is success.
+	shard(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int)) (*shardReport, error)
+	// shardDone is the progress a completed shard's cell stats account
+	// for; 0 when the plan's units are not cells, so the shard's last
+	// heartbeat stands.
+	shardDone(st sim.MatrixStats) int
+	// finish runs the job unsharded and cache-first over st and folds
+	// the shard tally into its stats; the zero tally is a local run.
+	// note charges the run to /metrics and is called under Server.mu.
+	finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (out any, hit bool, note func(*serverStats), err error)
+}
+
+// kinds is the job-kind table: each entry strictly decodes a request
+// body of its kind and validates it into a plan, without running it.
+var kinds = map[string]func(body []byte) (plan, error){
+	"synth":  decodePlan((*SynthRequest).plan),
+	"matrix": decodePlan((*MatrixRequest).plan),
+	"pareto": decodePlan((*ParetoRequest).plan),
+}
+
+func decodePlan[R any, P plan](validate func(*R) (P, error)) func([]byte) (plan, error) {
+	return func(body []byte) (plan, error) {
+		var req R
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, fmt.Errorf("bad request body: %w", err)
+		}
+		p, err := validate(&req)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+}
+
+// decodeKind looks kind up in the table and plans body with it.
+func decodeKind(kind string, body []byte) (plan, error) {
+	decode, ok := kinds[kind]
+	if !ok {
+		return nil, fmt.Errorf(`unknown kind %q (want "synth", "matrix" or "pareto")`, kind)
+	}
+	return decode(body)
+}
+
+// executePlan runs a validated request in-process: the served local
+// job's path, with an empty shard tally and no metrics.
+func executePlan[T any, P plan](ctx context.Context, st *store.Store, validate func() (P, error), progress func(done, total int)) (*T, bool, error) {
+	p, err := validate()
+	if err != nil {
+		return nil, false, err
+	}
+	out, hit, _, err := p.finish(ctx, st, progress, shardTally{})
+	if err != nil {
+		return nil, false, err
+	}
+	return out.(*T), hit, nil
+}
+
+// shardCount resolves a requested shard count: 0 defers to the server
+// default, and a count over limit is clamped (a lease owning nothing is
+// pure overhead).
+func shardCount(asked, def, limit int) int {
+	if asked == 0 {
+		asked = def
+	}
+	return min(asked, limit)
+}
+
 // ---- synth ----
 
-// SynthRequest is the body of a {"kind":"synth"} job (and of the
-// deprecated POST /v1/synth alias). Zero values select the paper
-// defaults (radix 4, asymmetric, fixed 60000x4 search budget).
+// SynthRequest is the body of a {"kind":"synth"} job. Zero values
+// select the paper defaults (radix 4, asymmetric, fixed 60000x4 search
+// budget).
 type SynthRequest struct {
 	Grid         string  `json:"grid"`      // "RxC", e.g. "4x5"
 	Class        string  `json:"class"`     // small | medium | large
@@ -64,37 +145,40 @@ type SynthResult struct {
 	AvgHops       float64 `json:"avg_hops"`
 }
 
-func (req *SynthRequest) config() (synth.Config, error) {
+// synthPlan is the validated, executable form of a SynthRequest.
+type synthPlan struct{ cfg synth.Config }
+
+func (req *SynthRequest) plan() (*synthPlan, error) {
 	g, err := parseBoundedGrid(req.Grid)
 	if err != nil {
-		return synth.Config{}, err
+		return nil, err
 	}
 	if req.Iterations < 0 || req.Iterations > maxSynthIters {
-		return synth.Config{}, fmt.Errorf("iterations %d outside [0, %d]", req.Iterations, maxSynthIters)
+		return nil, fmt.Errorf("iterations %d outside [0, %d]", req.Iterations, maxSynthIters)
 	}
 	if req.Restarts < 0 || req.Restarts > maxSynthRestarts {
-		return synth.Config{}, fmt.Errorf("restarts %d outside [0, %d]", req.Restarts, maxSynthRestarts)
+		return nil, fmt.Errorf("restarts %d outside [0, %d]", req.Restarts, maxSynthRestarts)
 	}
 	if err := checkPopulation(req.Population, req.Generations, req.Iterations); err != nil {
-		return synth.Config{}, err
+		return nil, err
 	}
 	// Statically invalid knobs must 400 at POST time, not fail the job
 	// after consuming a queue slot.
 	if req.Radix < 0 {
-		return synth.Config{}, fmt.Errorf("negative radix %d", req.Radix)
+		return nil, fmt.Errorf("negative radix %d", req.Radix)
 	}
 	if req.EnergyWeight < 0 {
-		return synth.Config{}, fmt.Errorf("negative energy_weight %v", req.EnergyWeight)
+		return nil, fmt.Errorf("negative energy_weight %v", req.EnergyWeight)
 	}
 	if req.RobustWeight < 0 {
-		return synth.Config{}, fmt.Errorf("negative robust_weight %v", req.RobustWeight)
+		return nil, fmt.Errorf("negative robust_weight %v", req.RobustWeight)
 	}
 	if req.MaxDiameter < 0 || req.MinCutBW < 0 {
-		return synth.Config{}, fmt.Errorf("negative constraint bound")
+		return nil, fmt.Errorf("negative constraint bound")
 	}
 	cl, err := layout.ParseClass(defaultStr(req.Class, "medium"))
 	if err != nil {
-		return synth.Config{}, err
+		return nil, err
 	}
 	cfg := synth.Config{
 		Grid: g, Class: cl,
@@ -113,15 +197,39 @@ func (req *SynthRequest) config() (synth.Config, error) {
 		cfg.Objective = synth.Weighted
 		cfg.Weights = traffic.Shuffle{N: g.N()}.WeightMatrix()
 	default:
-		return synth.Config{}, fmt.Errorf("unknown objective %q (want latop, scop or shufopt)", req.Objective)
+		return nil, fmt.Errorf("unknown objective %q (want latop, scop or shufopt)", req.Objective)
 	}
-	return cfg, nil
+	return &synthPlan{cfg}, nil
 }
 
-func synthResult(res *synth.Result) (*SynthResult, error) {
+// A synthesis job is one search: it reports no progress and never
+// shards, so only a malformed lease reaches shard.
+func (*synthPlan) units() int                    { return 0 }
+func (*synthPlan) shards(int) int                { return 0 }
+func (*synthPlan) shardDone(sim.MatrixStats) int { return 0 }
+func (*synthPlan) shard(context.Context, *store.Store, sim.Shard, func(int, int)) (*shardReport, error) {
+	return nil, errors.New("synth jobs do not shard")
+}
+
+func (p *synthPlan) finish(ctx context.Context, st *store.Store, _ func(int, int), _ shardTally) (any, bool, func(*serverStats), error) {
+	// Synthesis has no internal cancellation points; honor a cancel that
+	// lands before it starts.
+	if err := ctx.Err(); err != nil {
+		return nil, false, nil, err
+	}
+	res, hit, err := synth.CachedGenerate(st, p.cfg)
+	if err != nil {
+		return nil, false, nil, err
+	}
 	tj, err := json.Marshal(res.Topology)
 	if err != nil {
-		return nil, err
+		return nil, false, nil, err
+	}
+	note := func(ss *serverStats) {
+		ss.synthRuns++
+		if hit {
+			ss.synthCached++
+		}
 	}
 	return &SynthResult{
 		Topology:  tj,
@@ -131,31 +239,21 @@ func synthResult(res *synth.Result) (*SynthResult, error) {
 		Links:    res.Topology.NumLinks(),
 		Diameter: res.Topology.Diameter(),
 		AvgHops:  res.Topology.AverageHops(),
-	}, nil
+	}, hit, note, nil
 }
 
 // ExecuteSynth runs a synth request in-process against st, through the
 // exact validation and cached-generation path the HTTP job runner
 // uses. It backs the root-package Client's local mode, so local and
 // remote execution cannot drift.
-func ExecuteSynth(st *store.Store, req SynthRequest) (*SynthResult, bool, error) {
-	cfg, err := req.config()
-	if err != nil {
-		return nil, false, err
-	}
-	res, hit, err := synth.CachedGenerate(st, cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	payload, err := synthResult(res)
-	return payload, hit, err
+func ExecuteSynth(ctx context.Context, st *store.Store, req SynthRequest) (*SynthResult, bool, error) {
+	return executePlan[SynthResult](ctx, st, req.plan, nil)
 }
 
 // ---- matrix ----
 
-// MatrixRequest is the body of a {"kind":"matrix"} job (and of the
-// deprecated POST /v1/matrix alias); it mirrors the netbench -matrix
-// flags.
+// MatrixRequest is the body of a {"kind":"matrix"} job; it mirrors the
+// netbench -matrix flags.
 type MatrixRequest struct {
 	Grid     string    `json:"grid"`               // "RxC"
 	Class    string    `json:"class,omitempty"`    // synthesized-topology class
@@ -274,19 +372,20 @@ func parseBoundedGrid(s string) (*layout.Grid, error) {
 
 // matrixPlan is the validated, executable form of a MatrixRequest.
 type matrixPlan struct {
-	grid      *layout.Grid
-	class     layout.Class
-	topos     []string
-	factories []sim.PatternFactory
-	faults    []sim.FaultFactory
-	rates     []float64
-	base      sim.Config
-	seed      int64
-	ew        float64
-	rw        float64
-	synthIter int
-	synthPop  int
-	synthGens int
+	grid        *layout.Grid
+	class       layout.Class
+	topos       []string
+	factories   []sim.PatternFactory
+	faults      []sim.FaultFactory
+	rates       []float64
+	base        sim.Config
+	seed        int64
+	ew          float64
+	rw          float64
+	synthIter   int
+	synthPop    int
+	synthGens   int
+	shardsAsked int
 }
 
 // cellCount is the matrix cell total the plan will resolve — the
@@ -426,6 +525,7 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 	if req.Shards < 0 || req.Shards > maxShards {
 		return nil, fmt.Errorf("shards %d outside [0, %d]", req.Shards, maxShards)
 	}
+	p.shardsAsked = req.Shards
 	return p, nil
 }
 
@@ -434,9 +534,8 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 // cached synthesis) and runs the store-backed matrix. A zero shard
 // executes (or merges) the full matrix; an enabled shard simulates
 // only owned cells and surfaces sim.IncompleteError when other shards'
-// cells are still pending — for a cluster worker that error IS
-// success. synthAllCached reports whether every "ns" topology came
-// from the store.
+// cells are still pending. synthAllCached reports whether every "ns"
+// topology came from the store.
 func (p *matrixPlan) run(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (res *sim.MatrixResult, synthAllCached bool, err error) {
 	setups, synthAllCached, err := exp.MatrixSetups(p.topos, p.grid, p.class, st, p.ew, p.rw, p.seed, p.synthIter, p.synthPop, p.synthGens)
 	if err != nil {
@@ -451,21 +550,61 @@ func (p *matrixPlan) run(ctx context.Context, st *store.Store, shard sim.Shard, 
 	return res, synthAllCached, err
 }
 
+func (p *matrixPlan) units() int         { return p.cellCount() }
+func (p *matrixPlan) shards(def int) int { return shardCount(p.shardsAsked, def, p.cellCount()) }
+
+// shardDone: matrix progress counts cells, so a completed shard's stats
+// are its exact tally.
+func (p *matrixPlan) shardDone(st sim.MatrixStats) int { return st.Computed + st.CacheHits }
+
+func (p *matrixPlan) shard(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int)) (*shardReport, error) {
+	res, synthCached, err := p.run(ctx, st, sh, progress)
+	var inc *sim.IncompleteError
+	switch {
+	case err == nil:
+		// Every other shard had finished: this run merged the matrix.
+		return &shardReport{stats: res.Stats, synthCached: synthCached}, nil
+	case errors.As(err, &inc):
+		return &shardReport{
+			stats:       sim.MatrixStats{Cells: inc.Cells, Computed: inc.Computed, CacheHits: inc.CacheHits},
+			synthCached: synthCached,
+		}, nil
+	}
+	return nil, err
+}
+
+func (p *matrixPlan) finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
+	start := time.Now()
+	res, synthCached, err := p.run(ctx, st, sim.Shard{}, progress)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	// A cell this run found in the store counts as cached only if no
+	// shard of this job computed it.
+	cells := res.Stats.Cells
+	computed := min(tally.computed+res.Stats.Computed, cells)
+	stats := sim.MatrixStats{
+		Cells: cells, Computed: computed, CacheHits: cells - computed,
+		StoreErrors: tally.storeErrs + res.Stats.StoreErrors,
+	}
+	synthHit := synthCached && !tally.synthSearched
+	elapsed := time.Since(start)
+	note := func(ss *serverStats) {
+		// Shard completions already charged the cells they computed.
+		ss.cellsComputed += int64(res.Stats.Computed)
+		ss.cellsCached += int64(stats.CacheHits)
+		ss.busy += elapsed
+	}
+	out := &MatrixJobResult{Matrix: res, Stats: stats, SynthCacheHit: synthHit, Shards: tally.shards}
+	return out, computed == 0 && synthHit, note, nil
+}
+
 // ExecuteMatrix runs a matrix request in-process against st (full
 // matrix, no sharding), through the same validation and execution path
 // as the HTTP job runner. ctx cancels with cell granularity; progress
 // may be nil. It backs the root-package Client's local mode.
 func ExecuteMatrix(ctx context.Context, st *store.Store, req MatrixRequest, progress func(done, total int)) (*MatrixJobResult, bool, error) {
-	plan, err := req.plan()
-	if err != nil {
-		return nil, false, err
-	}
-	res, synthCached, err := plan.run(ctx, st, sim.Shard{}, progress)
-	if err != nil {
-		return nil, false, err
-	}
-	out := &MatrixJobResult{Matrix: res, Stats: res.Stats, SynthCacheHit: synthCached}
-	return out, res.Stats.Computed == 0 && synthCached, nil
+	return executePlan[MatrixJobResult](ctx, st, req.plan, progress)
 }
 
 // ---- pareto ----
@@ -519,13 +658,10 @@ type ParetoJobResult struct {
 
 // paretoPlan is the validated, executable form of a ParetoRequest.
 type paretoPlan struct {
-	cfg    exp.ParetoConfig
-	points int // resolved weight-grid size
+	cfg         exp.ParetoConfig
+	points      int // resolved weight-grid size
+	shardsAsked int
 }
-
-// units is the job's progress denominator (sweep units: one per
-// synthesis point plus an equal measurement share).
-func (p *paretoPlan) units() int { return 2 * p.points }
 
 func (req *ParetoRequest) plan() (*paretoPlan, error) {
 	g, err := parseBoundedGrid(req.Grid)
@@ -580,7 +716,7 @@ func (req *ParetoRequest) plan() (*paretoPlan, error) {
 	if n > maxParetoPoints {
 		return nil, fmt.Errorf("%d sweep points over cap %d", n, maxParetoPoints)
 	}
-	return &paretoPlan{cfg: cfg, points: n}, nil
+	return &paretoPlan{cfg: cfg, points: n, shardsAsked: req.Shards}, nil
 }
 
 // run executes the sweep (or one shard of it) against st.
@@ -590,30 +726,69 @@ func (p *paretoPlan) run(ctx context.Context, st *store.Store, shard sim.Shard, 
 	return exp.ParetoSweep(cfg)
 }
 
-// shardRunner adapts the plan to the cluster lease loop.
-func (p *paretoPlan) shardRunner() shardRunner {
-	return func(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (*shardReport, error) {
-		fr, err := p.run(ctx, st, shard, progress)
-		return paretoShardOutcome(fr, err)
+// units counts sweep units: one per synthesis point plus an equal
+// measurement share. Shards split the points.
+func (p *paretoPlan) units() int         { return 2 * p.points }
+func (p *paretoPlan) shards(def int) int { return shardCount(p.shardsAsked, def, p.points) }
+
+// shardDone: sweep units are not cells, so a completed shard's last
+// heartbeat stands and the merge drives the remainder.
+func (p *paretoPlan) shardDone(sim.MatrixStats) int { return 0 }
+
+func (p *paretoPlan) shard(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int)) (*shardReport, error) {
+	fr, err := p.run(ctx, st, sh, progress)
+	var inc *exp.ParetoIncompleteError
+	switch {
+	case err == nil:
+		// The whole sweep was cached: the frontier came straight back.
+		s := fr.Stats
+		return &shardReport{
+			stats:       sim.MatrixStats{Cells: s.Cells, Computed: s.CellsComputed, CacheHits: s.CellsCached, StoreErrors: s.StoreErrors},
+			pointsSynth: s.Synthesized,
+			synthCached: s.Synthesized == 0,
+		}, nil
+	case errors.As(err, &inc):
+		return &shardReport{
+			stats:       sim.MatrixStats{Cells: inc.Cells, Computed: inc.CellsComputed, CacheHits: inc.CellsCached},
+			pointsSynth: inc.Synthesized,
+			synthCached: inc.Synthesized == 0,
+		}, nil
 	}
+	return nil, err
 }
 
-// shardRunner adapts the matrix plan to the same lease loop.
-func (p *matrixPlan) shardRunner() shardRunner {
-	return func(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (*shardReport, error) {
-		res, synthCached, err := p.run(ctx, st, shard, progress)
-		stats, ok := shardOutcome(res, err)
-		if !ok {
-			return nil, err
-		}
-		return &shardReport{stats: stats, synthCached: synthCached}, nil
+func (p *paretoPlan) finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
+	start := time.Now()
+	fr, err := p.run(ctx, st, sim.Shard{}, progress)
+	if err != nil {
+		return nil, false, nil, err
 	}
-}
-
-// paretoCacheHit reports whether a sweep did no new work: the frontier
-// itself was cached, or every synthesis and every cell hit the store.
-func paretoCacheHit(st exp.ParetoStats) bool {
-	return st.FrontierCached || (st.Synthesized == 0 && st.CellsComputed == 0)
+	stats := fr.Stats
+	if !stats.FrontierCached {
+		// A point or cell this run found in the store counts as cached
+		// only if no shard of this job filled it.
+		stats.Synthesized = min(tally.pointsSynth+fr.Stats.Synthesized, stats.Points)
+		stats.SynthCached = stats.Points - stats.Synthesized
+		stats.CellsComputed = min(tally.computed+fr.Stats.CellsComputed, stats.Cells)
+		stats.CellsCached = stats.Cells - stats.CellsComputed
+		stats.StoreErrors += tally.storeErrs
+	}
+	elapsed := time.Since(start)
+	note := func(ss *serverStats) {
+		ss.paretoSweeps++
+		ss.paretoKept += int64(len(fr.Points))
+		ss.paretoPruned += int64(fr.Pruned)
+		ss.fleetPowerMW += fr.Energy.AggregatePowerMW
+		ss.fleetIdleMW += fr.Energy.IdlePowerMW
+		ss.fleetActiveMW += fr.Energy.ActivePowerMW
+		ss.fleetFlitPJ += fr.Energy.EnergyPerFlitPJ
+		// Shard completions already charged the cells they computed.
+		ss.cellsComputed += int64(fr.Stats.CellsComputed)
+		ss.cellsCached += int64(stats.CellsCached)
+		ss.busy += elapsed
+	}
+	hit := stats.FrontierCached || (stats.Synthesized == 0 && stats.CellsComputed == 0)
+	return &ParetoJobResult{Frontier: fr, Stats: stats, Shards: tally.shards}, hit, note, nil
 }
 
 // ExecutePareto runs a pareto request in-process against st (full
@@ -621,16 +796,7 @@ func paretoCacheHit(st exp.ParetoStats) bool {
 // as the HTTP job runner. It backs the root-package Client's local
 // mode, so served and in-process frontiers are byte-identical.
 func ExecutePareto(ctx context.Context, st *store.Store, req ParetoRequest, progress func(done, total int)) (*ParetoJobResult, bool, error) {
-	plan, err := req.plan()
-	if err != nil {
-		return nil, false, err
-	}
-	fr, err := plan.run(ctx, st, sim.Shard{}, progress)
-	if err != nil {
-		return nil, false, err
-	}
-	out := &ParetoJobResult{Frontier: fr, Stats: fr.Stats}
-	return out, paretoCacheHit(fr.Stats), nil
+	return executePlan[ParetoJobResult](ctx, st, req.plan, progress)
 }
 
 // ---- job-creating handlers ----
@@ -659,8 +825,37 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// handlePostJob is POST /v1/jobs: one tagged body for every job kind —
-// {"kind":"synth"|"matrix", "priority":N, ...kind-specific fields}.
+// splitJobBody splits a POST /v1/jobs envelope — {"kind":K,
+// "priority":N, ...} — into its kind, priority and the kind-specific
+// request (the remaining fields, re-marshaled).
+func splitJobBody(body []byte) (kind string, priority int, rest []byte, err error) {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		return "", 0, nil, fmt.Errorf("bad request body: %v", err)
+	}
+	kindRaw, ok := fields["kind"]
+	if !ok {
+		return "", 0, nil, errors.New(`missing "kind" (want "synth", "matrix" or "pareto")`)
+	}
+	if err := json.Unmarshal(kindRaw, &kind); err != nil {
+		return "", 0, nil, fmt.Errorf("bad kind: %v", err)
+	}
+	if pRaw, ok := fields["priority"]; ok {
+		if err := json.Unmarshal(pRaw, &priority); err != nil {
+			return "", 0, nil, fmt.Errorf("bad priority: %v", err)
+		}
+		if priority < -100 || priority > 100 {
+			return "", 0, nil, fmt.Errorf("priority %d outside [-100, 100]", priority)
+		}
+	}
+	delete(fields, "kind")
+	delete(fields, "priority")
+	rest, err = json.Marshal(fields)
+	return kind, priority, rest, err
+}
+
+// handlePostJob is POST /v1/jobs: one tagged body for every kind in the
+// table — {"kind":K, "priority":N, ...kind-specific fields}.
 func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r) {
 		return
@@ -669,263 +864,72 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(body, &fields); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
-		return
-	}
-	kindRaw, ok := fields["kind"]
-	if !ok {
-		writeError(w, http.StatusBadRequest, "bad_request", `missing "kind" (want "synth", "matrix" or "pareto")`)
-		return
-	}
-	var kind string
-	if err := json.Unmarshal(kindRaw, &kind); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad kind: %v", err)
-		return
-	}
-	priority := 0
-	if pRaw, ok := fields["priority"]; ok {
-		if err := json.Unmarshal(pRaw, &priority); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad priority: %v", err)
-			return
-		}
-		if priority < -100 || priority > 100 {
-			writeError(w, http.StatusBadRequest, "bad_request", "priority %d outside [-100, 100]", priority)
-			return
-		}
-	}
-	// The rest of the envelope is the kind-specific request, decoded
-	// strictly so typos fail loudly instead of silently running a
-	// default job.
-	delete(fields, "kind")
-	delete(fields, "priority")
-	rest, err := json.Marshal(fields)
+	kind, priority, rest, err := splitJobBody(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	switch kind {
-	case "synth":
-		var req SynthRequest
-		if err := decodeStrict(rest, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad synth request: %v", err)
-			return
-		}
-		s.acceptSynth(w, req, priority)
-	case "matrix":
-		var req MatrixRequest
-		if err := decodeStrict(rest, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad matrix request: %v", err)
-			return
-		}
-		s.acceptMatrix(w, req, priority)
-	case "pareto":
-		var req ParetoRequest
-		if err := decodeStrict(rest, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad pareto request: %v", err)
-			return
-		}
-		s.acceptPareto(w, req, priority)
-	default:
-		writeError(w, http.StatusBadRequest, "bad_request", `unknown kind %q (want "synth", "matrix" or "pareto")`, kind)
-	}
+	s.accept(w, kind, rest, priority)
 }
 
-// handleParetoPost is POST /v1/pareto: a first-class single-kind
-// entrypoint (priority 0) over the unified job path.
+// handleParetoPost is POST /v1/pareto: the pareto request alone, at
+// priority 0.
 func (s *Server) handleParetoPost(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r) {
 		return
 	}
-	body, ok := readBody(w, r)
-	if !ok {
-		return
+	if body, ok := readBody(w, r); ok {
+		s.accept(w, "pareto", body, 0)
 	}
-	var req ParetoRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
-		return
-	}
-	s.acceptPareto(w, req, 0)
 }
 
-// handleSynthAlias keeps the pre-v1-jobs POST /v1/synth surface alive
-// as a thin shim over the unified path (priority 0).
-func (s *Server) handleSynthAlias(w http.ResponseWriter, r *http.Request) {
-	if !s.allowClient(w, r) {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req SynthRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
-		return
-	}
-	s.acceptSynth(w, req, 0)
-}
-
-// handleMatrixAlias is the deprecated POST /v1/matrix shim.
-func (s *Server) handleMatrixAlias(w http.ResponseWriter, r *http.Request) {
-	if !s.allowClient(w, r) {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req MatrixRequest
-	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
-		return
-	}
-	s.acceptMatrix(w, req, 0)
-}
-
-func (s *Server) acceptSynth(w http.ResponseWriter, req SynthRequest, priority int) {
-	cfg, err := req.config()
+// accept plans a kind-specific request body through the kind table,
+// strictly (typos fail loudly instead of silently running a default
+// job), and enqueues it.
+func (s *Server) accept(w http.ResponseWriter, kind string, body []byte, priority int) {
+	p, err := decodeKind(kind, body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	j, qerr := s.enqueue("synth", priority, func(ctx context.Context, _ *job) (any, bool, error) {
-		// Synthesis has no internal cancellation points; honor a
-		// cancel that lands while the job waits in the queue.
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
+	j, qerr := s.submit(kind, body, p, priority)
+	if qerr != nil {
+		writeAPIError(w, qerr)
+		return
+	}
+	s.mu.Lock()
+	v := s.view(j, false)
+	s.mu.Unlock()
+	writeJSON(w, http.StatusAccepted, v)
+}
+
+// submit enqueues a planned job. Its runner is the same for every kind:
+// a sharded job first waits for its shard leases (runShards), then the
+// plan's finish runs unsharded and cache-first over the store, folding
+// in the shard tally — a local job is a merge with an empty tally.
+// body is the kind-specific request the shard leases carry: workers
+// decode these exact bytes through the same kind-table entry.
+func (s *Server) submit(kind string, body []byte, p plan, priority int) (*job, *apiError) {
+	shards := p.shards(s.cfg.ClusterShards)
+	j, qerr := s.enqueue(kind, priority, func(ctx context.Context, j *job) (any, bool, error) {
+		var tally shardTally
+		if shards > 1 {
+			var err error
+			if tally, err = s.runShards(ctx, j, kind, body, p, shards); err != nil {
+				return nil, false, err
+			}
 		}
-		res, hit, err := synth.CachedGenerate(s.cfg.Store, cfg)
+		out, hit, note, err := p.finish(ctx, s.cfg.Store, func(done, total int) { s.setProgress(j, done, total) }, tally)
 		if err != nil {
 			return nil, false, err
 		}
-		s.noteSynth(hit)
-		payload, err := synthResult(res)
-		return payload, hit, err
+		s.mu.Lock()
+		note(&s.stats)
+		s.mu.Unlock()
+		return out, hit, nil
 	})
-	if qerr != nil {
-		writeAPIError(w, qerr)
-		return
+	if qerr == nil {
+		s.setProgress(j, 0, p.units())
 	}
-	s.mu.Lock()
-	v := s.view(j, false)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, v)
-}
-
-func (s *Server) acceptMatrix(w http.ResponseWriter, req MatrixRequest, priority int) {
-	plan, err := req.plan()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	cells := plan.cellCount()
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.ClusterShards
-	}
-	if shards > cells {
-		shards = cells // a lease with zero owned cells is pure overhead
-	}
-	var run runFunc
-	if shards > 1 {
-		// Canonical re-marshal (not the client's raw bytes) so every
-		// worker decodes exactly the fields the coordinator validated.
-		reqJSON, merr := json.Marshal(req)
-		if merr != nil {
-			writeError(w, http.StatusInternalServerError, "internal", "%v", merr)
-			return
-		}
-		run = s.clusterMatrixRun(plan, reqJSON, shards)
-	} else {
-		run = s.localMatrixRun(plan)
-	}
-	j, qerr := s.enqueue("matrix", priority, run)
-	if qerr != nil {
-		writeAPIError(w, qerr)
-		return
-	}
-	s.setProgress(j, 0, cells)
-	s.mu.Lock()
-	v := s.view(j, false)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, v)
-}
-
-func (s *Server) acceptPareto(w http.ResponseWriter, req ParetoRequest, priority int) {
-	plan, err := req.plan()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.ClusterShards
-	}
-	if shards > plan.points {
-		shards = plan.points // a lease owning zero sweep points is pure overhead
-	}
-	var run runFunc
-	if shards > 1 {
-		// Canonical re-marshal (not the client's raw bytes) so every
-		// worker decodes exactly the fields the coordinator validated.
-		reqJSON, merr := json.Marshal(req)
-		if merr != nil {
-			writeError(w, http.StatusInternalServerError, "internal", "%v", merr)
-			return
-		}
-		run = s.clusterParetoRun(plan, reqJSON, shards)
-	} else {
-		run = s.localParetoRun(plan)
-	}
-	j, qerr := s.enqueue("pareto", priority, run)
-	if qerr != nil {
-		writeAPIError(w, qerr)
-		return
-	}
-	s.setProgress(j, 0, plan.units())
-	s.mu.Lock()
-	v := s.view(j, false)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, v)
-}
-
-// localParetoRun executes the whole sweep in-process (the single-node
-// path).
-func (s *Server) localParetoRun(plan *paretoPlan) runFunc {
-	return func(ctx context.Context, j *job) (any, bool, error) {
-		start := time.Now()
-		fr, err := plan.run(ctx, s.cfg.Store, sim.Shard{}, func(done, total int) {
-			s.setProgress(j, done, total)
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		s.notePareto(fr, fr.Stats, time.Since(start))
-		out := ParetoJobResult{Frontier: fr, Stats: fr.Stats}
-		return out, paretoCacheHit(fr.Stats), nil
-	}
-}
-
-// localMatrixRun executes the whole matrix in-process (the
-// single-node path).
-func (s *Server) localMatrixRun(plan *matrixPlan) runFunc {
-	return func(ctx context.Context, j *job) (any, bool, error) {
-		start := time.Now()
-		res, synthCached, err := plan.run(ctx, s.cfg.Store, sim.Shard{}, func(done, total int) {
-			s.setProgress(j, done, total)
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		s.noteMatrix(res.Stats, time.Since(start))
-		out := MatrixJobResult{Matrix: res, Stats: res.Stats, SynthCacheHit: synthCached}
-		return out, res.Stats.Computed == 0 && synthCached, nil
-	}
+	return j, qerr
 }

@@ -15,14 +15,19 @@
 // The v1 job surface:
 //
 //	POST   /v1/jobs             tagged body {"kind":"synth"|"matrix"|"pareto",...}
-//	POST   /v1/pareto           Pareto-frontier sweep (first-class single-kind entrypoint)
+//	POST   /v1/pareto           Pareto-frontier sweep (the pareto body alone, priority 0)
 //	GET    /v1/jobs             list (pagination ?limit=&after=, ?state=)
 //	GET    /v1/jobs/{id}        poll one job
 //	DELETE /v1/jobs/{id}        cancel (stops a running matrix within a cell)
 //	GET    /v1/jobs/{id}/events SSE stream of job state/progress changes
 //	GET    /metrics             Prometheus-style text metrics
 //	GET    /healthz             liveness + queue summary
-//	POST   /v1/synth, /v1/matrix   deprecated aliases of POST /v1/jobs
+//	POST   /v1/cluster/claim, /v1/cluster/heartbeat, /v1/cluster/complete
+//	                            the shard-lease protocol (cluster.go)
+//
+// Every job kind is one entry in the kind table (requests.go), which
+// decodes and validates a request into a plan; every execution path —
+// a served job, an in-process Execute* call, a shard lease — runs it.
 //
 // Every error response uses one envelope: {"error":{"code","message"}}.
 // Admission is priority-aware (negative-priority jobs shed first, with
@@ -128,7 +133,7 @@ type job struct {
 	id       string
 	seq      int    // creation order (authoritative; IDs are display only)
 	finSeq   int    // finish order (eviction spares the newest-finished)
-	kind     string // "synth" | "matrix"
+	kind     string // a kind-table key ("synth", "matrix", "pareto")
 	priority int
 	state    string
 	cacheHit bool
@@ -149,7 +154,7 @@ type job struct {
 }
 
 // Progress is a job's resolved-work counter: done of total units
-// (matrix cells for matrix jobs).
+// (matrix cells for matrix jobs, sweep units for pareto jobs).
 type Progress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
@@ -162,8 +167,8 @@ type JobView struct {
 	Kind     string `json:"kind"`
 	State    string `json:"state"`
 	Priority int    `json:"priority"`
-	// Progress reports resolved work units (matrix cells); omitted
-	// until the job's total is known.
+	// Progress reports resolved work units (matrix cells, pareto sweep
+	// units); omitted for synth jobs and until the total is known.
 	Progress *Progress `json:"progress,omitempty"`
 	// CacheHit reports that the job's entire result came from the
 	// store: no synthesis search, no simulated cells.
@@ -173,10 +178,6 @@ type JobView struct {
 	// excluded).
 	ElapsedMS int64           `json:"elapsed_ms"`
 	Result    json.RawMessage `json:"result,omitempty"`
-
-	// Status is a deprecated alias of State, kept for clients of the
-	// pre-/v1/jobs API.
-	Status string `json:"status"`
 }
 
 // pendingHeap orders queued jobs by (priority desc, seq asc): higher
@@ -257,8 +258,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 || cfg.QueueDepth < 1 || cfg.MaxJobs < 1 || cfg.MaxResultBytes < 1 {
 		return nil, fmt.Errorf("serve: need at least 1 worker, queue slot, job slot and result byte")
 	}
-	if cfg.RatePerSec < 0 || cfg.RateBurst < 0 || cfg.ClusterShards < 0 || cfg.LeaseTTL < 0 {
-		return nil, fmt.Errorf("serve: negative rate, burst, shard count or lease TTL")
+	if cfg.RatePerSec < 0 || cfg.RateBurst < 0 || cfg.ClusterShards < 0 {
+		return nil, fmt.Errorf("serve: negative rate, burst or shard count")
+	}
+	if cfg.LeaseTTL < time.Millisecond {
+		// Leases carry whole milliseconds: a shorter TTL would go out
+		// as ttl_ms 0.
+		return nil, fmt.Errorf("serve: LeaseTTL %v under 1ms", cfg.LeaseTTL)
 	}
 	if cfg.ClusterShards > maxShards {
 		return nil, fmt.Errorf("serve: ClusterShards %d over cap %d", cfg.ClusterShards, maxShards)
@@ -290,8 +296,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("POST /v1/pareto", s.handleParetoPost)
-	s.mux.HandleFunc("POST /v1/synth", s.handleSynthAlias)
-	s.mux.HandleFunc("POST /v1/matrix", s.handleMatrixAlias)
 	s.mux.HandleFunc("POST /v1/cluster/claim", s.handleClusterClaim)
 	s.mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
 	s.mux.HandleFunc("POST /v1/cluster/complete", s.handleClusterComplete)
@@ -541,7 +545,7 @@ func (s *Server) setProgress(j *job, done, total int) {
 
 func (s *Server) view(j *job, withResult bool) JobView {
 	v := JobView{
-		ID: j.id, Kind: j.kind, State: j.state, Status: j.state,
+		ID: j.id, Kind: j.kind, State: j.state,
 		Priority: j.priority, CacheHit: j.cacheHit, Error: j.err,
 	}
 	if j.progressTotal > 0 {

@@ -136,9 +136,6 @@ func TestSynthJobLifecycleAndCacheHit(t *testing.T) {
 	if j1.State != StateQueued && j1.State != StateRunning {
 		t.Fatalf("fresh job state %q", j1.State)
 	}
-	if j1.Status != j1.State {
-		t.Fatalf("deprecated status alias %q != state %q", j1.Status, j1.State)
-	}
 	done1 := pollDone(t, ts.URL, j1.ID)
 	if done1.State != StateDone {
 		t.Fatalf("job 1: %+v", done1)
@@ -221,27 +218,15 @@ func TestSynthPopulationJob(t *testing.T) {
 }
 
 // TestMatrixJobCacheHit: the serve-smoke contract — a repeated matrix
-// POST simulates zero cells. Exercises the deprecated /v1/matrix alias
-// to pin that it still works and routes into the same path.
+// POST simulates zero cells.
 func TestMatrixJobCacheHit(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := `{"grid":"3x3","patterns":["uniform","tornado"],"rates":[0.02,0.1],"fidelity":"smoke","energy":true,"seed":9}`
+	body := `{"kind":"matrix","grid":"3x3","patterns":["uniform","tornado"],"rates":[0.02,0.1],"fidelity":"smoke","energy":true,"seed":9}`
 
-	resp, err := http.Post(ts.URL+"/v1/matrix", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	code, j1 := postReq(t, ts.URL+"/v1/jobs", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST status %d", code)
 	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("alias response missing Deprecation header")
-	}
-	var j1 JobView
-	if err := json.NewDecoder(resp.Body).Decode(&j1); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	done1 := pollDone(t, ts.URL, j1.ID)
 	if done1.State != StateDone {
 		t.Fatalf("matrix job failed: %+v", done1)
@@ -263,8 +248,8 @@ func TestMatrixJobCacheHit(t *testing.T) {
 		t.Fatalf("curves: %d", len(r1.Matrix.Curves))
 	}
 
-	// Second run through the unified endpoint: same cells, all cached.
-	code, j2 := postReq(t, ts.URL+"/v1/jobs", `{"kind":"matrix",`+body[1:])
+	// Second run: same cells, all cached.
+	code, j2 := postReq(t, ts.URL+"/v1/jobs", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST 2 status %d", code)
 	}
@@ -290,30 +275,30 @@ func TestMatrixJobCacheHit(t *testing.T) {
 // badRequests are POSTs every endpoint must answer with 400
 // bad_request; FuzzJobBody seeds its corpus from their bodies.
 var badRequests = []struct{ path, body string }{
-	{"/v1/synth", `{"grid":"bogus"}`},
-	{"/v1/synth", `{"grid":"4x5","objective":"nope"}`},
-	{"/v1/synth", `{"grid":"4x5","unknown_field":1}`},
-	{"/v1/synth", `{"grid":"100x100"}`},                                                                       // router cap
-	{"/v1/synth", `{"grid":"4x5","iterations":2000000}`},                                                      // iteration cap
-	{"/v1/synth", `{"grid":"4x5","restarts":1000}`},                                                           // restart cap
-	{"/v1/matrix", `{"grid":"4x4","topos":["mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh"]}`}, // topo cap
-	{"/v1/matrix", `{"grid":"4x5","patterns":["nosuch"]}`},
-	{"/v1/matrix", `{"grid":"4x5","rates":[-1]}`},
-	{"/v1/matrix", `{"grid":"4x5","topos":["ring"]}`},
-	{"/v1/matrix", `{"grid":"4x5","fidelity":"warp"}`},
-	{"/v1/matrix", `{"grid":"200x200"}`},                              // router cap
-	{"/v1/matrix", `{"grid":"4x5","synth_iterations":2000000}`},       // iteration cap
-	{"/v1/matrix", `{"grid":"4x5","patterns":["trace:file=/etc/x"]}`}, // trace is CLI-only
-	{"/v1/synth", `{"grid":"4x5","iterations":-1}`},                   // negative budget
-	{"/v1/synth", `{"grid":"4x5","energy_weight":-1}`},                // negative weight
-	{"/v1/synth", `{"grid":"4x5","radix":-2}`},                        // negative radix
-	{"/v1/matrix", `{"grid":"4x5","energy_weight":-1}`},               // negative weight
-	{"/v1/synth", `{"grid":"4x5","robust_weight":-1}`},                // negative weight
-	{"/v1/matrix", `{"grid":"4x5","robust_weight":-1}`},               // negative weight
-	{"/v1/matrix", `{"grid":"4x5","faults":["nosuch"]}`},              // unknown schedule
-	{"/v1/matrix", `{"grid":"4x5","faults":["klinks:k=abc"]}`},        // bad param
-	{"/v1/matrix", `{"grid":"4x5","faults":["klinks:k=1","klinks:k=2","klinks:k=3","klinks:k=4","klinks:k=5","klinks:k=6","klinks:k=7","klinks:k=8","klinks:k=9","klinks:k=10","klinks:k=11","klinks:k=12","klinks:k=13","klinks:k=14","klinks:k=15","klinks:k=16","klinks:k=17"]}`}, // fault cap
-	{"/v1/matrix", `not json`},
+	{"/v1/jobs", `{"kind":"synth","grid":"bogus"}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","objective":"nope"}`},
+	{"/v1/jobs", `{"kind":"pareto","grid":"3x3","unknown_field":1}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"100x100"}`},                                                                       // router cap
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","iterations":2000000}`},                                                      // iteration cap
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","restarts":1000}`},                                                           // restart cap
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x4","topos":["mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh","mesh"]}`}, // topo cap
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["nosuch"]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","rates":[-1]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","topos":["ring"]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","fidelity":"warp"}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"200x200"}`},                              // router cap
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","synth_iterations":2000000}`},       // iteration cap
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["trace:file=/etc/x"]}`}, // trace is CLI-only
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","iterations":-1}`},                   // negative budget
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","energy_weight":-1}`},                // negative weight
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","radix":-2}`},                        // negative radix
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","energy_weight":-1}`},               // negative weight
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","robust_weight":-1}`},                // negative weight
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","robust_weight":-1}`},               // negative weight
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["nosuch"]}`},              // unknown schedule
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["klinks:k=abc"]}`},        // bad param
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["klinks:k=1","klinks:k=2","klinks:k=3","klinks:k=4","klinks:k=5","klinks:k=6","klinks:k=7","klinks:k=8","klinks:k=9","klinks:k=10","klinks:k=11","klinks:k=12","klinks:k=13","klinks:k=14","klinks:k=15","klinks:k=16","klinks:k=17"]}`}, // fault cap
+	{"/v1/jobs", `{"kind":"synth","priority":"high","grid":"4x5"}`},
 	// Unified-endpoint rejections: missing/unknown kind, bad
 	// priority, out-of-range shards, typoed fields.
 	{"/v1/jobs", `{"grid":"4x5"}`},                                // missing kind
@@ -327,20 +312,20 @@ var badRequests = []struct{ path, body string }{
 	// population, caps hold, and the total population budget
 	// (population x generations x iterations) is bounded even when
 	// each knob individually passes its cap.
-	{"/v1/synth", `{"grid":"4x5","population":1}`},
-	{"/v1/synth", `{"grid":"4x5","population":100}`},
-	{"/v1/synth", `{"grid":"4x5","generations":2}`},
-	{"/v1/synth", `{"grid":"4x5","population":2,"generations":100}`},
-	{"/v1/synth", `{"grid":"4x5","population":64,"generations":64,"iterations":1000000}`},
-	{"/v1/matrix", `{"grid":"4x5","synth_population":1}`},
-	{"/v1/matrix", `{"grid":"4x5","synth_generations":2}`},
-	{"/v1/matrix", `{"grid":"4x5","synth_population":64,"synth_generations":64,"synth_iterations":1000000}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","population":1}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","population":100}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","generations":2}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","population":2,"generations":100}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5","population":64,"generations":64,"iterations":1000000}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","synth_population":1}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","synth_generations":2}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","synth_population":64,"synth_generations":64,"synth_iterations":1000000}`},
 	// Exactly one JSON value per body: trailing garbage or a second
 	// object must not be silently dropped.
-	{"/v1/synth", `{"grid":"4x5"} garbage`},
-	{"/v1/synth", `{"grid":"4x5"}{"grid":"4x5"}`},
-	{"/v1/matrix", `{"grid":"3x3"} garbage`},
-	{"/v1/matrix", `{"grid":"3x3"}{"grid":"3x3"}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5"} garbage`},
+	{"/v1/jobs", `{"kind":"synth","grid":"4x5"}{"grid":"4x5"}`},
+	{"/v1/jobs", `{"kind":7,"grid":"3x3"}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"}{"grid":"3x3"}`},
 	{"/v1/pareto", `{"grid":"3x3"} garbage`},
 	{"/v1/pareto", `{"grid":"3x3"}{"grid":"3x3"}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"} garbage`},

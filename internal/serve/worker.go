@@ -65,6 +65,29 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	heartbeat := func(shardCtx context.Context, hb HeartbeatRequest) bool {
+		status, err := postJSON(shardCtx, cfg.Client, base+"/v1/cluster/heartbeat", hb, nil)
+		if status == http.StatusGone {
+			logf("lease %s: gone, abandoning shard", hb.LeaseID)
+			return false
+		}
+		if err != nil && shardCtx.Err() == nil {
+			// Transient coordinator hiccup: keep simulating; the next
+			// beat may land before the lease expires, and losing the
+			// lease only costs duplicate work.
+			logf("heartbeat: %v", err)
+		}
+		return true
+	}
+	complete := func(comp CompleteRequest) {
+		// Complete on the parent ctx: a lease-loss cancel must not block
+		// a legitimate report.
+		if _, err := postJSON(ctx, cfg.Client, base+"/v1/cluster/complete", comp, nil); err != nil {
+			logf("complete: %v", err)
+		} else if comp.Error == "" {
+			logf("lease %s: done (%d computed, %d cached)", comp.LeaseID, comp.Stats.Computed, comp.Stats.CacheHits)
+		}
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -83,7 +106,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			continue
 		}
 		logf("lease %s: job %s shard %d/%d", lease.LeaseID, lease.JobID, lease.Shard, lease.Of)
-		executeLease(ctx, cfg, base, lease, logf)
+		executeLease(ctx, cfg.Store, cfg.Name, lease, heartbeat, complete)
 	}
 }
 
@@ -141,106 +164,69 @@ func claimLease(ctx context.Context, cfg WorkerConfig, base string) (*Lease, err
 	return &lease, nil
 }
 
-// executeLease runs one shard: decode the coordinator-validated
-// request, simulate owned cells cache-first into the shared store
-// while a heartbeat goroutine keeps the lease alive, then report. A
-// rejected heartbeat (lease stolen, job cancelled) cancels the shard
-// context so simulation stops within one cell and nothing is
-// reported.
-func executeLease(ctx context.Context, cfg WorkerConfig, base string, lease *Lease, logf func(string, ...any)) {
-	var runShard shardRunner
-	var failMsg string
-	switch lease.Kind {
-	case "", "matrix": // empty Kind = pre-pareto coordinator
-		var req MatrixRequest
-		if err := json.Unmarshal(lease.Request, &req); err != nil {
-			failMsg = fmt.Sprintf("decoding lease request: %v", err)
-		} else if p, err := req.plan(); err != nil {
-			// The coordinator validated this request; failing here means
-			// version skew. Deterministic, so report it (another worker
-			// would fail identically).
-			failMsg = fmt.Sprintf("planning lease request: %v", err)
-		} else {
-			runShard = p.shardRunner()
-		}
-	case "pareto":
-		var req ParetoRequest
-		if err := json.Unmarshal(lease.Request, &req); err != nil {
-			failMsg = fmt.Sprintf("decoding lease request: %v", err)
-		} else if p, err := req.plan(); err != nil {
-			failMsg = fmt.Sprintf("planning lease request: %v", err)
-		} else {
-			runShard = p.shardRunner()
-		}
-	default:
-		failMsg = fmt.Sprintf("unknown lease kind %q (version skew?)", lease.Kind)
-	}
-	if failMsg != "" {
-		_, _ = postJSON(ctx, cfg.Client, base+"/v1/cluster/complete", CompleteRequest{
-			JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: cfg.Name, Error: failMsg,
-		}, nil)
+// executeLease runs one shard lease, for a remote worker and for
+// coordinator self-work alike: the kind table decodes and validates
+// the request, the plan executes its owned slice cache-first into st
+// while a heartbeat goroutine keeps the lease alive, and the outcome
+// goes to complete. A heartbeat that answers false (lease stolen, job
+// cancelled) cancels the shard context, so work stops within one cell
+// and nothing is reported.
+func executeLease(ctx context.Context, st *store.Store, worker string, lease *Lease,
+	heartbeat func(context.Context, HeartbeatRequest) bool, complete func(CompleteRequest)) {
+	comp := CompleteRequest{JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: worker}
+	p, err := decodeKind(lease.Kind, lease.Request)
+	if err != nil {
+		// The coordinator validated this request, so this is version
+		// skew: deterministic, so report it (another worker would fail
+		// identically).
+		comp.Error = fmt.Sprintf("planning lease request: %v", err)
+		complete(comp)
 		return
 	}
 
 	shardCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var doneCells atomic.Int64
+	var done atomic.Int64
+	// A remote coordinator's ttl_ms is outside input: never tick at a
+	// non-positive interval.
 	hbEvery := time.Duration(lease.TTLMS) * time.Millisecond / 3
 	if hbEvery <= 0 {
 		hbEvery = time.Second
 	}
-	hbDone := make(chan struct{})
-	defer close(hbDone)
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(stopped)
 		t := time.NewTicker(hbEvery)
 		defer t.Stop()
 		for {
 			select {
-			case <-hbDone:
+			case <-stop:
 				return
 			case <-t.C:
-				status, err := postJSON(shardCtx, cfg.Client, base+"/v1/cluster/heartbeat", HeartbeatRequest{
-					JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: cfg.Name,
-					Done: int(doneCells.Load()),
-				}, nil)
-				if status == http.StatusGone {
-					logf("lease %s: gone, abandoning shard", lease.LeaseID)
+				hb := HeartbeatRequest{JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: worker, Done: int(done.Load())}
+				if !heartbeat(shardCtx, hb) {
 					cancel()
 					return
-				}
-				if err != nil && shardCtx.Err() == nil {
-					// Transient coordinator hiccup: keep simulating;
-					// the next beat may land before the lease expires,
-					// and losing the lease only costs duplicate work.
-					logf("heartbeat: %v", err)
 				}
 			}
 		}
 	}()
+	defer func() {
+		cancel()
+		close(stop)
+		<-stopped
+	}()
 
 	start := time.Now()
-	rep, err := runShard(shardCtx, cfg.Store, sim.Shard{Index: lease.Shard, Count: lease.Of},
-		func(done, total int) { doneCells.Store(int64(done)) })
-	comp := CompleteRequest{
-		JobID: lease.JobID, LeaseID: lease.LeaseID, Worker: cfg.Name,
-		ElapsedMS: time.Since(start).Milliseconds(),
-	}
+	rep, err := p.shard(shardCtx, st, sim.Shard{Index: lease.Shard, Count: lease.Of},
+		func(d, _ int) { done.Store(int64(d)) })
+	comp.ElapsedMS = time.Since(start).Milliseconds()
 	switch {
 	case rep == nil && shardCtx.Err() != nil:
-		return // lease lost or worker shutting down: stand down silently
+		return // lease lost or shutting down: stand down silently
 	case rep == nil:
 		comp.Error = err.Error()
 	default:
-		comp.Stats = rep.stats
-		comp.SynthCached = rep.synthCached
-		comp.PointsSynthesized = rep.pointsSynth
+		comp.Stats, comp.SynthCached, comp.PointsSynthesized = rep.stats, rep.synthCached, rep.pointsSynth
 	}
-	// Complete on the parent ctx: a lease-loss cancel must not block a
-	// legitimate report (shardCtx is only dead in the return above).
-	if _, err := postJSON(ctx, cfg.Client, base+"/v1/cluster/complete", comp, nil); err != nil {
-		logf("complete: %v", err)
-		return
-	}
-	logf("lease %s: shard %d/%d done (%d computed, %d cached)",
-		lease.LeaseID, lease.Shard, lease.Of, comp.Stats.Computed, comp.Stats.CacheHits)
+	complete(comp)
 }
