@@ -6,7 +6,7 @@
 //
 // Example:
 //
-//	netsmith -rows 4 -cols 5 -class medium -objective latop -seconds 10
+//	netsmith -rows 4 -cols 5 -class medium -objective latop -iterations 120000
 //
 // The serve subcommand instead runs the HTTP API: synthesis and
 // scenario-matrix jobs on a bounded, priority-ordered worker pool,
@@ -129,8 +129,7 @@ func main() {
 	radix := flag.Int("radix", 4, "per-direction router radix")
 	symmetric := flag.Bool("symmetric", false, "force symmetric links (constraint C9)")
 	maxDiameter := flag.Int("diameter", 0, "optional diameter bound (constraint C8)")
-	seconds := flag.Float64("seconds", 5, "time budget for the optimizer")
-	iterations := flag.Int("iterations", 0, "fixed annealing-step budget instead of -seconds (deterministic output)")
+	iterations := flag.Int("iterations", 0, "annealing steps per restart (0 = default 60000; 4 restarts)")
 	population := flag.Int("population", 0, "population size (0 = restart annealer; >= 2 enables population mode)")
 	generations := flag.Int("generations", 0, "population evolution rounds (default 8 when -population is set)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -141,21 +140,15 @@ func main() {
 		fatal(err)
 	}
 	g := layout.NewGrid(*rows, *cols)
+	// The step budget makes the run a pure function of the flags:
+	// rerunning prints byte-identical output (the CI smoke relies on this
+	// to diff population runs across processes).
 	cfg := synth.Config{
 		Grid: g, Class: class, Radix: *radix,
 		Symmetric: *symmetric, MaxDiameter: *maxDiameter,
-		Seed: *seed, Iterations: 1 << 30, Restarts: 1 << 20,
-		TimeBudget:  time.Duration(*seconds * float64(time.Second)),
+		Seed: *seed, Iterations: *iterations,
 		Population:  *population,
 		Generations: *generations,
-	}
-	if *iterations > 0 {
-		// A fixed step budget makes the run a pure function of the flags:
-		// rerunning prints byte-identical output (the CI smoke relies on
-		// this to diff population runs across processes).
-		cfg.Iterations = *iterations
-		cfg.Restarts = 4
-		cfg.TimeBudget = 0
 	}
 	switch *objective {
 	case "latop":

@@ -29,17 +29,17 @@
 // Grids are not capped at the paper's sizes: NewGrid(rows, cols)
 // accepts any shape (Grid10x10 exercises the >64-router path).
 // Baseline and Mesh/FoldedTorus return the expert-designed comparison
-// topologies. Fixed-budget runs (Iterations/Restarts set, no
-// TimeBudget) are deterministic: the same Options produce the same
-// topology at any GOMAXPROCS.
+// topologies. Every run has a fixed step budget (Iterations steps per
+// restart, Restarts restarts) and is deterministic: the same Options
+// produce the same topology and progress trace at any GOMAXPROCS.
 //
-// Options.Population (>= 2) switches the fixed-budget search to
-// population mode: a pool of topologies evolved for
-// Options.Generations rounds (default 8) of tournament crossover with
-// journaled connectivity repair, bound-based offspring pruning and
-// polish-anneal bursts, elitist-merged deterministically. The total
-// budget is Population*(1+Generations)*Iterations annealing steps, and
-// the purity contract is unchanged. With GenerateCached, population
+// Options.Population (>= 2) switches the search to population mode: a
+// pool of topologies evolved for Options.Generations rounds (default 8)
+// of tournament crossover with journaled connectivity repair,
+// bound-based offspring pruning and polish-anneal bursts,
+// elitist-merged deterministically. The total budget is
+// Population*(1+Generations)*Iterations annealing steps, and the
+// purity contract is unchanged. With GenerateCached, population
 // runs also persist their initial portfolio members under weight- and
 // seed-agnostic keys, so nearby configs (same grid/class/radix/
 // symmetry) warm-start from the store.
@@ -82,14 +82,15 @@
 // MatrixConfig.Shard splits one matrix deterministically across
 // machines sharing a store; RunMatrix returns *IncompleteError until
 // every shard has contributed, then any run assembles the merged
-// result. GenerateCached is the synthesis analogue (fixed-budget
-// configs only; time-budgeted searches are wall-clock-dependent and
-// never cached):
+// result:
 //
 //	st, err := netsmith.OpenStore(".netsmith-store")
 //	mc.Store = st
 //	mc.Shard = netsmith.Shard{Index: 0, Count: 2} // this machine's half
 //	res, err := netsmith.RunMatrix(mc)
+//
+// GenerateCached is the synthesis analogue; every valid Options is
+// cacheable.
 //
 // # Energy
 //
@@ -150,10 +151,8 @@
 //   - Options.Radix/Symmetric/MaxDiameter/MinCutBW,
 //     EnergyWeight/RobustWeight, Seed/Iterations/Restarts
 //     → same-named SynthJob fields
-//   - Options.TimeBudget and Options.Progress have no Client
-//     equivalent: jobs must be deterministic (cacheable), so the
-//     Client always runs fixed-budget; use Generate directly for
-//     wall-clock-budgeted searches.
+//   - Options.Progress has no Client equivalent; use Generate directly
+//     to watch the search's progress trace.
 //   - MatrixConfig axes → MatrixJob.Grid/Topos/Patterns/Rates/Faults,
 //     with Fidelity naming the cycle budgets and Seed defaulting to 42
 //     (the netbench -matrix default).

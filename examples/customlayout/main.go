@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"netsmith"
 )
@@ -23,7 +22,6 @@ func main() {
 		MaxDiameter: 5, // C8: latency guarantee
 		Symmetric:   true,
 		Seed:        7,
-		TimeBudget:  3 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -33,9 +33,8 @@ func main() {
 	}
 	fmt.Println()
 
-	// A deterministic sweep: fixed Iterations/Restarts (never
-	// TimeBudget — wall-clock budgets make results machine-dependent),
-	// one synthesis per energy weight. Attach a store via
+	// A deterministic sweep: a small Iterations/Restarts budget, one
+	// synthesis per energy weight. Attach a store via
 	// ParetoConfig.Store to make re-runs instant.
 	fr, err := netsmith.ParetoSweep(netsmith.ParetoConfig{
 		Base: netsmith.Options{

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"netsmith"
 )
@@ -21,7 +20,7 @@ func main() {
 	// Contender: NetSmith latency-optimized medium NoI with MCLB.
 	res, err := netsmith.Generate(netsmith.Options{
 		Grid: netsmith.Grid4x5, Class: netsmith.Medium,
-		Objective: netsmith.LatOp, Seed: 42, TimeBudget: 3 * time.Second,
+		Objective: netsmith.LatOp, Seed: 42,
 	})
 	if err != nil {
 		log.Fatal(err)

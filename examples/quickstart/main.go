@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"netsmith"
 )
@@ -19,11 +18,10 @@ func main() {
 	// 1. Generate a latency-optimized topology for the paper's 4x5
 	//    interposer layout with medium (2,0) links.
 	res, err := netsmith.Generate(netsmith.Options{
-		Grid:       netsmith.Grid4x5,
-		Class:      netsmith.Medium,
-		Objective:  netsmith.LatOp,
-		Seed:       42,
-		TimeBudget: 3 * time.Second,
+		Grid:      netsmith.Grid4x5,
+		Class:     netsmith.Medium,
+		Objective: netsmith.LatOp,
+		Seed:      42,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"netsmith"
 )
@@ -21,11 +20,10 @@ func main() {
 	// 1. Discover a latency-optimized 4x5 topology with medium links and
 	//    build the expert mesh it competes against.
 	res, err := netsmith.Generate(netsmith.Options{
-		Grid:       netsmith.Grid4x5,
-		Class:      netsmith.Medium,
-		Objective:  netsmith.LatOp,
-		Seed:       42,
-		TimeBudget: 2 * time.Second,
+		Grid:      netsmith.Grid4x5,
+		Class:     netsmith.Medium,
+		Objective: netsmith.LatOp,
+		Seed:      42,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"netsmith"
 )
@@ -43,7 +42,7 @@ func main() {
 
 	uniformOpt, err := netsmith.Generate(netsmith.Options{
 		Grid: grid, Class: netsmith.Medium, Objective: netsmith.LatOp,
-		Seed: 42, TimeBudget: 2 * time.Second,
+		Seed: 42,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -53,7 +52,7 @@ func main() {
 	shufOpt, err := netsmith.Generate(netsmith.Options{
 		Grid: grid, Class: netsmith.Medium, Objective: netsmith.PatternOp,
 		Weights: netsmith.ShuffleWeights(grid.N()),
-		Seed:    42, TimeBudget: 2 * time.Second,
+		Seed:    42,
 	})
 	if err != nil {
 		log.Fatal(err)

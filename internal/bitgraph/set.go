@@ -58,9 +58,6 @@ func (s Set) Has(i int) bool { return s[i/wordBits]&(1<<uint(i%wordBits)) != 0 }
 // Add inserts node i.
 func (s Set) Add(i int) { s[i/wordBits] |= 1 << uint(i%wordBits) }
 
-// Del removes node i.
-func (s Set) Del(i int) { s[i/wordBits] &^= 1 << uint(i%wordBits) }
-
 // Flip toggles node i.
 func (s Set) Flip(i int) { s[i/wordBits] ^= 1 << uint(i%wordBits) }
 
@@ -102,9 +99,6 @@ func (s Set) Clone() Set {
 	copy(c, s)
 	return c
 }
-
-// CopyFrom overwrites s with o (same capacity).
-func (s Set) CopyFrom(o Set) { copy(s, o) }
 
 // Clear removes every element.
 func (s Set) Clear() {

@@ -54,10 +54,10 @@ func Fig5CSV(w io.Writer, traces []Fig5Trace) error {
 	for _, tr := range traces {
 		for _, p := range tr.Points {
 			out = append(out, []string{tr.Grid, tr.Class,
-				f(p.Elapsed.Seconds()), f(p.Incumbent), f(p.Bound), f(p.Gap)})
+				strconv.FormatInt(p.Steps, 10), f(p.Incumbent), f(p.Bound), f(p.Gap)})
 		}
 	}
-	return writeCSV(w, []string{"grid", "class", "elapsed_s", "incumbent", "bound", "gap"}, out)
+	return writeCSV(w, []string{"grid", "class", "steps", "incumbent", "bound", "gap"}, out)
 }
 
 // Fig6CSV emits the full latency-vs-injection curves.

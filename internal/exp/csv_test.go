@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
-	"time"
 
 	"netsmith/internal/sim"
 	"netsmith/internal/synth"
@@ -55,8 +54,8 @@ func TestFig5CSVFlattensTraces(t *testing.T) {
 	traces := []Fig5Trace{{
 		Grid: "4x5", Class: "small",
 		Points: []synth.ProgressPoint{
-			{Elapsed: time.Second, Incumbent: 900, Bound: 800, Gap: 0.11},
-			{Elapsed: 2 * time.Second, Incumbent: 850, Bound: 800, Gap: 0.06},
+			{Steps: 60000, Incumbent: 900, Bound: 800, Gap: 0.11},
+			{Steps: 123457, Incumbent: 850, Bound: 800, Gap: 0.06},
 		},
 	}}
 	var buf bytes.Buffer
@@ -67,8 +66,8 @@ func TestFig5CSVFlattensTraces(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if rows[2][2] != "2" {
-		t.Errorf("elapsed column wrong: %v", rows[2])
+	if rows[0][2] != "steps" || rows[1][2] != "60000" || rows[2][2] != "123457" {
+		t.Errorf("steps column wrong: %v", rows)
 	}
 }
 

@@ -197,10 +197,8 @@ func (e *ParetoIncompleteError) Error() string {
 // (EnergyWeight, RobustWeight) pair applied.
 type ParetoConfig struct {
 	// Base is the synthesis config shared by every sweep point.
-	// TimeBudget must be zero (time-budgeted searches are not
-	// deterministic, so neither the synthesis cache nor the frontier
-	// key could describe them) and EnergyWeight/RobustWeight must be
-	// zero (the sweep grids set them per point).
+	// EnergyWeight/RobustWeight must be zero (the sweep grids set them
+	// per point).
 	Base synth.Config
 
 	// EnergyWeights and RobustWeights span the sweep grid
@@ -243,9 +241,6 @@ type ParetoConfig struct {
 // normalized resolves defaults and validates; the returned config has
 // a defaulted Base and non-empty grids.
 func (pc ParetoConfig) normalized() (ParetoConfig, error) {
-	if pc.Base.TimeBudget > 0 {
-		return pc, errors.New("exp: pareto sweep requires a fixed iteration budget (Base.TimeBudget must be zero)")
-	}
 	if pc.Base.EnergyWeight != 0 || pc.Base.RobustWeight != 0 {
 		return pc, errors.New("exp: pareto Base.EnergyWeight/RobustWeight must be zero; the sweep grids set them per point")
 	}

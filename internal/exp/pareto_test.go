@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"netsmith/internal/layout"
 	"netsmith/internal/sim"
@@ -315,7 +314,6 @@ func TestParetoSweepCancellation(t *testing.T) {
 
 func TestParetoConfigValidation(t *testing.T) {
 	cases := map[string]func(*ParetoConfig){
-		"time budget":        func(pc *ParetoConfig) { pc.Base.TimeBudget = time.Second },
 		"base energy weight": func(pc *ParetoConfig) { pc.Base.EnergyWeight = 1 },
 		"base robust weight": func(pc *ParetoConfig) { pc.Base.RobustWeight = 1 },
 		"duplicate weight":   func(pc *ParetoConfig) { pc.EnergyWeights = []float64{1, 1} },

@@ -89,11 +89,6 @@ func (s *Suite) nsWeighted(g *layout.Grid, c layout.Class, obj synth.Objective, 
 	return t, nil
 }
 
-// Expert returns a named baseline for a grid.
-func (s *Suite) Expert(name string, g *layout.Grid) (*topo.Topology, error) {
-	return expert.Get(name, g)
-}
-
 // Setup prepares (and caches) routing + VCs for a topology.
 func (s *Suite) Setup(t *topo.Topology, kind sim.RoutingKind) (*sim.Setup, error) {
 	key := fmt.Sprintf("setup/%s/%d/%s", t.Name, kind, t.CanonicalLinkList())
@@ -167,6 +162,3 @@ func (s *Suite) twentyRouterSet() ([]*topo.Topology, error) {
 	}
 	return out, nil
 }
-
-// classOf groups a topology by its link-length class for presentation.
-func classOf(t *topo.Topology) layout.Class { return t.Class }

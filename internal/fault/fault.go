@@ -196,12 +196,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Lookup returns the entry for name.
-func (r *Registry) Lookup(name string) (Entry, bool) {
-	e, ok := r.entries[name]
-	return e, ok
-}
-
 // Build constructs the named schedule against a topology, validating
 // that every supplied parameter is declared and every produced event
 // names an element that exists. The returned schedule's Key is the

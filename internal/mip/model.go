@@ -118,9 +118,6 @@ func (p *Problem) AddBinaryVar(obj float64, name string) Var {
 	return p.AddIntVar(0, 1, obj, name)
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return len(p.vars) }
-
 // AddConstraint adds sum(terms) rel rhs. Terms with duplicate variables
 // are accumulated.
 func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) {

@@ -482,10 +482,6 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.message }
 
-func errBadRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: "bad_request", message: fmt.Sprintf(format, args...)}
-}
-
 // enqueue admits and registers a job. Admission is priority-aware: a
 // full queue rejects everything; a queue at or past half depth rejects
 // negative-priority (batch) jobs early so interactive work keeps

@@ -4,7 +4,7 @@
 // full set of inputs that determine the result bit-for-bit (topology or
 // synthesis config+seed, pattern name+params, offered rate, simulator
 // knobs) plus the store schema version. Because matrix cells and
-// fixed-budget synthesis runs are bit-identical across reruns and
+// synthesis runs are bit-identical across reruns and
 // GOMAXPROCS (the determinism contract pinned since PR 2/3), a cache
 // hit IS the result: callers get back exactly the bytes a fresh run
 // would produce.
@@ -13,15 +13,11 @@
 //
 //	<dir>/objects/<hh>/<hash>.json   one self-describing JSON blob per
 //	                                 artifact ({"key": ..., "value": ...})
-//	<dir>/index.jsonl                best-effort append-only catalog
-//	                                 (one JSON line per first Put)
 //
 // Blob writes are atomic (temp file + rename) and content-addressed, so
 // concurrent writers — goroutines of one process or separate shard
 // processes sharing a directory — can only ever race to write identical
-// bytes. Get never consults the index; the index is a convenience
-// catalog appended best-effort on Put (O(1), deduplicated on read) and
-// can always be reconstructed from the objects tree.
+// bytes. The objects tree is the whole store: Len and Hashes walk it.
 package store
 
 import (
@@ -32,9 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
-	"time"
 )
 
 // SchemaVersion is baked into every cache key. Bump it whenever the
@@ -72,12 +65,9 @@ func (k Key) Hash() (string, error) {
 
 // Store is a content-addressed cache rooted at a directory. It is safe
 // for concurrent use by multiple goroutines; separate processes may
-// share a directory (writes are atomic renames, the index is
-// append-only).
+// share a directory (writes are atomic renames).
 type Store struct {
 	dir string
-	mu  sync.Mutex      // guards indexed and index appends in this process
-	idx map[string]bool // hashes already cataloged by this process
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -88,7 +78,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir, idx: map[string]bool{}}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -150,11 +140,7 @@ func (s *Store) Put(k Key, v any) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(path, blob); err != nil {
-		return err
-	}
-	s.indexAdd(hash, k.Kind)
-	return nil
+	return atomicWrite(path, blob)
 }
 
 // atomicWrite writes data to path via a temp file + rename, so readers
@@ -187,66 +173,7 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-// IndexEntry catalogs one stored object (one line of index.jsonl).
-type IndexEntry struct {
-	Hash    string `json:"hash"`
-	Kind    string `json:"kind"`
-	Created string `json:"created"` // RFC 3339, time of first Put in this catalog
-}
-
-// indexAdd appends one catalog line to index.jsonl — O(1) per Put, no
-// read-rewrite of a growing file on the matrix workers' hot path. The
-// index is advisory: Get never reads it, duplicate lines from
-// cross-process races are deduplicated on read, and a lost append
-// loses nothing but catalog cosmetics.
-func (s *Store) indexAdd(hash, kind string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx[hash] {
-		return
-	}
-	line, err := json.Marshal(IndexEntry{
-		Hash: hash, Kind: kind,
-		Created: time.Now().UTC().Format(time.RFC3339),
-	})
-	if err != nil {
-		return
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, "index.jsonl"),
-		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	_, werr := f.Write(append(line, '\n'))
-	if f.Close() == nil && werr == nil {
-		s.idx[hash] = true
-	}
-}
-
-// Index returns the catalog of stored objects, keyed by content hash
-// (lines deduplicated, first Put wins; malformed lines skipped).
-func (s *Store) Index() map[string]IndexEntry {
-	idx := map[string]IndexEntry{}
-	b, err := os.ReadFile(filepath.Join(s.dir, "index.jsonl"))
-	if err != nil {
-		return idx
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if line == "" {
-			continue
-		}
-		var e IndexEntry
-		if json.Unmarshal([]byte(line), &e) == nil && e.Hash != "" {
-			if _, ok := idx[e.Hash]; !ok {
-				idx[e.Hash] = e
-			}
-		}
-	}
-	return idx
-}
-
-// Len counts objects actually on disk (the ground truth, not the
-// advisory index).
+// Len counts the objects on disk.
 func (s *Store) Len() (int, error) {
 	count := 0
 	root := filepath.Join(s.dir, "objects")

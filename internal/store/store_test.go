@@ -169,34 +169,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatalf("hashes: %d (err %v), want %d", len(hashes), err, keys)
 	}
 }
-
-func TestIndexIsAdvisory(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := NewKey("synth", payload{Name: "ns"})
-	if err := s.Put(k, value{Latency: 1}); err != nil {
-		t.Fatal(err)
-	}
-	hash, _ := k.Hash()
-	if idx := s.Index(); len(idx) != 1 || idx[hash].Kind != "synth" {
-		t.Fatalf("index entries: %v, want one %q entry", idx, hash)
-	}
-	// Re-putting must not append a duplicate catalog line.
-	if err := s.Put(k, value{Latency: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if idx := s.Index(); len(idx) != 1 {
-		t.Fatalf("index entries after re-put: %d, want 1", len(idx))
-	}
-	// Deleting the index must not affect lookups.
-	if err := os.Remove(filepath.Join(dir, "index.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	var got value
-	if hit, err := s.Get(k, &got); err != nil || !hit {
-		t.Fatalf("get without index: hit=%v err=%v", hit, err)
-	}
-}

@@ -2,10 +2,6 @@ package synth
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"netsmith/internal/bitgraph"
 	"netsmith/internal/layout"
@@ -16,25 +12,20 @@ import (
 // separation for SCOp. Restarts run in per-worker search contexts
 // (searchCtx) holding an incremental bitgraph.Eval each, so the hot loop
 // never pays a full-evaluation rescan and restarts share nothing but the
-// read-only candidate set and the incumbent.
+// read-only candidate set; the incumbent and trace are written only by
+// the sequential merge.
 type annealer struct {
-	cfg    Config
-	eval   *evaluator
-	valid  []layout.Link   // candidate directed links (set L)
-	byFrom [][]layout.Link // valid indexed by source endpoint
-	start  time.Time
-	trace  []ProgressPoint
-	// mu guards the incumbent and trace; bestBits mirrors bestScore so
-	// the hot loop can reject non-improving snapshots without the lock.
-	mu        sync.Mutex
+	cfg       Config
+	eval      *evaluator
+	valid     []layout.Link   // candidate directed links (set L)
+	byFrom    [][]layout.Link // valid indexed by source endpoint
+	trace     []ProgressPoint
 	best      *bitgraph.Graph
 	bestScore float64
-	bestBits  atomic.Uint64
 	bound     float64 // lower bound (LatOp/Weighted) or upper bound (SCOp)
-	// traceLive selects streaming trace/Progress emission from record()
-	// (time-budget mode); fixed-restart mode instead rebuilds the trace
-	// deterministically in offerResult.
-	traceLive bool
+	// steps counts the annealing steps merged so far, in merge order; it
+	// stamps ProgressPoint.Steps.
+	steps int64
 }
 
 func newAnnealer(cfg Config) *annealer {
@@ -52,25 +43,24 @@ func newAnnealer(cfg Config) *annealer {
 }
 
 // localPoint is one local-best improvement inside a restart, kept so
-// fixed-restart mode can rebuild a deterministic progress trace after
-// the merge (the live record() path is scheduling-dependent).
+// the merge can rebuild the progress trace in restart order.
 type localPoint struct {
 	score     float64
 	incumbent float64
 	feasible  bool
-	at        time.Duration
+	step      int64 // step index within the restart
 }
 
-// restartResult is one restart's locally best state and improvement
-// history, used for the deterministic merge in fixed-restart mode.
+// restartResult is one restart's locally best state, improvement
+// history and step count, consumed by the deterministic merge.
 type restartResult struct {
 	score float64
 	snap  *bitgraph.Graph
 	local []localPoint
+	steps int64
 }
 
 func (a *annealer) run() (*Result, error) {
-	a.start = time.Now()
 	switch a.cfg.Objective {
 	case LatOp, Weighted:
 		a.bound = latOpLowerBound(a.cfg)
@@ -84,82 +74,25 @@ func (a *annealer) run() (*Result, error) {
 		// index) tie-breaking, so the trace and incumbent are rebuilt
 		// deterministically, like fixed-restart mode.
 		a.runPopulation()
-	} else if a.cfg.TimeBudget > 0 {
-		// Time-bounded runs are inherently timing-dependent; the trace
-		// and Progress callbacks stream live from record().
-		a.traceLive = true
-		// Time-bounded mode: workers run complete annealing schedules
-		// (bounded per-restart iteration count so the cooling schedule
-		// stays meaningful) until the budget expires. Later restarts
-		// keep improving the incumbent, producing the paper's Figure 5
-		// gap-narrows-over-time behaviour.
-		perRestart := a.cfg.Iterations
-		if perRestart > 60000 {
-			perRestart = 60000
-		}
-		workers := runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-		var wg sync.WaitGroup
-		var next int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !a.expired() {
-					r := atomic.AddInt64(&next, 1) - 1
-					res := a.annealRestart(r, perRestart)
-					a.offerResult(res)
-				}
-			}()
-		}
-		wg.Wait()
 	} else {
 		// Fixed-restart mode: restarts are mutually independent (each
 		// derives its RNG from Seed and the restart index alone), so they
-		// run in parallel and merge deterministically afterwards — the
-		// lowest (score, restart index) wins, making the outcome
-		// identical for a given seed regardless of GOMAXPROCS.
-		restarts := a.cfg.Restarts
-		results := make([]restartResult, restarts)
-		workers := runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-		if workers > restarts {
-			workers = restarts
-		}
-		var wg sync.WaitGroup
-		var next int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					r := atomic.AddInt64(&next, 1) - 1
-					if r >= int64(restarts) || a.expired() {
-						return
-					}
-					results[r] = a.annealRestart(r, a.cfg.Iterations)
-				}
-			}()
-		}
-		wg.Wait()
-		// Deterministic merge: strict improvement in ascending restart
-		// order means ties resolve to the lowest restart index. The
-		// progress trace is rebuilt from the per-restart improvement
-		// histories in the same order, so Result.Trace is as
-		// reproducible as the topology (record() ran concurrently and
-		// only served the incumbent fast path during the race).
-		a.setBest(nil, math.Inf(1))
-		a.trace = a.trace[:0]
+		// run in parallel and merge afterwards in ascending restart
+		// order. Strict improvement means the lowest (score, restart
+		// index) wins, and the trace is rebuilt from the per-restart
+		// histories in the same order, so the topology and Result.Trace
+		// are identical for a given seed regardless of GOMAXPROCS.
+		results := make([]restartResult, a.cfg.Restarts)
+		parallelFor(len(results), func(r int) {
+			results[r] = a.annealRestart(int64(r), a.cfg.Iterations)
+		})
 		for _, res := range results {
 			a.offerResult(res)
 		}
 	}
 	if a.best == nil {
-		// Degenerate budget: fall back to the deterministic seed.
+		// No state scored below +Inf (a non-finite weight): fall back to
+		// the deterministic seed.
 		s := stateFromTopology(seedTopology(a.cfg))
 		a.setBest(s, a.eval.fullScore(s))
 	}
@@ -171,7 +104,7 @@ func (a *annealer) run() (*Result, error) {
 	// catches incumbents whose true sparsest cut violates the bound even
 	// though every pooled cut satisfies it.
 	if a.cfg.Objective == SCOp || a.cfg.MinCutBW > 0 {
-		for round := 0; round < 12 && !a.expired(); round++ {
+		for round := 0; round < 12; round++ {
 			t := a.toTopology(a.best)
 			exact := t.SparsestCut()
 			if a.cfg.Objective != SCOp && exact.Bandwidth >= a.cfg.MinCutBW-1e-12 {
@@ -194,7 +127,7 @@ func (a *annealer) run() (*Result, error) {
 	// probe finds a cut the pool lacks (the C7 row-generation idea turned
 	// on single-failure reachability).
 	if a.cfg.RobustWeight > 0 {
-		for round := 0; round < 12 && !a.expired(); round++ {
+		for round := 0; round < 12; round++ {
 			cuts, _ := criticalCuts(a.best)
 			grew := false
 			for _, u := range cuts {
@@ -213,63 +146,46 @@ func (a *annealer) run() (*Result, error) {
 	return a.finish()
 }
 
-// setBest replaces the incumbent unconditionally (single-threaded phases
-// only).
+// setBest replaces the incumbent unconditionally.
 func (a *annealer) setBest(s *bitgraph.Graph, score float64) {
 	a.best = s
 	a.bestScore = score
-	a.bestBits.Store(math.Float64bits(score))
 }
 
-// offerResult installs a restart result if it strictly improves on the
-// incumbent. Outside live-trace mode it first replays the restart's
-// improvement history against the current incumbent, emitting the
-// progress points a sequential run of the restarts would have produced
-// (each restart's history is strictly improving, so every point below
-// the incumbent is a global improvement in replay order). Parallel
-// restarts stamp their points with their own wall clock, so a replayed
-// point's Elapsed is clamped to the last emitted point's: the trace's
-// time axis never runs backwards.
+// offerResult merges one restart, in merge order. It first replays the
+// restart's improvement history against the current incumbent, emitting
+// the progress points a sequential run of the restarts would have
+// produced (each restart's history is strictly improving, so every point
+// below the incumbent is a global improvement in replay order), stamped
+// with the merged step count plus the point's step within the restart.
+// It then adds the restart's steps to the count and installs its best if
+// it strictly improves on the incumbent.
 func (a *annealer) offerResult(res restartResult) {
-	if res.snap == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.traceLive {
-		for _, p := range res.local {
-			if p.score >= a.bestScore || !p.feasible {
-				continue
-			}
-			pt := ProgressPoint{
-				Elapsed:   p.at,
-				Incumbent: p.incumbent,
-				Bound:     a.bound,
-				Gap:       a.gapOf(p.incumbent),
-			}
-			if n := len(a.trace); n > 0 && pt.Elapsed < a.trace[n-1].Elapsed {
-				pt.Elapsed = a.trace[n-1].Elapsed
-			}
-			a.trace = append(a.trace, pt)
-			if a.cfg.Progress != nil {
-				a.cfg.Progress(pt)
-			}
+	for _, p := range res.local {
+		if p.score >= a.bestScore || !p.feasible {
+			continue
 		}
+		a.emit(a.steps+p.step, p.incumbent)
 	}
+	a.steps += res.steps
 	if res.score < a.bestScore {
-		a.best = res.snap
-		a.bestScore = res.score
-		a.bestBits.Store(math.Float64bits(res.score))
+		a.setBest(res.snap, res.score)
 	}
 }
 
-// loadBest reads the incumbent score without the lock.
-func (a *annealer) loadBest() float64 {
-	return math.Float64frombits(a.bestBits.Load())
-}
-
-func (a *annealer) expired() bool {
-	return a.cfg.TimeBudget > 0 && time.Since(a.start) >= a.cfg.TimeBudget
+// emit appends a progress point for a new incumbent objective and hands
+// it to the Progress callback.
+func (a *annealer) emit(steps int64, incumbent float64) {
+	pt := ProgressPoint{
+		Steps:     steps,
+		Incumbent: incumbent,
+		Bound:     a.bound,
+		Gap:       a.gapOf(incumbent),
+	}
+	a.trace = append(a.trace, pt)
+	if a.cfg.Progress != nil {
+		a.cfg.Progress(pt)
+	}
 }
 
 func stateFromTopology(t *topo.Topology) *bitgraph.Graph {
@@ -582,17 +498,18 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	localBest := curScore
 	snapshot := state.Clone()
 	var local []localPoint
-	// note logs a local-best improvement (for the deterministic trace
-	// replay) and offers it to the live incumbent.
-	note := func(score float64, snap *bitgraph.Graph) {
+	// step is the index of the move being processed; after the loop it
+	// equals iters.
+	var step int
+	// note logs a local-best improvement for the merge's trace replay.
+	note := func(score float64) {
 		incumbent, feasible := ctx.incumbentObjective()
 		local = append(local, localPoint{
 			score: score, incumbent: incumbent, feasible: feasible,
-			at: time.Since(a.start),
+			step: int64(step),
 		})
-		a.record(snap, score, ctx)
 	}
-	note(curScore, snapshot)
+	note(curScore)
 
 	// refresh settles any lazily accepted moves: it flushes the pending
 	// recomputes, re-reads the score and checkpoints the local best.
@@ -607,7 +524,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 		if curScore < localBest-1e-12 {
 			localBest = curScore
 			snapshot = ctx.ev.Graph().Clone()
-			note(curScore, snapshot)
+			note(curScore)
 		}
 	}
 
@@ -623,7 +540,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 		if curScore < localBest-1e-12 {
 			localBest = curScore
 			snapshot = ctx.ev.Graph().Clone()
-			note(curScore, snapshot)
+			note(curScore)
 		}
 	}
 
@@ -640,12 +557,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	// Metropolis path.
 	mono := a.eval.linkCostMilli == nil
 
-	const checkEvery = 1024
-	for i := 0; i < iters; i++ {
-		if i%checkEvery == 0 && a.expired() {
-			refresh()
-			return restartResult{localBest, snapshot, local}
-		}
+	for ; step < iters; step++ {
 		mv, ok := ctx.propose(rng)
 		if !ok {
 			continue
@@ -755,45 +667,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 		settle(delta <= 0 || metropolisAccept(rng.Float64(), delta/temp), newScore)
 	}
 	refresh()
-	return restartResult{localBest, snapshot, local}
-}
-
-// record offers a new incumbent snapshot and emits a progress point on
-// improvement (time-budget mode only). It is safe for concurrent use by
-// parallel restarts; the lock-free bestBits read rejects non-improving
-// snapshots cheaply. In fixed-restart mode it is a no-op: offerResult
-// is the sole incumbent and trace writer there, so the deterministic
-// replay filter never races against mid-restart updates.
-func (a *annealer) record(s *bitgraph.Graph, score float64, ctx *searchCtx) {
-	if !a.traceLive {
-		return
-	}
-	if score >= a.loadBest()-1e-12 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if score >= a.bestScore {
-		return
-	}
-	a.best = s
-	a.bestScore = score
-	a.bestBits.Store(math.Float64bits(score))
-	incumbent, feasible := ctx.incumbentObjective()
-	if !feasible {
-		return
-	}
-	gap := a.gapOf(incumbent)
-	p := ProgressPoint{
-		Elapsed:   time.Since(a.start),
-		Incumbent: incumbent,
-		Bound:     a.bound,
-		Gap:       gap,
-	}
-	a.trace = append(a.trace, p)
-	if a.cfg.Progress != nil {
-		a.cfg.Progress(p)
-	}
+	return restartResult{localBest, snapshot, local, int64(iters)}
 }
 
 // gapOf computes the objective-bounds gap; see ProgressPoint.Gap for the

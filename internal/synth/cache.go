@@ -8,17 +8,15 @@ import (
 	"netsmith/internal/topo"
 )
 
-// Synthesis caching. Fixed-budget Generate is deterministic — same
-// Config, same topology, bit for bit, at any GOMAXPROCS (pinned by the
-// determinism tests) — so a (config, seed) pair content-addresses its
-// Result. Time-budgeted runs are NOT deterministic (the wall clock
-// decides how far the search gets) and are never cached.
+// Synthesis caching. Generate is deterministic — same Config, same
+// topology, bit for bit, at any GOMAXPROCS (pinned by the determinism
+// tests) — so every valid (config, seed) pair content-addresses its
+// Result.
 
 // synthPayload is the canonical request description hashed into a
 // synthesis cache key: every Config field that influences the chosen
-// topology. Weights are included verbatim (row-major JSON); Progress
-// and TimeBudget are excluded — the former cannot affect the result,
-// the latter makes a run uncacheable.
+// topology. Weights are included verbatim (row-major JSON); Progress is
+// excluded because it cannot affect the result.
 type synthPayload struct {
 	Rows int `json:"rows"`
 	Cols int `json:"cols"`
@@ -46,17 +44,15 @@ type synthPayload struct {
 	Generations int `json:"generations,omitempty"`
 }
 
-// payload canonicalizes the config into its cache-key description. ok
-// is false when the run is not cacheable (time-budgeted searches stop
-// on the wall clock, so their outcome is not a function of the config).
-// The pareto sweep (exp.ParetoSweep) embeds the same payload — with the
-// swept weights zeroed — inside its own frontier key via CachePayload,
-// so the two key families cannot drift on what "the same base config"
-// means.
-func (c Config) payload() (synthPayload, bool) {
+// payload canonicalizes the config into its cache-key description; it
+// fails only for an invalid config. The pareto sweep (exp.ParetoSweep)
+// embeds the same payload — with the swept weights zeroed — inside its
+// own frontier key via CachePayload, so the two key families cannot
+// drift on what "the same base config" means.
+func (c Config) payload() (synthPayload, error) {
 	cfg, err := c.withDefaults()
-	if err != nil || cfg.TimeBudget > 0 {
-		return synthPayload{}, false
+	if err != nil {
+		return synthPayload{}, err
 	}
 	return synthPayload{
 		Rows: cfg.Grid.Rows, Cols: cfg.Grid.Cols, PitchMM: cfg.Grid.PitchMM,
@@ -68,22 +64,22 @@ func (c Config) payload() (synthPayload, bool) {
 		RobustWeight: cfg.RobustWeight,
 		Seed:         cfg.Seed, Iterations: cfg.Iterations, Restarts: cfg.Restarts,
 		Population: cfg.Population, Generations: cfg.Generations,
-	}, true
+	}, nil
 }
 
-// cacheKey canonicalizes the config into its store key; ok is false
-// for uncacheable (time-budgeted) runs.
-func (c Config) cacheKey() (store.Key, bool) {
-	p, ok := c.payload()
-	if !ok {
-		return store.Key{}, false
+// cacheKey canonicalizes the config into its store key; it fails only
+// for an invalid config.
+func (c Config) cacheKey() (store.Key, error) {
+	p, err := c.payload()
+	if err != nil {
+		return store.Key{}, err
 	}
-	return store.NewKey("synth", p), true
+	return store.NewKey("synth", p), nil
 }
 
 // cachedResult is the stored form of a Result. Trace is deliberately
-// dropped: its Elapsed stamps are wall-clock measurements, the one
-// non-deterministic part of a fixed-budget run.
+// dropped: no caller reads the trace of a cached run, and storing it
+// would grow every blob.
 type cachedResult struct {
 	Topology      *topo.Topology `json:"topology"`
 	Objective     float64        `json:"objective"`
@@ -118,11 +114,11 @@ func (c Config) Normalized() (Config, error) {
 
 // CachePayload returns the canonical cache-key description of the
 // config as marshaled JSON, for embedding in higher-level store keys
-// (the pareto frontier key wraps it). ok is false for uncacheable
-// (time-budgeted or invalid) configs.
+// (the pareto frontier key wraps it). ok is false for an invalid
+// config.
 func (c Config) CachePayload() (json.RawMessage, bool) {
-	p, ok := c.payload()
-	if !ok {
+	p, err := c.payload()
+	if err != nil {
 		return nil, false
 	}
 	b, err := json.Marshal(p)
@@ -140,8 +136,8 @@ func Probe(st *store.Store, c Config) (*Result, bool) {
 	if st == nil {
 		return nil, false
 	}
-	key, ok := c.cacheKey()
-	if !ok {
+	key, err := c.cacheKey()
+	if err != nil {
 		return nil, false
 	}
 	return lookup(st, key, c)
@@ -194,22 +190,19 @@ func MatrixNSConfig(g *layout.Grid, cl layout.Class, energyWeight, robustWeight 
 // miss runs Generate and persists the outcome. The returned bool
 // reports whether the result came from the cache. Cached results carry
 // no Trace and fire no Progress callbacks (nothing was searched); a
-// nil store or an uncacheable config (TimeBudget > 0) falls through to
-// a plain Generate.
+// nil store falls through to a plain Generate.
 func CachedGenerate(st *store.Store, c Config) (*Result, bool, error) {
 	if st == nil {
 		res, err := Generate(c)
 		return res, false, err
 	}
-	// Population mode additionally caches its portfolio members through
-	// Config.Store, even when the final result itself is uncacheable
-	// (TimeBudget runs still reuse deterministic members).
-	c.Store = st
-	key, ok := c.cacheKey()
-	if !ok {
-		res, err := Generate(c)
-		return res, false, err
+	key, err := c.cacheKey()
+	if err != nil {
+		return nil, false, err
 	}
+	// Population mode additionally caches its portfolio members through
+	// Config.Store, so a miss still reuses members of nearby configs.
+	c.Store = st
 	if res, hit := lookup(st, key, c); hit {
 		return res, true, nil
 	}

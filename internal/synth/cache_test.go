@@ -117,43 +117,14 @@ func TestCachedGeneratePopulationKeySensitivity(t *testing.T) {
 	}
 }
 
-// Population configs are uncacheable under a time budget by the same
-// construction as classic ones: cacheKey refuses any TimeBudget > 0
-// before the population fields are even considered.
-func TestPopulationTimeBudgetUncacheable(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Population = 2
-	cfg.Generations = 1
-	if _, ok := cfg.cacheKey(); !ok {
-		t.Fatal("fixed-budget population config reported uncacheable")
-	}
-	cfg.TimeBudget = 1
-	if _, ok := cfg.cacheKey(); ok {
-		t.Fatal("time-budgeted population config reported cacheable")
-	}
-}
-
-// TestCachedGenerateTimeBudgetUncacheable: wall-clock-bounded runs must
-// never populate or hit the cache.
-func TestCachedGenerateTimeBudgetUncacheable(t *testing.T) {
-	cfg := smallCfg()
-	if _, ok := cfg.cacheKey(); !ok {
-		t.Fatal("fixed-budget config reported uncacheable")
-	}
-	cfg.TimeBudget = 1 // any positive budget
-	if _, ok := cfg.cacheKey(); ok {
-		t.Fatal("time-budgeted config reported cacheable")
-	}
-}
-
 // TestCorruptBlobIsMiss: a stored result whose topology is missing or
 // is not on the config's grid and class reads as absent, and
 // CachedGenerate recomputes it and overwrites the blob.
 func TestCorruptBlobIsMiss(t *testing.T) {
 	cfg := smallCfg()
-	key, ok := cfg.cacheKey()
-	if !ok {
-		t.Fatal("config uncacheable")
+	key, err := cfg.cacheKey()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for name, value := range map[string]string{
 		"null topology": `{"topology":null}`,
@@ -187,9 +158,9 @@ func TestCorruptBlobIsMiss(t *testing.T) {
 // config's grid and class.
 func FuzzSynthCacheBlob(f *testing.F) {
 	cfg := MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 11, 20000, 0, 0)
-	key, ok := cfg.cacheKey()
-	if !ok {
-		f.Fatal("config uncacheable")
+	key, err := cfg.cacheKey()
+	if err != nil {
+		f.Fatal(err)
 	}
 	hash, err := key.Hash()
 	if err != nil {

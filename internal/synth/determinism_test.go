@@ -10,12 +10,11 @@ import (
 	"netsmith/internal/store"
 )
 
-// traceValues renders the scheduling-independent part of a progress
-// trace (Elapsed is wall-clock and excluded).
+// traceValues renders a progress trace, step counts included.
 func traceValues(res *Result) string {
 	out := ""
 	for _, p := range res.Trace {
-		out += fmt.Sprintf("%.17g/%.17g/%.17g;", p.Incumbent, p.Bound, p.Gap)
+		out += fmt.Sprintf("%d:%.17g/%.17g/%.17g;", p.Steps, p.Incumbent, p.Bound, p.Gap)
 	}
 	return out
 }
@@ -54,8 +53,13 @@ func TestGenerateDeterministicAcrossRuns(t *testing.T) {
 func TestGenerateDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, obj := range []Objective{LatOp, SCOp} {
-		cfg := quickCfg(layout.Grid4x5, layout.Medium, obj)
+	latop := quickCfg(layout.Grid4x5, layout.Medium, LatOp)
+	scop := quickCfg(layout.Grid4x5, layout.Medium, SCOp)
+	// The separation and fragility oracle rounds re-anneal after the
+	// restarts merge; their steps continue the same count.
+	oracles := quickCfg(layout.Grid4x5, layout.Medium, LatOp)
+	oracles.RobustWeight, oracles.MinCutBW = 1, 0.1
+	for name, cfg := range map[string]Config{"latop": latop, "scop": scop, "robust+mincut": oracles} {
 		cfg.Iterations = 4000
 		cfg.Restarts = 4
 		var want, wantTrace string
@@ -70,9 +74,9 @@ func TestGenerateDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			if want == "" {
 				want, wantTrace = canon, trace
 			} else if canon != want {
-				t.Fatalf("%v: GOMAXPROCS=%d produced a different topology", obj, procs)
+				t.Fatalf("%s: GOMAXPROCS=%d produced a different topology", name, procs)
 			} else if trace != wantTrace {
-				t.Fatalf("%v: GOMAXPROCS=%d produced a different progress trace", obj, procs)
+				t.Fatalf("%s: GOMAXPROCS=%d produced a different progress trace", name, procs)
 			}
 		}
 	}

@@ -23,7 +23,6 @@ package synth
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"netsmith/internal/layout"
 	"netsmith/internal/store"
@@ -120,7 +119,8 @@ type Config struct {
 
 	// Seed makes runs reproducible. Iterations is the annealing step
 	// count per restart; Restarts the number of independent restarts.
-	// Defaults: Iterations 60000, Restarts 4.
+	// Defaults: Iterations 60000, Restarts 4. The step budget is the
+	// only budget, so a run is a pure function of its Config.
 	Seed       int64
 	Iterations int
 	Restarts   int
@@ -146,17 +146,21 @@ type Config struct {
 	// without it. CachedGenerate wires it automatically.
 	Store *store.Store
 
-	// TimeBudget, when positive, stops the search after this duration
-	// even if iterations remain.
-	TimeBudget time.Duration
-
-	// Progress, when non-nil, receives solver progress points (elapsed
-	// time, incumbent objective, bound, gap) as the incumbent improves.
+	// Progress, when non-nil, receives solver progress points (steps,
+	// incumbent objective, bound, gap) as the incumbent improves. The
+	// points arrive after the parallel restarts merge, in merge order,
+	// and equal Result.Trace.
 	Progress func(ProgressPoint)
 }
 
 // ProgressPoint is one sample of solver progress, used to reproduce the
-// paper's Figure 5 (objective bounds gap vs. time).
+// paper's Figure 5 (objective bounds gap vs. search effort).
+//
+// Steps is the cumulative number of annealing steps at which the
+// incumbent improved, counted in the deterministic merge order: restarts
+// in index order (then the separation and fragility oracle rounds), or
+// population stages of Population*Iterations steps each. It never
+// decreases along a trace.
 //
 // Gap is the relative objective-bounds gap, clamped to [0, 1], with a
 // per-objective formula matching the optimization direction:
@@ -166,7 +170,7 @@ type Config struct {
 //   - SCOp (maximization, upper bound):
 //     (bound - incumbent) / bound, or 0 when bound <= 0.
 type ProgressPoint struct {
-	Elapsed   time.Duration
+	Steps     int64
 	Incumbent float64 // current best objective (total hops for LatOp)
 	Bound     float64 // best known bound (lower for LatOp, upper for SCOp)
 	Gap       float64 // relative objective-bounds gap; see above
@@ -216,6 +220,12 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.RobustWeight < 0 {
 		return cfg, fmt.Errorf("synth: negative robust weight %v", cfg.RobustWeight)
+	}
+	if cfg.Iterations < 0 {
+		return cfg, fmt.Errorf("synth: negative iterations %d", cfg.Iterations)
+	}
+	if cfg.Restarts < 0 {
+		return cfg, fmt.Errorf("synth: negative restarts %d", cfg.Restarts)
 	}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 60000

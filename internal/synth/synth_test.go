@@ -4,10 +4,10 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"netsmith/internal/bitgraph"
 	"netsmith/internal/layout"
+	"netsmith/internal/store"
 	"netsmith/internal/topo"
 )
 
@@ -360,36 +360,60 @@ func TestProgressTraceMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) == 0 || len(res.Trace) == 0 {
-		t.Fatal("no progress points emitted")
+	if len(points) == 0 || len(points) != len(res.Trace) {
+		t.Fatalf("%d progress points for a %d-point trace", len(points), len(res.Trace))
 	}
 	for i := 1; i < len(points); i++ {
 		if points[i].Incumbent > points[i-1].Incumbent+1e-9 {
 			t.Errorf("LatOp incumbent must be non-increasing: %v -> %v",
 				points[i-1].Incumbent, points[i].Incumbent)
 		}
-		if points[i].Elapsed < points[i-1].Elapsed {
-			t.Error("elapsed time must be monotone")
+		if points[i].Steps < points[i-1].Steps {
+			t.Errorf("steps must be non-decreasing: %d -> %d", points[i-1].Steps, points[i].Steps)
 		}
 	}
-	for _, p := range points {
+	// The last point cannot lie beyond the budget: Restarts runs of
+	// Iterations steps each.
+	if last := points[len(points)-1].Steps; last > int64(cfg.Restarts*cfg.Iterations) {
+		t.Errorf("last point at step %d, beyond the %d-step budget", last, cfg.Restarts*cfg.Iterations)
+	}
+	for i, p := range points {
 		if p.Gap < 0 || p.Gap > 1 {
 			t.Errorf("gap %v out of [0,1]", p.Gap)
+		}
+		if p != res.Trace[i] {
+			t.Errorf("progress point %d %+v differs from trace %+v", i, p, res.Trace[i])
 		}
 	}
 }
 
-func TestTimeBudgetRespected(t *testing.T) {
-	cfg := quickCfg(layout.Grid8x6, layout.Large, LatOp)
-	cfg.Iterations = 10_000_000 // absurd; budget must cut it off
-	cfg.Restarts = 100
-	cfg.TimeBudget = 300 * time.Millisecond
-	start := time.Now()
-	if _, err := Generate(cfg); err != nil {
+// Negative budgets are rejected, through the cache as well, instead of
+// panicking (negative Restarts) or silently searching nothing (negative
+// Iterations).
+func TestNegativeBudgetRejected(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("time budget ignored: ran %v", elapsed)
+	for name, mutate := range map[string]func(*Config){
+		"iterations":            func(c *Config) { c.Iterations = -5 },
+		"restarts":              func(c *Config) { c.Restarts = -1 },
+		"population iterations": func(c *Config) { c.Iterations = -1; c.Population = 2 },
+	} {
+		cfg := quickCfg(layout.Grid4x5, layout.Medium, LatOp)
+		mutate(&cfg)
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("%s: Generate accepted a negative budget", name)
+		}
+		if _, _, err := CachedGenerate(st, cfg); err == nil {
+			t.Errorf("%s: CachedGenerate accepted a negative budget", name)
+		}
+		if _, ok := cfg.CachePayload(); ok {
+			t.Errorf("%s: a negative budget has a cache payload", name)
+		}
+	}
+	if n := storeEntryCount(t, st); n != 0 {
+		t.Errorf("rejected configs wrote %d blobs", n)
 	}
 }
 

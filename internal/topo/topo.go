@@ -45,15 +45,6 @@ func New(name string, g *layout.Grid, c layout.Class) *Topology {
 	return &Topology{Name: name, Grid: g, Class: c, n: n, adj: adj, dirty: true}
 }
 
-// FromLinks builds a topology from a list of directed links.
-func FromLinks(name string, g *layout.Grid, c layout.Class, links []layout.Link) *Topology {
-	t := New(name, g, c)
-	for _, l := range links {
-		t.AddLink(l.From, l.To)
-	}
-	return t
-}
-
 // FromPairs builds a topology from undirected pairs, adding both
 // directions of each link.
 func FromPairs(name string, g *layout.Grid, c layout.Class, pairs [][2]int) *Topology {
@@ -188,20 +179,6 @@ func (t *Topology) OutDegree(a int) int { return len(t.Out(a)) }
 
 // InDegree returns the number of incoming links at router a.
 func (t *Topology) InDegree(a int) int { return len(t.In(a)) }
-
-// MaxRadix returns the maximum in- or out-degree over all routers.
-func (t *Topology) MaxRadix() int {
-	max := 0
-	for a := 0; a < t.n; a++ {
-		if d := t.OutDegree(a); d > max {
-			max = d
-		}
-		if d := t.InDegree(a); d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // RespectsRadix reports whether every router's in- and out-degree is at
 // most radix (constraint C2 of Table I).

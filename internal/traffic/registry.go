@@ -86,12 +86,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Lookup returns the entry for name.
-func (r *Registry) Lookup(name string) (Entry, bool) {
-	e, ok := r.entries[name]
-	return e, ok
-}
-
 // Build constructs a fresh instance of the named pattern, validating
 // that every supplied parameter is one the pattern declares.
 func (r *Registry) Build(name string, env Env, params Params) (Pattern, error) {

@@ -1,8 +1,6 @@
 package netsmith
 
 import (
-	"time"
-
 	"netsmith/internal/exp"
 	"netsmith/internal/expert"
 	"netsmith/internal/fault"
@@ -167,16 +165,15 @@ type Options struct {
 	// exposure is reported in Result.CriticalLinks / Result.Fragility.
 	RobustWeight float64
 	Seed         int64
-	// Iterations and Restarts bound the fixed-budget search (zero
-	// selects the paper defaults). Fixed budgets are deterministic and
-	// cacheable; both are ignored when TimeBudget > 0.
+	// Iterations and Restarts are the search's step budget (zero
+	// selects the defaults, 60000 steps x 4 restarts). Every run is
+	// deterministic and cacheable.
 	Iterations int
 	Restarts   int
-	TimeBudget time.Duration
-	// Population >= 2 switches the fixed-budget search to population
-	// mode: a pool of Population topologies evolved for Generations
-	// rounds (default 8) of tournament crossover + anneal-burst
-	// mutation, elitist-merged deterministically. Total budget is
+	// Population >= 2 switches the search to population mode: a pool
+	// of Population topologies evolved for Generations rounds (default
+	// 8) of tournament crossover + anneal-burst mutation, elitist-merged
+	// deterministically. Total budget is
 	// Population*(1+Generations)*Iterations annealing steps. Generation
 	// counts require Population; Population 1 is invalid.
 	Population  int
@@ -188,30 +185,23 @@ type Options struct {
 // translation shared by Generate and GenerateCached, so the cached and
 // uncached paths cannot drift.
 func (o Options) synthConfig() synth.Config {
-	cfg := synth.Config{
+	return synth.Config{
 		Grid: o.Grid, Class: o.Class, Objective: o.Objective,
 		Radix: o.Radix, Symmetric: o.Symmetric, MaxDiameter: o.MaxDiameter,
 		MinCutBW: o.MinCutBW, Weights: o.Weights, EnergyWeight: o.EnergyWeight,
 		RobustWeight: o.RobustWeight,
 		Seed:         o.Seed, Iterations: o.Iterations, Restarts: o.Restarts,
-		TimeBudget: o.TimeBudget, Progress: o.Progress,
+		Progress:   o.Progress,
 		Population: o.Population, Generations: o.Generations,
 	}
-	if o.TimeBudget > 0 {
-		// Time-bounded runs should not stop early on iteration count.
-		cfg.Iterations = 1 << 30
-		cfg.Restarts = 1 << 20
-	}
-	return cfg
 }
 
 // SynthConfig resolves the Options into the solver configuration that
 // ParetoSweep expects as ParetoConfig.Base — the exact translation
 // Generate and GenerateCached use, so a sweep's per-point synthesis
 // cache entries are shared with direct GenerateCached calls. The
-// sweep requires a fixed budget (no TimeBudget) and zero
-// EnergyWeight/RobustWeight: the sweep grids set the weights per
-// point.
+// sweep requires zero EnergyWeight/RobustWeight: the sweep grids set
+// the weights per point.
 func (o Options) SynthConfig() SynthConfig { return o.synthConfig() }
 
 // Generate discovers a topology for the given options.
@@ -343,11 +333,9 @@ func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 func ParseShard(arg string) (Shard, error) { return sim.ParseShard(arg) }
 
 // GenerateCached is Generate behind a result store: repeated calls
-// with the same fixed-budget Options return the previously discovered
-// topology without searching. The bool reports a cache hit; cached
-// results carry no solver Trace, and time-budgeted runs (Options.
-// TimeBudget > 0) bypass the cache entirely because their outcome
-// depends on the wall clock. A nil store falls through to Generate.
+// with the same Options return the previously discovered topology
+// without searching. The bool reports a cache hit; cached results
+// carry no solver Trace. A nil store falls through to Generate.
 func GenerateCached(st *Store, o Options) (*Result, bool, error) {
 	return synth.CachedGenerate(st, o.synthConfig())
 }

@@ -3,14 +3,13 @@ package netsmith
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestFacadeGenerateAndPrepare(t *testing.T) {
 	var progress int
 	res, err := Generate(Options{
 		Grid: Grid4x5, Class: Medium, Objective: LatOp,
-		Seed: 1, TimeBudget: 800 * time.Millisecond,
+		Seed: 1, Iterations: 20000,
 		Progress: func(ProgressPoint) { progress++ },
 	})
 	if err != nil {
@@ -20,8 +19,8 @@ func TestFacadeGenerateAndPrepare(t *testing.T) {
 	if !tp.IsConnected() || !tp.RespectsRadix(4) || !tp.RespectsLinkLengths() {
 		t.Fatal("facade-generated topology violates constraints")
 	}
-	if progress == 0 {
-		t.Error("progress callback never fired")
+	if progress == 0 || progress != len(res.Trace) {
+		t.Errorf("progress callback fired %d times for a %d-point trace", progress, len(res.Trace))
 	}
 	net, err := Prepare(tp)
 	if err != nil {
@@ -41,7 +40,7 @@ func TestFacadeGenerateAndPrepare(t *testing.T) {
 func TestFacadeScale100(t *testing.T) {
 	res, err := Generate(Options{
 		Grid: Grid10x10, Class: Medium, Objective: LatOp,
-		Seed: 3, TimeBudget: 2 * time.Second,
+		Seed: 3, Iterations: 5000, Restarts: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +104,7 @@ func TestFacadeRoutingAndVCs(t *testing.T) {
 func TestFacadePatternOp(t *testing.T) {
 	res, err := Generate(Options{
 		Grid: Grid4x5, Class: Large, Objective: PatternOp,
-		Weights: ShuffleWeights(20), Seed: 2, TimeBudget: 500 * time.Millisecond,
+		Weights: ShuffleWeights(20), Seed: 2, Iterations: 20000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +122,23 @@ func TestFacadeStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Time-budgeted generation must bypass the cache.
-	if _, hit, err := GenerateCached(st, Options{
+	opts := Options{
 		Grid: Grid4x5, Class: Medium, Objective: LatOp,
-		Seed: 1, TimeBudget: 200 * time.Millisecond,
-	}); err != nil || hit {
-		t.Fatalf("time-budgeted generate: hit=%v err=%v", hit, err)
+		Seed: 1, Iterations: 5000, Restarts: 2,
+	}
+	cold, hit, err := GenerateCached(st, opts)
+	if err != nil || hit {
+		t.Fatalf("cold generate: hit=%v err=%v", hit, err)
+	}
+	warm, hit, err := GenerateCached(st, opts)
+	if err != nil || !hit {
+		t.Fatalf("warm generate: hit=%v err=%v", hit, err)
+	}
+	if warm.Topology.CanonicalLinkList() != cold.Topology.CanonicalLinkList() || warm.Objective != cold.Objective {
+		t.Error("cached synthesis differs from the computed one")
+	}
+	if _, _, err := GenerateCached(st, Options{Grid: Grid4x5, Restarts: -1}); err == nil {
+		t.Error("GenerateCached accepted negative restarts")
 	}
 
 	g := NewGrid(3, 3)
