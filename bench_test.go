@@ -365,6 +365,22 @@ func BenchmarkSynthesisIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkSCOpSynthesis measures sparsest-cut synthesis end to end on
+// the paper's 4x5 medium configuration: one 5000-step restart at seed
+// 1, after which all 12 separation rounds run (an exhaustive sparsest
+// cut of the incumbent, a pool cut added and a 5000-step re-anneal
+// each), so the peek-first removal rejections and the exact cut
+// enumeration both sit on the measured path.
+func BenchmarkSCOpSynthesis(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		_, err := synth.Generate(synth.Config{Grid: layout.Grid4x5, Class: layout.Medium,
+			Objective: synth.SCOp, Seed: 1, Iterations: 5000, Restarts: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPopulationGeneration measures population-mode synthesis on
 // the paper's 4x5 medium configuration: a 4-member pool evolved for 2
 // generations of 1200-step bursts (tournament crossover, journaled

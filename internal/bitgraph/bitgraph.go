@@ -123,6 +123,22 @@ func (g *Graph) Remove(a, b int) {
 	g.linkIndex[a*g.n+b] = -1
 }
 
+// requeue moves a->b to the end of the link list, leaving the list
+// exactly as Remove followed by Add would: the last link takes a->b's
+// old index. No-op when the link is absent.
+func (g *Graph) requeue(a, b int) {
+	if !g.Has(a, b) {
+		return
+	}
+	idx := g.linkIndex[a*g.n+b]
+	last := len(g.linkList) - 1
+	moved := g.linkList[last]
+	g.linkList[idx] = moved
+	g.linkIndex[moved.A*g.n+moved.B] = idx
+	g.linkList[last] = Link{a, b}
+	g.linkIndex[a*g.n+b] = int32(last)
+}
+
 // CanonicalClone rebuilds the graph with its link list in sorted (A, B)
 // order. Two graphs with the same link set always produce identical
 // canonical clones, regardless of the insertion/removal history that

@@ -158,33 +158,11 @@ func NewEval(g *Graph, weights [][]float64) *Eval {
 		row := e.dist[s*n : (s+1)*n]
 		total, reached := g.bfsRowStats(s, row, e.scratch)
 		unreach := int32(n - reached)
-		var wTotal float64
-		var wUnreach int32
-		if weights != nil {
-			for v := 0; v < n; v++ {
-				if v == s {
-					continue
-				}
-				d := row[v]
-				if d < 0 {
-					if weights[s][v] > 0 {
-						wUnreach++
-					}
-					continue
-				}
-				wTotal += weights[s][v] * float64(d)
-			}
-		}
 		e.srcTotal[s] = total
 		e.srcUnreach[s] = unreach
 		e.total += total
 		e.unreachable += int(unreach)
-		if weights != nil {
-			e.srcWTotal[s] = wTotal
-			e.srcWUnreach[s] = wUnreach
-			e.wTotal += wTotal
-			e.wUnreach += int(wUnreach)
-		}
+		e.reweighRow(s)
 	}
 	if n <= MaxFastNodes {
 		e.fastT = true
@@ -252,7 +230,7 @@ func (e *Eval) flush() {
 			return
 		}
 		e.pendMask = 0
-		if e.singleRem && !e.trackDiameter && e.w == nil {
+		if e.singleRem && !e.trackDiameter {
 			// All pending sources come from one removal: patch each by
 			// re-leveling just the affected region behind the removed
 			// link's head, falling back to a BFS when it grows large.
@@ -261,6 +239,7 @@ func (e *Eval) flush() {
 				if !e.repairRemoveFast(s, e.remB) {
 					e.recomputeFast(s)
 				}
+				e.reweighRow(s)
 			}
 			return
 		}
@@ -396,15 +375,63 @@ func (e *Eval) PoolMin() float64 {
 	min := math.Inf(1)
 	for i := range e.cuts {
 		c := &e.cuts[i]
-		cross := c.crossUV
-		if c.crossVU < cross {
-			cross = c.crossVU
-		}
-		if bw := float64(cross) / c.pairs; bw < min {
+		if bw := cutBW(c.crossUV, c.crossVU, c.pairs); bw < min {
 			min = bw
 		}
 	}
 	return min
+}
+
+// cutBW is one cut's bandwidth, min(uv, vu) / pairs: the single division
+// PoolMin and PeekRemovePoolMin share, so their values agree bit for bit.
+func cutBW(uv, vu int, pairs float64) float64 {
+	if vu < uv {
+		uv = vu
+	}
+	return float64(uv) / pairs
+}
+
+// PeekRemovePoolMin returns PoolMin as it is now and as it would be
+// after removing link a->b, in one pass and without mutating any state:
+// each cut the link crosses is priced with that direction's counter one
+// lower. Both values go through PoolMin's own division (cutBW), so after
+// is bit-identical to PoolMin following a real Remove (and equals now
+// when the link is absent).
+func (e *Eval) PeekRemovePoolMin(a, b int) (now, after float64) {
+	now, after = math.Inf(1), math.Inf(1)
+	present := a != b && e.g.Has(a, b)
+	for i := range e.cuts {
+		c := &e.cuts[i]
+		bw := cutBW(c.crossUV, c.crossVU, c.pairs)
+		if bw < now {
+			now = bw
+		}
+		if present {
+			switch aIn, bIn := c.mask.Has(a), c.mask.Has(b); {
+			case aIn && !bIn:
+				bw = cutBW(c.crossUV-1, c.crossVU, c.pairs)
+			case bIn && !aIn:
+				bw = cutBW(c.crossUV, c.crossVU-1, c.pairs)
+			}
+		}
+		if bw < after {
+			after = bw
+		}
+	}
+	return now, after
+}
+
+// Requeue moves link a->b to the end of the graph's link list, which is
+// where a rolled-back Remove leaves it (Remove swaps the last link into
+// the removed slot and Rollback re-appends the link). A caller that
+// rejects a removal from peeks alone, without the transaction, calls it
+// to keep LinkAt indices exactly as the transactional rejection would.
+// Nothing else changes. Must not be called inside a transaction.
+func (e *Eval) Requeue(a, b int) {
+	if e.inTxn {
+		panic("bitgraph: Requeue inside transaction")
+	}
+	e.g.requeue(a, b)
 }
 
 // PoolMinCross returns the minimum raw min-direction crossing count
@@ -794,8 +821,8 @@ const maxAffectedRepair = 10
 // the affected vertices (those left with no unaffected equal-level
 // predecessor); phase 2 re-levels exactly that set. Returns false when
 // the affected region exceeds maxAffectedRepair. Fast mode without
-// diameter or weighted bookkeeping only; rows must be exact for the
-// pre-removal graph.
+// diameter tracking only (callers re-sum weighted rows with reweighRow);
+// rows must be exact for the pre-removal graph.
 func (e *Eval) repairRemoveFast(s, b int) bool {
 	n := e.n
 	row := e.dist[s*n : (s+1)*n]
@@ -1053,13 +1080,14 @@ func (e *Eval) noteChanged(s int, mask uint64) {
 // delta into the aggregates, journaling the old row inside transactions.
 func (e *Eval) recompute(s int) {
 	n := e.n
-	if e.fastT && !e.trackDiameter && e.w == nil {
+	if e.fastT && !e.trackDiameter {
 		e.recomputeFast(s)
+		e.reweighRow(s)
 		return
 	}
 	e.journalRow(s)
 	row := e.dist[s*n : (s+1)*n]
-	if !e.trackDiameter && e.w == nil {
+	if !e.trackDiameter {
 		// Multi-word fast path: the BFS itself produces the per-source
 		// aggregates.
 		total, reached := e.g.bfsRowStats(s, row, e.scratch)
@@ -1068,65 +1096,76 @@ func (e *Eval) recompute(s int) {
 		e.unreachable += int(unreach - e.srcUnreach[s])
 		e.srcTotal[s] = total
 		e.srcUnreach[s] = unreach
+		e.reweighRow(s)
 		return
 	}
 	copy(e.oldRow, row)
 	total, reached := e.g.bfsRowStats(s, row, e.scratch)
 	unreach := int32(n - reached)
-	var wTotal float64
-	var wUnreach int32
 	for v := 0; v < n; v++ {
 		if v == s {
 			continue
 		}
 		// Retire the old distance's histogram contribution in the same
 		// pass that applies the new one.
-		if e.trackDiameter {
-			if od := e.oldRow[v]; od > 0 {
-				e.histo[od]--
-			}
+		if od := e.oldRow[v]; od > 0 {
+			e.histo[od]--
 		}
-		d := row[v]
-		if d < 0 {
-			if e.w != nil && e.w[s][v] > 0 {
-				wUnreach++
-			}
-			continue
-		}
-		if e.trackDiameter {
+		if d := row[v]; d >= 0 {
 			e.histo[d]++
 			if int(d) > e.maxDist {
 				e.maxDist = int(d)
 			}
-		}
-		if e.w != nil {
-			wTotal += e.w[s][v] * float64(d)
 		}
 	}
 	e.total += total - e.srcTotal[s]
 	e.unreachable += int(unreach - e.srcUnreach[s])
 	e.srcTotal[s] = total
 	e.srcUnreach[s] = unreach
-	if e.w != nil {
-		e.wTotal += wTotal - e.srcWTotal[s]
-		e.wUnreach += int(wUnreach - e.srcWUnreach[s])
-		e.srcWTotal[s] = wTotal
-		e.srcWUnreach[s] = wUnreach
-	}
-	if e.trackDiameter {
-		for e.maxDist > 0 && e.histo[e.maxDist] == 0 {
-			e.maxDist--
-		}
+	e.reweighRow(s)
+	for e.maxDist > 0 && e.histo[e.maxDist] == 0 {
+		e.maxDist--
 	}
 	if e.fastT {
 		e.noteChanged(s, e.retuneT(s, e.oldRow, row))
 	}
 }
 
-// recomputeFast is recompute for single-word graphs without diameter or
-// weighted bookkeeping: one fused BFS pass rewrites only the distances
-// that changed, moving their transposed level-mask bits and journaling
-// the changed-vertex set as it goes.
+// reweighRow re-sums source s's demand-weighted row from its settled
+// distances, over v = 0..n-1 in order, and folds the change into the
+// weighted aggregates (no-op without weights). Every recompute path
+// ends here, so the sums are bit-identical whichever path settled the
+// row; only repairAddFast applies weighted deltas instead.
+func (e *Eval) reweighRow(s int) {
+	if e.w == nil {
+		return
+	}
+	row := e.dist[s*e.n : (s+1)*e.n]
+	ws := e.w[s]
+	var wTotal float64
+	var wUnreach int32
+	for v, d := range row {
+		if v == s {
+			continue
+		}
+		if d < 0 {
+			if ws[v] > 0 {
+				wUnreach++
+			}
+			continue
+		}
+		wTotal += ws[v] * float64(d)
+	}
+	e.wTotal += wTotal - e.srcWTotal[s]
+	e.wUnreach += int(wUnreach - e.srcWUnreach[s])
+	e.srcWTotal[s] = wTotal
+	e.srcWUnreach[s] = wUnreach
+}
+
+// recomputeFast is recompute for single-word graphs without diameter
+// tracking: one fused BFS pass rewrites only the distances that changed,
+// moving their transposed level-mask bits and journaling the
+// changed-vertex set as it goes. Weighted sums are left to reweighRow.
 func (e *Eval) recomputeFast(s int) {
 	n := e.n
 	e.journalRow(s)

@@ -57,14 +57,28 @@ func TestEvalMatchesHopStats(t *testing.T) {
 // Commit/Rollback decisions must keep every incremental aggregate
 // bit-identical to a from-scratch recomputation.
 func TestEvalIncrementalMatchesRecompute(t *testing.T) {
-	for _, n := range []int{9, 20, 25, 66, 90} {
+	// Without diameter tracking, single-word graphs (n <= 64) settle
+	// rows through the decremental repair and fused BFS, weighted or
+	// not; diameter tracking and multi-word graphs take the full-BFS
+	// recompute. Every combination must stay exact.
+	cases := []struct {
+		n                  int
+		weighted, diameter bool
+	}{
+		{9, false, false},
+		{25, false, false},
+		{21, true, false},
+		{20, true, true},
+		{66, true, true},
+		{70, true, false},
+		{90, true, true},
+	}
+	for _, c := range cases {
+		n := c.n
 		rng := rand.New(rand.NewSource(int64(n) * 31))
 		g := randomConnected(n, 0.08, rng)
-		// Odd n runs the single-word fast-repair path (no weights, no
-		// diameter tracking); even n runs the slow recompute path with
-		// both weighted aggregates and the diameter histogram.
 		var w [][]float64
-		if n%2 == 0 {
+		if c.weighted {
 			w = make([][]float64, n)
 			for i := range w {
 				w[i] = make([]float64, n)
@@ -76,7 +90,7 @@ func TestEvalIncrementalMatchesRecompute(t *testing.T) {
 			}
 		}
 		e := NewEval(g, w)
-		if n%2 == 0 {
+		if c.diameter {
 			e.TrackDiameter()
 		}
 		for _, m := range randomPool(n, 8, rng) {
@@ -225,5 +239,59 @@ func TestWeightedHopsMultiWord(t *testing.T) {
 	}
 	if math.Abs(wt-float64(total)) > 1e-6 {
 		t.Errorf("unit-weight total %v != hop total %d", wt, total)
+	}
+}
+
+// The removal peeks must agree exactly with the mutation they predict:
+// PeekRemovePoolMin with PoolMin after a real Remove (bit for bit), and
+// Requeue with the link order a Remove+Rollback leaves behind, which is
+// what LinkAt-sampling callers observe.
+func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
+	for _, n := range []int{12, 20, 70} {
+		rng := rand.New(rand.NewSource(int64(n) * 7))
+		g := randomConnected(n, 0.12, rng)
+		twin := g.Clone()
+		pool := randomPool(n, 10, rng)
+		e := NewEval(g, nil)
+		et := NewEval(twin, nil)
+		for _, m := range pool {
+			e.AddCut(m)
+			et.AddCut(m)
+		}
+		for step := 0; step < 200; step++ {
+			l := g.LinkAt(rng.Intn(g.NumLinks()))
+			now, after := e.PeekRemovePoolMin(l.A, l.B)
+			if got := e.PoolMin(); math.Float64bits(got) != math.Float64bits(now) {
+				t.Fatalf("n=%d step %d: PeekRemovePoolMin now = %v, PoolMin = %v", n, step, now, got)
+			}
+			e.Begin()
+			e.Remove(l.A, l.B)
+			if got := e.PoolMin(); math.Float64bits(got) != math.Float64bits(after) {
+				t.Fatalf("n=%d step %d: PeekRemovePoolMin(%d,%d) after = %v, PoolMin after Remove = %v",
+					n, step, l.A, l.B, after, got)
+			}
+			_ = e.Total() // settle the rows, as a scored rejection does
+			e.Rollback()
+			et.Requeue(l.A, l.B)
+			for i, want := range g.Links() {
+				if got := twin.LinkAt(i); got != want {
+					t.Fatalf("n=%d step %d: after Requeue link %d = %v, rollback left %v", n, step, i, got, want)
+				}
+			}
+			// Mix in committed mutations so the two graphs keep moving.
+			if rng.Intn(4) == 0 {
+				a, b := rng.Intn(n), rng.Intn(n)
+				if a != b && !g.Has(a, b) {
+					e.Add(a, b)
+					et.Add(a, b)
+				}
+			}
+		}
+		if now, after := e.PeekRemovePoolMin(0, 0); after != now || now != e.PoolMin() {
+			t.Errorf("n=%d: peek of an absent link (%v, %v) != PoolMin %v", n, now, after, e.PoolMin())
+		}
+		if err := et.CheckConsistency(); err != nil {
+			t.Errorf("n=%d: Requeue left the evaluator inconsistent: %v", n, err)
+		}
 	}
 }

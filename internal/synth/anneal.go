@@ -446,6 +446,21 @@ func (c *searchCtx) poolInScore() bool {
 	return c.a.cfg.Objective == SCOp || c.a.cfg.MinCutBW > 0 || c.a.cfg.RobustWeight > 0
 }
 
+// removalBound is a lower bound on the score increase of removing link
+// a->b, for a removal that dirties pending distance rows from a state
+// scoring curScore: each dirty row raises the hop terms by at least 1,
+// and the pooled-cut terms rise by exactly the difference their peeked
+// post-removal pool minimum makes. Only the rounding of score's own
+// summation separates that sum from the exact delta; the relative slack
+// covers it, so a Metropolis draw the exact delta accepts is never
+// rejected by the bound. Call only when the score reads the pool
+// minimum and the pool is non-empty.
+func (c *searchCtx) removalBound(a, b, pending int, curScore float64) float64 {
+	now, after := c.ev.PeekRemovePoolMin(a, b)
+	lb := float64(pending) + c.cutTerms(after) - c.cutTerms(now)
+	return lb - 1e-9*(1+math.Abs(curScore)+lb)
+}
+
 // incumbentObjective extracts the raw objective (not the penalized
 // score) and whether the state is feasible, from the maintained
 // aggregates.
@@ -556,6 +571,10 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	// energy-aware runs route every move through the exact transactional
 	// Metropolis path.
 	mono := a.eval.linkCostMilli == nil
+	// cutScored: the score reads the pool minimum (SCOp, or a C7 bound)
+	// and the pool is non-empty, so a removal's cut-term increase is
+	// finite and can join the peek-first rejection bound.
+	cutScored := (cfg.Objective == SCOp || cfg.MinCutBW > 0) && ctx.ev.NumCuts() > 0
 
 	for ; step < iters; step++ {
 		mv, ok := ctx.propose(rng)
@@ -582,29 +601,33 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 			// of one direction does not bound; they take the
 			// transactional path below.)
 			pending := ctx.ev.PeekRemove(mv.rf, mv.rt)
-			if pending == 0 {
-				if !ctx.poolInScore() {
-					// Score-neutral: apply outside any transaction, like
-					// a free add.
-					ctx.doRemove(mv.rf, mv.rt)
-					continue
-				}
-			} else {
-				if float64(pending) >= 30*temp {
-					continue // rejected, nothing was mutated
-				}
-				u := rng.Float64()
-				if !metropolisAccept(u, float64(pending)/temp) {
-					continue // delta >= pending already rejects this draw
-				}
-				// Plausible accept: now apply for real and settle the
-				// exact delta against the same draw.
-				ctx.begin()
+			if pending == 0 && !ctx.poolInScore() {
+				// Score-neutral: apply outside any transaction, like a
+				// free add.
 				ctx.doRemove(mv.rf, mv.rt)
-				newScore := ctx.score()
-				settle(metropolisAccept(u, (newScore-curScore)/temp), newScore)
 				continue
 			}
+			if float64(pending) >= 30*temp {
+				continue // rejected, nothing was mutated
+			}
+			u := rng.Float64()
+			if !metropolisAccept(u, float64(pending)/temp) {
+				continue // delta >= pending already rejects this draw
+			}
+			if cutScored && !metropolisAccept(u, ctx.removalBound(mv.rf, mv.rt, pending, curScore)/temp) {
+				// Cut-first rejection: the pool's share of the delta
+				// already rejects this draw. Leave the link list as the
+				// transactional rollback would.
+				ctx.ev.Requeue(mv.rf, mv.rt)
+				continue
+			}
+			// Plausible accept: now apply for real and settle the exact
+			// delta against the same draw.
+			ctx.begin()
+			ctx.doRemove(mv.rf, mv.rt)
+			newScore := ctx.score()
+			settle(metropolisAccept(u, (newScore-curScore)/temp), newScore)
+			continue
 		}
 		ctx.begin()
 		if mv.kind == moveSwap || mv.kind == moveAdd {

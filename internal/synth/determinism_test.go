@@ -264,6 +264,75 @@ func TestIncrementalScoreMatchesRecompute(t *testing.T) {
 	}
 }
 
+// The cut-first rejection is exact only if removalBound never exceeds
+// the score delta the transactional path computes for the same removal,
+// floats included. Walk random states of every config whose score reads
+// the pool minimum and check each removal against its real delta.
+func TestRemovalBoundBelowExactDelta(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"scop", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: SCOp}},
+		{"scop-6x5", Config{Grid: layout.Grid6x5, Class: layout.Medium, Objective: SCOp}},
+		{"scop-robust", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: SCOp, RobustWeight: 1}},
+		{"scop-diameter", Config{Grid: layout.NewGrid(3, 4), Class: layout.Large, Objective: SCOp, Radix: 3, MaxDiameter: 3}},
+		{"mincut", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, MinCutBW: 0.06}},
+		// A bound above any reachable pool minimum keeps the C7 penalty
+		// active on every state.
+		{"mincut-violated", Config{Grid: layout.Grid4x5, Class: layout.Small, Objective: LatOp, MinCutBW: 0.5}},
+		{"scop-multiword", Config{Grid: layout.NewGrid(9, 8), Class: layout.Medium, Objective: SCOp}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := (&tc.cfg).withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := newAnnealer(cfg)
+			rng := newFastRand(11)
+			state := stateFromTopology(seedTopology(cfg))
+			a.fillRandom(state, rng)
+			ctx := a.newSearchCtx(state)
+			moved := 0
+			for i := 0; i < 600; i++ {
+				mv, ok := ctx.propose(rng)
+				if !ok {
+					continue
+				}
+				if mv.kind == moveAdd {
+					ctx.doAdd(mv.af, mv.at)
+					continue
+				}
+				cur := ctx.score()
+				var lb float64
+				if mv.kind == moveRemove {
+					if now, after := ctx.ev.PeekRemovePoolMin(mv.rf, mv.rt); after < now {
+						moved++
+					}
+					lb = ctx.removalBound(mv.rf, mv.rt, ctx.ev.PeekRemove(mv.rf, mv.rt), cur)
+				}
+				ctx.begin()
+				if mv.kind == moveSwap {
+					ctx.doAdd(mv.af, mv.at)
+				}
+				ctx.doRemove(mv.rf, mv.rt)
+				if delta := ctx.score() - cur; mv.kind == moveRemove && lb > delta {
+					t.Fatalf("step %d: removing %d->%d: bound %v exceeds exact delta %v", i, mv.rf, mv.rt, lb, delta)
+				}
+				if rng.Float64() < 0.3 {
+					ctx.commit()
+				} else {
+					ctx.rollback()
+				}
+			}
+			if moved == 0 {
+				t.Error("no removal lowered the pool minimum; the bound went untested")
+			}
+		})
+	}
+}
+
 // Regression for the complement-dedup bug: addCut used to compare a
 // candidate against ^mask over all 64 bits instead of the complement
 // within the n-node universe, so complementary cuts were never

@@ -168,6 +168,23 @@ func robustFragility(outDeg, inDeg []int, poolMinCross int) int {
 	return f
 }
 
+// cutTerms is the part of the score that depends on the pool minimum
+// poolBW: the C7 shortfall penalty plus SCOp's bandwidth reward. Both
+// only grow as poolBW falls, so cutTerms(after) - cutTerms(before) is
+// the exact increase a link removal causes through the pool, up to the
+// rounding of score's own summation order.
+func (c *searchCtx) cutTerms(poolBW float64) float64 {
+	cfg := &c.a.cfg
+	v := 0.0
+	if cfg.MinCutBW > 0 && poolBW < cfg.MinCutBW {
+		v += (cfg.MinCutBW - poolBW) * penaltyMinCut
+	}
+	if cfg.Objective == SCOp {
+		v -= poolBW * scopeCutScale
+	}
+	return v
+}
+
 // score is the incremental counterpart of evaluator.fullScore, reading
 // the aggregates maintained by the search context's bitgraph.Eval. It
 // must stay bit-identical to fullScore on the same state (pinned by

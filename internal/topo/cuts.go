@@ -83,12 +83,6 @@ func (t *Topology) EvaluateCut(u bitgraph.Set) Cut {
 	return Cut{U: uc, CrossUV: crossUV, CrossVU: crossVU, Bandwidth: bw}
 }
 
-// EvaluateCutMask is EvaluateCut for a single-word partition mask
-// (convenience for networks of at most 64 routers).
-func (t *Topology) EvaluateCutMask(uMask uint64) Cut {
-	return t.EvaluateCut(bitgraph.MaskSet(t.n, uMask))
-}
-
 // SparsestCut returns the cut minimizing B(U,V) = minCross/(|U||V|) over
 // all two-way partitions (constraint C6 of Table I). For n <= ExactCutLimit
 // the search is exhaustive (router 0 pinned to U, halving the space); for
@@ -101,44 +95,58 @@ func (t *Topology) SparsestCut() Cut {
 	return t.HeuristicSparsestCut(64, rand.New(rand.NewSource(1)))
 }
 
+// exactSparsestCut enumerates every partition with router 0 pinned to U
+// in Gray-code order over routers 1..n-1, so consecutive partitions
+// differ by one router and the crossing counts update with four
+// popcounts per step instead of a rescan of U. Bandwidths compare
+// exactly by integer cross-multiplication, and ties go to the smallest
+// U mask: the result is the first minimum of an ascending mask scan.
 func (t *Topology) exactSparsestCut() Cut {
 	n := t.n
 	out := t.outMasks()
 	in := t.inMasks()
 	full := uint64(1)<<uint(n) - 1
-	bestBW := math.Inf(1)
+	uMask := uint64(1)
+	sizeU := 1
+	crossUV := bits.OnesCount64(out[0] & (full &^ 1))
+	crossVU := bits.OnesCount64(in[0] & (full &^ 1))
+	// bestMin/bestPairs is the best bandwidth as a fraction; 1/0 stands
+	// for +Inf until a proper partition is seen.
+	bestMin, bestPairs := 1, 0
 	var bestMask uint64
 	bestUV, bestVU := 0, 0
-	// Enumerate subsets S of routers {1..n-1}; U = S | {0}.
 	limit := uint64(1) << uint(n-1)
-	for s := uint64(0); s < limit; s++ {
-		uMask := (s << 1) | 1
-		vMask := full &^ uMask
-		if vMask == 0 {
-			continue
+	for i := uint64(1); ; i++ {
+		if uMask != full {
+			minCross := min(crossUV, crossVU)
+			pairs := sizeU * (n - sizeU)
+			lhs, rhs := minCross*bestPairs, bestMin*pairs
+			if lhs < rhs || (lhs == rhs && uMask < bestMask) {
+				bestMin, bestPairs = minCross, pairs
+				bestMask = uMask
+				bestUV, bestVU = crossUV, crossVU
+			}
 		}
-		sizeU := bits.OnesCount64(uMask)
-		sizeV := n - sizeU
-		crossUV, crossVU := 0, 0
-		rem := uMask
-		for rem != 0 {
-			a := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			crossUV += bits.OnesCount64(out[a] & vMask)
-			crossVU += bits.OnesCount64(in[a] & vMask)
+		if i == limit {
+			break
 		}
-		minCross := crossUV
-		if crossVU < minCross {
-			minCross = crossVU
-		}
-		bw := float64(minCross) / float64(sizeU*sizeV)
-		if bw < bestBW {
-			bestBW = bw
-			bestMask = uMask
-			bestUV, bestVU = crossUV, crossVU
-		}
+		// Gray step i flips router x = 1 + trailing zeros of i; sign is
+		// +1 when x joins U and -1 when it leaves.
+		x := 1 + bits.TrailingZeros64(i)
+		xb := uint64(1) << uint(x)
+		uMask ^= xb
+		sign := int(uMask>>uint(x)&1)*2 - 1
+		oU := uMask &^ xb
+		oV := full &^ uMask &^ xb
+		crossUV += sign * (bits.OnesCount64(out[x]&oV) - bits.OnesCount64(in[x]&oU))
+		crossVU += sign * (bits.OnesCount64(in[x]&oV) - bits.OnesCount64(out[x]&oU))
+		sizeU += sign
 	}
-	return Cut{U: bitgraph.MaskSet(n, bestMask), CrossUV: bestUV, CrossVU: bestVU, Bandwidth: bestBW}
+	if bestPairs == 0 {
+		return Cut{U: bitgraph.MaskSet(n, 0), Bandwidth: math.Inf(1)}
+	}
+	bw := float64(bestMin) / float64(bestPairs)
+	return Cut{U: bitgraph.MaskSet(n, bestMask), CrossUV: bestUV, CrossVU: bestVU, Bandwidth: bw}
 }
 
 // HeuristicSparsestCut searches for a low-bandwidth cut using restarts of
