@@ -571,10 +571,13 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	// energy-aware runs route every move through the exact transactional
 	// Metropolis path.
 	mono := a.eval.linkCostMilli == nil
-	// cutScored: the score reads the pool minimum (SCOp, or a C7 bound)
-	// and the pool is non-empty, so a removal's cut-term increase is
-	// finite and can join the peek-first rejection bound.
-	cutScored := (cfg.Objective == SCOp || cfg.MinCutBW > 0) && ctx.ev.NumCuts() > 0
+	// cutScored: SCOp rewards the pool minimum and the pool is
+	// non-empty, so a removal that lowers the minimum pays a finite
+	// cut-term increase that can join the peek-first rejection bound
+	// (cutTerms also keeps the C7 term of an SCOp config that sets
+	// MinCutBW). A C7-only config pays nothing while its bound holds,
+	// so it skips the peek.
+	cutScored := cfg.Objective == SCOp && ctx.ev.NumCuts() > 0
 
 	for ; step < iters; step++ {
 		mv, ok := ctx.propose(rng)

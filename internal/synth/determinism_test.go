@@ -266,8 +266,9 @@ func TestIncrementalScoreMatchesRecompute(t *testing.T) {
 
 // The cut-first rejection is exact only if removalBound never exceeds
 // the score delta the transactional path computes for the same removal,
-// floats included. Walk random states of every config whose score reads
-// the pool minimum and check each removal against its real delta.
+// floats included. Walk random states of the SCOp configs that take the
+// rejection, C7 bounds included, and check each removal against its
+// real delta.
 func TestRemovalBoundBelowExactDelta(t *testing.T) {
 	cases := []struct {
 		name string
@@ -277,10 +278,10 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 		{"scop-6x5", Config{Grid: layout.Grid6x5, Class: layout.Medium, Objective: SCOp}},
 		{"scop-robust", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: SCOp, RobustWeight: 1}},
 		{"scop-diameter", Config{Grid: layout.NewGrid(3, 4), Class: layout.Large, Objective: SCOp, Radix: 3, MaxDiameter: 3}},
-		{"mincut", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, MinCutBW: 0.06}},
+		{"scop-mincut", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: SCOp, MinCutBW: 0.06}},
 		// A bound above any reachable pool minimum keeps the C7 penalty
 		// active on every state.
-		{"mincut-violated", Config{Grid: layout.Grid4x5, Class: layout.Small, Objective: LatOp, MinCutBW: 0.5}},
+		{"scop-mincut-violated", Config{Grid: layout.Grid4x5, Class: layout.Small, Objective: SCOp, MinCutBW: 0.5}},
 		{"scop-multiword", Config{Grid: layout.NewGrid(9, 8), Class: layout.Medium, Objective: SCOp}},
 	}
 	for _, tc := range cases {
