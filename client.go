@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"netsmith/internal/serve"
+	"netsmith/internal/sim"
 	"netsmith/internal/store"
 )
 
@@ -170,14 +172,18 @@ func (c *Client) Synth(ctx context.Context, job SynthJob) (*SynthJobResult, bool
 // the cluster's workers; either way the result is byte-identical to a
 // local run. Cancellation is cell-granular: when ctx dies, a local run
 // stops within one cell per pool worker, and a remote run is cancelled
-// server-side (DELETE /v1/jobs/{id}).
+// server-side (DELETE /v1/jobs/{id}). A job that sets Trace runs in
+// local mode only.
 func (c *Client) Matrix(ctx context.Context, job MatrixJob) (*MatrixJobOutcome, bool, error) {
 	if c.server == "" {
-		out, hit, err := serve.ExecuteMatrix(ctx, c.st, job, monotone(c.progress))
+		out, hit, err := serve.ExecuteMatrix(ctx, c.st, job, sim.Shard{}, monotone(c.progress))
 		if err != nil {
 			return nil, false, err
 		}
 		return out, hit, nil
+	}
+	if job.Trace != "" {
+		return nil, false, errors.New("netsmith: trace replay runs in local mode only (a server never opens client files)")
 	}
 	var out MatrixJobOutcome
 	hit, err := c.remote(ctx, "matrix", job, &out)
@@ -195,7 +201,7 @@ func (c *Client) Matrix(ctx context.Context, job MatrixJob) (*MatrixJobOutcome, 
 // point plus an equal measurement share.
 func (c *Client) Pareto(ctx context.Context, job ParetoJob) (*ParetoJobOutcome, bool, error) {
 	if c.server == "" {
-		out, hit, err := serve.ExecutePareto(ctx, c.st, job, monotone(c.progress))
+		out, hit, err := serve.ExecutePareto(ctx, c.st, job, sim.Shard{}, monotone(c.progress))
 		if err != nil {
 			return nil, false, err
 		}

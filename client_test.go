@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -138,6 +140,36 @@ func TestClientRemoteErrorsSurfaceCode(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bad_request") {
 		t.Fatalf("error does not carry the API code: %v", err)
+	}
+}
+
+// TestClientTraceLocalOnly: the wire format has no trace field, so a
+// remote client refuses a trace job instead of silently dropping the
+// trace, while a local client replays it.
+func TestClientTraceLocalOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, []byte("0,0,5,4\n3,1,7,2\n8,6,3,4\n10,2,8,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	job := clientMatrixJob
+	job.Trace = path
+	remote, err := NewClient(WithServer(clientTestServer(t).URL), WithPollInterval(10*time.Millisecond))
+	if err != nil {
+		t.Fatalf("NewClient(remote): %v", err)
+	}
+	if _, _, err := remote.Matrix(context.Background(), job); err == nil {
+		t.Error("remote Matrix accepted a trace job")
+	}
+	local, err := NewClient()
+	if err != nil {
+		t.Fatalf("NewClient(local): %v", err)
+	}
+	out, _, err := local.Matrix(context.Background(), job)
+	if err != nil {
+		t.Fatalf("local Matrix: %v", err)
+	}
+	if c := out.Matrix.Curves; c[len(c)-1].Pattern != "trace/t" {
+		t.Errorf("last row is %q, want the trace/t replay", c[len(c)-1].Pattern)
 	}
 }
 

@@ -16,6 +16,8 @@
 //	netbench -matrix -faults klinks:k=2:at=400   # fault axis (plus the
 //	    fault-free baseline); robustness columns in the summary and CSV
 //	netbench -matrix -topos ns -robust-weight 50 # fragility-priced synthesis
+//	netbench -matrix -full -topos Kite-Medium -patterns uniform,memory \
+//	    -rates 0.02,0.06,0.10,0.14       # an expert baseline (NDBT routing)
 //	netbench -matrix -store .netsmith-store     # cached + resumable
 //	netbench -matrix -store S -shard 0/2        # this machine's half
 //	netbench -pareto                            # energy-weight Pareto frontier
@@ -24,11 +26,15 @@
 //	netbench -exp fig6 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
 // Experiments: fig1, table2, fig5, fig6, fig7, fig8, fig9, fig10,
-// fig11, all. Matrix patterns are the traffic-registry names (see
+// fig11, all. Matrix topologies are mesh, ns and the grid's expert
+// baselines. Matrix patterns are the traffic-registry names (see
 // -patterns default for the full set); parameterized forms use
 // "name:key=val:key=val", e.g. hotspot:weight=0.7:hot=0+19. Matrix
 // output (stdout summary, -csv dir matrix.csv/matrix.json) is
 // bit-identical across reruns and GOMAXPROCS settings.
+//
+// -matrix and -pareto run, in-process, the job netsmith serve accepts
+// at /v1/jobs, under the server's defaults, input checks and caps.
 //
 // With -store, every matrix cell is content-addressed in the given
 // directory: a killed run resumes where it stopped, and a re-run is
@@ -47,8 +53,7 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -62,13 +67,9 @@ import (
 	"time"
 
 	"netsmith/internal/exp"
-	"netsmith/internal/expert"
-	"netsmith/internal/fault"
-	"netsmith/internal/layout"
+	"netsmith/internal/serve"
 	"netsmith/internal/sim"
 	"netsmith/internal/store"
-	"netsmith/internal/synth"
-	"netsmith/internal/traffic"
 )
 
 // defaultMatrixPatterns lists every registry pattern constructible
@@ -79,32 +80,44 @@ func main() {
 	os.Exit(realMain())
 }
 
+// jobFlags holds the flags of a -matrix or -pareto job.
+type jobFlags struct {
+	grid, class, topos, patterns, rates, trace, faults string
+	energyWeights, robustWeights                       string
+	store, shard, csv                                  string
+	smoke, full, energy                                bool
+	energyWeight, robustWeight                         float64
+	seed                                               int64
+	population, generations                            int
+}
+
 // realMain holds the actual entry point so profile-writing defers run
 // before the process exits (os.Exit skips defers).
 func realMain() int {
+	var jf jobFlags
 	expName := flag.String("exp", "all", "experiment to run (fig1, table2, fig5..fig11, all)")
-	full := flag.Bool("full", false, "full fidelity (slower, tighter numbers)")
-	csvDir := flag.String("csv", "", "also write <dir>/<experiment>.csv data files")
+	flag.BoolVar(&jf.full, "full", false, "full fidelity (slower, tighter numbers)")
+	flag.StringVar(&jf.csv, "csv", "", "also write <dir>/<experiment>.csv data files")
 	matrix := flag.Bool("matrix", false, "run the scenario matrix instead of figure experiments")
 	pareto := flag.Bool("pareto", false, "run a Pareto-frontier sweep over the synthesis weight grid instead of figure experiments")
-	energyWeights := flag.String("energy-weights", "", "pareto: comma-separated energy-weight grid (default 0,0.5,1,2)")
-	robustWeights := flag.String("robust-weights", "", "pareto: comma-separated robust-weight grid (default 0)")
-	grid := flag.String("grid", "4x5", "matrix: interposer grid RxC")
-	class := flag.String("class", "medium", "matrix: link-length class of the synthesized topology")
-	topos := flag.String("topos", "mesh,ns", "matrix: comma-separated topologies (mesh, ns)")
-	patterns := flag.String("patterns", defaultMatrixPatterns, "matrix: comma-separated registry patterns (name or name:key=val:...)")
-	rates := flag.String("rates", "0.02,0.08,0.14", "matrix: comma-separated offered rates (packets/node/cycle)")
-	traceFile := flag.String("trace", "", "matrix: trace file; appends the trace-replay pattern")
-	smoke := flag.Bool("smoke", false, "matrix: minimal cycle budgets (CI smoke)")
-	seed := flag.Int64("seed", 42, "matrix: base seed")
-	energy := flag.Bool("energy", false, "matrix: collect measured energy (activity counters; fills the avg_power_mw / energy_per_flit_pj columns)")
-	energyWeight := flag.Float64("energy-weight", 0, "matrix: weight of the energy-proxy term in the ns topology's synthesis objective")
-	robustWeight := flag.Float64("robust-weight", 0, "matrix: weight of the fragility term in the ns topology's synthesis objective (prices single-link-failure exposure)")
-	faults := flag.String("faults", "", "matrix: comma-separated fault schedules added as a matrix axis (name or name:key=val:..., e.g. klinks:k=2:at=400; a fault-free cell set always runs)")
-	storeDir := flag.String("store", "", "matrix: content-addressed result store directory (cells cached; runs resume)")
-	shardArg := flag.String("shard", "", "matrix: compute only shard i/n of the cells (e.g. 0/2; requires -store)")
-	population := flag.Int("population", 0, "matrix: ns synthesis population size (0 = restart annealer; >= 2 enables population mode)")
-	generations := flag.Int("generations", 0, "matrix: ns synthesis evolution rounds (default 8 when -population is set)")
+	flag.StringVar(&jf.energyWeights, "energy-weights", "", "pareto: comma-separated energy-weight grid (default 0,0.5,1,2)")
+	flag.StringVar(&jf.robustWeights, "robust-weights", "", "pareto: comma-separated robust-weight grid (default 0)")
+	flag.StringVar(&jf.grid, "grid", "4x5", "matrix: interposer grid RxC")
+	flag.StringVar(&jf.class, "class", "medium", "matrix: link-length class of the synthesized topology")
+	flag.StringVar(&jf.topos, "topos", "mesh,ns", "matrix: comma-separated topologies (mesh, ns, or an expert baseline such as Kite-Medium)")
+	flag.StringVar(&jf.patterns, "patterns", defaultMatrixPatterns, "matrix: comma-separated registry patterns (name or name:key=val:...)")
+	flag.StringVar(&jf.rates, "rates", "0.02,0.08,0.14", "matrix: comma-separated offered rates (packets/node/cycle)")
+	flag.StringVar(&jf.trace, "trace", "", "matrix: trace file; appends the trace-replay pattern")
+	flag.BoolVar(&jf.smoke, "smoke", false, "matrix: minimal cycle budgets (CI smoke)")
+	flag.Int64Var(&jf.seed, "seed", 42, "matrix: base seed")
+	flag.BoolVar(&jf.energy, "energy", false, "matrix: collect measured energy (activity counters; fills the avg_power_mw / energy_per_flit_pj columns)")
+	flag.Float64Var(&jf.energyWeight, "energy-weight", 0, "matrix: weight of the energy-proxy term in the ns topology's synthesis objective")
+	flag.Float64Var(&jf.robustWeight, "robust-weight", 0, "matrix: weight of the fragility term in the ns topology's synthesis objective (prices single-link-failure exposure)")
+	flag.StringVar(&jf.faults, "faults", "", "matrix: comma-separated fault schedules added as a matrix axis (name or name:key=val:..., e.g. klinks:k=2:at=400; a fault-free cell set always runs)")
+	flag.StringVar(&jf.store, "store", "", "matrix: content-addressed result store directory (cells cached; runs resume)")
+	flag.StringVar(&jf.shard, "shard", "", "matrix: compute only shard i/n of the cells (e.g. 0/2; requires -store)")
+	flag.IntVar(&jf.population, "population", 0, "matrix: ns synthesis population size (0 = restart annealer; >= 2 enables population mode)")
+	flag.IntVar(&jf.generations, "generations", 0, "matrix: ns synthesis evolution rounds (default 8 when -population is set)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -141,30 +154,30 @@ func realMain() int {
 	}
 
 	if *matrix {
-		if err := runMatrix(*grid, *class, *topos, *patterns, *rates, *traceFile, *faults, *csvDir, *storeDir, *shardArg, *smoke, *full, *energy, *energyWeight, *robustWeight, *seed, *population, *generations); err != nil {
+		if err := runMatrix(&jf); err != nil {
 			fmt.Fprintf(os.Stderr, "matrix: %v\n", err)
 			return 1
 		}
 		return 0
 	}
 	if *pareto {
-		if err := runPareto(*grid, *class, *energyWeights, *robustWeights, *rates, *csvDir, *storeDir, *shardArg, *smoke, *full, *seed, *population, *generations); err != nil {
+		if err := runPareto(&jf); err != nil {
 			fmt.Fprintf(os.Stderr, "pareto: %v\n", err)
 			return 1
 		}
 		return 0
 	}
 
-	s := exp.NewSuite(!*full)
+	s := exp.NewSuite(!jf.full)
 	w := os.Stdout
 	csvOut := func(name string, write func(io.Writer) error) error {
-		if *csvDir == "" {
+		if jf.csv == "" {
 			return nil
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		if err := os.MkdirAll(jf.csv, 0o755); err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
+		f, err := os.Create(filepath.Join(jf.csv, name+".csv"))
 		if err != nil {
 			return err
 		}
@@ -270,216 +283,32 @@ func realMain() int {
 	return 0
 }
 
-// matrixSetups prepares the requested topologies through the builder
-// shared with netsmith serve (exp.MatrixSetups): mesh baseline with
-// expert NDBT routing and/or a latency-optimized NetSmith topology
-// (fast-budget synthesis unless -full) with MCLB routing. With a
-// store, synthesis results are content-addressed too (fixed budgets
-// are deterministic), so re-runs skip the search.
-func matrixSetups(topos string, g *layout.Grid, cl layout.Class, st *store.Store, full bool, energyWeight, robustWeight float64, seed int64, population, generations int) ([]*sim.Setup, error) {
-	iters := 20000
-	if full {
-		iters = 80000
-	}
-	setups, _, err := exp.MatrixSetups(strings.Split(topos, ","), g, cl, st, energyWeight, robustWeight, seed, iters, population, generations)
-	return setups, err
-}
-
-// matrixFaults parses -faults into fault-axis factories, failing fast
-// on bad names/params by building each schedule against the grid's mesh
-// before any synthesis or simulation time is spent. (RunMatrix rebuilds
-// per topology; a schedule valid on the mesh can still fail on another
-// topology, e.g. a link= event naming a link it lacks — that error
-// surfaces from RunMatrix.)
-func matrixFaults(args string, g *layout.Grid) ([]sim.FaultFactory, error) {
-	if strings.TrimSpace(args) == "" {
-		return nil, nil
-	}
-	reg := fault.Default()
-	mesh := expert.Mesh(g)
-	// The fault-free baseline always leads the axis: degradation columns
-	// are only meaningful against it, and its cells share store keys with
-	// matrices that never had a fault axis.
-	factories := []sim.FaultFactory{sim.FaultRegistryFactory(reg, "none", nil)}
-	seen := map[string]bool{factories[0].Name: true}
-	for _, arg := range strings.Split(args, ",") {
-		name, params, err := fault.ParseScheduleArg(strings.TrimSpace(arg))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := reg.Build(name, mesh, params); err != nil {
-			return nil, err
-		}
-		f := sim.FaultRegistryFactory(reg, name, params)
-		if seen[f.Name] {
-			continue
-		}
-		seen[f.Name] = true
-		factories = append(factories, f)
-	}
-	return factories, nil
-}
-
-func runMatrix(grid, class, topos, patterns, rates, traceFile, faults, csvDir, storeDir, shardArg string, smoke, full, energy bool, energyWeight, robustWeight float64, seed int64, population, generations int) error {
-	g, err := layout.ParseGrid(grid)
-	if err != nil {
-		return err
-	}
-	cl, err := layout.ParseClass(class)
-	if err != nil {
-		return err
-	}
-	shard, err := sim.ParseShard(shardArg)
-	if err != nil {
-		return err
-	}
-	faultFactories, err := matrixFaults(faults, g)
-	if err != nil {
-		return err
-	}
-	var st *store.Store
-	if storeDir != "" {
-		if st, err = store.Open(storeDir); err != nil {
-			return err
-		}
-	}
-	setups, err := matrixSetups(topos, g, cl, st, full, energyWeight, robustWeight, seed, population, generations)
-	if err != nil {
-		return err
-	}
-
-	env := traffic.GridEnv(g)
-	reg := traffic.Default()
-	var factories []sim.PatternFactory
-	for _, arg := range strings.Split(patterns, ",") {
-		name, params, err := traffic.ParsePatternArg(strings.TrimSpace(arg))
-		if err != nil {
-			return err
-		}
-		// Fail fast on bad names/params before burning simulation time.
-		if _, err := reg.Build(name, env, params); err != nil {
-			return err
-		}
-		factories = append(factories, sim.RegistryFactory(reg, name, env, params))
-	}
-	if traceFile != "" {
-		// Parse the trace once; each cell replays the in-memory records
-		// (the registry's "trace" entry would re-read the file per cell).
-		raw, err := os.ReadFile(traceFile)
-		if err != nil {
-			return err
-		}
-		recs, err := traffic.ParseTrace(bytes.NewReader(raw))
-		if err != nil {
-			return err
-		}
-		tag := strings.TrimSuffix(filepath.Base(traceFile), ".csv")
-		if _, err := traffic.NewReplay(tag, env.N, recs, true); err != nil {
-			return err
-		}
-		// The store key must follow the trace's content, not its file
-		// name: two different traces named alike may not collide.
-		sum := sha256.Sum256(raw)
-		factories = append(factories, sim.PatternFactory{
-			Name: "trace/" + tag,
-			Key:  fmt.Sprintf("trace:%x:loop=true", sum[:8]),
-			New: func() (traffic.Pattern, error) {
-				return traffic.NewReplay(tag, env.N, recs, true)
-			},
-		})
-	}
-
-	rateGrid, err := parseFloatList("rate", rates, false)
-	if err != nil {
-		return err
-	}
-
-	// Use the shared presets: the budgets feed cell cache keys, so CLI
-	// and serve runs sharing a store must agree on them.
-	var base sim.Config
-	fidelity := sim.FidelityFast
+// fidelity maps -smoke and -full onto a fidelity preset. Both at once
+// is an error: the preset sets the cycle budgets, and full fidelity
+// also sets the ns synthesis budget, so a mix of the two would share no
+// cells with either.
+func fidelity(smoke, full bool) (string, error) {
 	switch {
+	case smoke && full:
+		return "", errors.New("-smoke and -full are mutually exclusive")
 	case smoke:
-		fidelity = sim.FidelitySmoke
+		return sim.FidelitySmoke, nil
 	case full:
-		fidelity = sim.FidelityFull
+		return sim.FidelityFull, nil
 	}
-	if err := sim.ApplyFidelity(&base, fidelity); err != nil {
-		return err
-	}
-	base.CollectEnergy = energy
-
-	start := time.Now()
-	res, err := sim.RunMatrix(sim.MatrixConfig{
-		Setups: setups, Patterns: factories, Faults: faultFactories,
-		Rates: rateGrid,
-		Base:  base, Seed: seed,
-		Store: st, Shard: shard,
-	})
-	var inc *sim.IncompleteError
-	if errors.As(err, &inc) {
-		// Not a failure: this shard's cells are persisted; the matrix
-		// assembles once the remaining shards run against the store.
-		fmt.Printf("[shard %s done: %d computed, %d cached of %d cells; %d pending — run the other shards against %s, then any re-run emits the merged matrix]\n",
-			inc.Shard, inc.Computed, inc.CacheHits, inc.Cells, inc.Missing, storeDir)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	exp.PrintMatrix(os.Stdout, res)
-	if len(faultFactories) > 0 {
-		fmt.Printf("[matrix: %d topologies x %d patterns x %d faults x %d rates in %v]\n",
-			len(setups), len(factories), len(faultFactories), len(rateGrid), time.Since(start).Round(time.Millisecond))
-	} else {
-		fmt.Printf("[matrix: %d topologies x %d patterns x %d rates in %v]\n",
-			len(setups), len(factories), len(rateGrid), time.Since(start).Round(time.Millisecond))
-	}
-	if st != nil {
-		fmt.Printf("[store %s: %d cells simulated, %d from cache]\n",
-			storeDir, res.Stats.Computed, res.Stats.CacheHits)
-		if res.Stats.StoreErrors > 0 {
-			fmt.Fprintf(os.Stderr, "warning: %d cells could not be persisted to %s (results above are complete; those cells will recompute on resume)\n",
-				res.Stats.StoreErrors, storeDir)
-		}
-	}
-
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		cf, err := os.Create(filepath.Join(csvDir, "matrix.csv"))
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		if err := exp.MatrixCSV(cf, res); err != nil {
-			return err
-		}
-		jf, err := os.Create(filepath.Join(csvDir, "matrix.json"))
-		if err != nil {
-			return err
-		}
-		defer jf.Close()
-		if err := exp.MatrixJSON(jf, res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sim.FidelityFast, nil
 }
 
 // parseFloatList parses a comma-separated float list; an empty string
-// is nil (callers default it). Values must be finite and positive, or
-// merely non-negative with allowZero (weight grids price terms away
-// with 0).
-func parseFloatList(name, args string, allowZero bool) ([]float64, error) {
+// is nil (the job defaults it). The job validates the values.
+func parseFloatList(name, args string) ([]float64, error) {
 	if strings.TrimSpace(args) == "" {
 		return nil, nil
 	}
 	var vs []float64
 	for _, f := range strings.Split(args, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v < 0 || (!allowZero && v == 0) {
+		if err != nil {
 			return nil, fmt.Errorf("bad %s %q", name, f)
 		}
 		vs = append(vs, v)
@@ -487,111 +316,155 @@ func parseFloatList(name, args string, allowZero bool) ([]float64, error) {
 	return vs, nil
 }
 
-// runPareto sweeps the synthesis weight grid into a dominated-point-free
-// frontier with fleet-level energy accounting. Shares the synthesis and
-// cell presets (iteration budgets, seed defaults, fidelity cycle
-// budgets) with -matrix and netsmith serve, so all three fronts warm
-// each other's stores.
-func runPareto(grid, class, energyWeights, robustWeights, rates, csvDir, storeDir, shardArg string, smoke, full bool, seed int64, population, generations int) error {
-	g, err := layout.ParseGrid(grid)
-	if err != nil {
+// prepare resolves what -matrix and -pareto share: the fidelity preset,
+// the rate grid, the shard and the store.
+func (f *jobFlags) prepare() (fid string, rates []float64, sh sim.Shard, st *store.Store, err error) {
+	if fid, err = fidelity(f.smoke, f.full); err != nil {
+		return
+	}
+	if rates, err = parseFloatList("rate", f.rates); err != nil {
+		return
+	}
+	if sh, err = sim.ParseShard(f.shard); err != nil {
+		return
+	}
+	if f.store != "" {
+		st, err = store.Open(f.store)
+	}
+	return
+}
+
+// writeOutputs writes v as <dir>/<name>.csv and <dir>/<name>.json; an
+// empty dir writes nothing.
+func writeOutputs[T any](dir, name string, v T, csv, js func(io.Writer, T) error) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	cl, err := layout.ParseClass(class)
-	if err != nil {
-		return err
-	}
-	shard, err := sim.ParseShard(shardArg)
-	if err != nil {
-		return err
-	}
-	ews, err := parseFloatList("energy weight", energyWeights, true)
-	if err != nil {
-		return err
-	}
-	rws, err := parseFloatList("robust weight", robustWeights, true)
-	if err != nil {
-		return err
-	}
-	rateGrid, err := parseFloatList("rate", rates, false)
-	if err != nil {
-		return err
-	}
-	var st *store.Store
-	if storeDir != "" {
-		if st, err = store.Open(storeDir); err != nil {
+	for ext, write := range map[string]func(io.Writer, T) error{".csv": csv, ".json": js} {
+		out, err := os.Create(filepath.Join(dir, name+ext))
+		if err != nil {
+			return err
+		}
+		err = write(out, v)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 	}
-	iters := 20000
-	if full {
-		iters = 80000
-	}
-	fidelity := sim.FidelityFast
-	switch {
-	case smoke:
-		fidelity = sim.FidelitySmoke
-	case full:
-		fidelity = sim.FidelityFull
-	}
+	return nil
+}
 
+// runMatrix runs the scenario matrix the flags describe as a matrix job
+// (serve.ExecuteMatrix): its plan builds the topologies, patterns,
+// fault axis and cycle budgets.
+func runMatrix(f *jobFlags) error {
+	fid, rates, sh, st, err := f.prepare()
+	if err != nil {
+		return err
+	}
+	job := serve.MatrixRequest{
+		Grid: f.grid, Class: f.class,
+		Topos: strings.Split(f.topos, ","), Patterns: strings.Split(f.patterns, ","),
+		Rates: rates, Fidelity: fid, Seed: &f.seed,
+		Energy: f.energy, EnergyWeight: f.energyWeight, RobustWeight: f.robustWeight,
+		SynthPopulation: f.population, SynthGenerations: f.generations,
+		Trace: f.trace,
+	}
+	if strings.TrimSpace(f.faults) != "" {
+		job.Faults = strings.Split(f.faults, ",")
+	}
 	start := time.Now()
-	fr, err := exp.ParetoSweep(exp.ParetoConfig{
-		Base:          synth.MatrixNSConfig(g, cl, 0, 0, seed, iters, population, generations),
-		EnergyWeights: ews,
-		RobustWeights: rws,
-		Rates:         rateGrid,
-		Fidelity:      fidelity,
-		Store:         st,
-		Shard:         shard,
-	})
-	var inc *exp.ParetoIncompleteError
+	out, _, err := serve.ExecuteMatrix(context.Background(), st, job, sh, nil)
+	var inc *sim.IncompleteError
 	if errors.As(err, &inc) {
-		// Not a failure: this shard's points are persisted; the frontier
+		// Not a failure: this shard's cells are persisted; the matrix
 		// assembles once the remaining shards run against the store.
-		fmt.Printf("[pareto shard %s done: %d of %d points owned (%d synthesized, %d cached; %d cells, %d computed); %d pending — run the other shards against %s, then an unsharded re-run emits the frontier]\n",
-			inc.Shard, inc.Owned, inc.Points, inc.Synthesized, inc.SynthCached, inc.Cells, inc.CellsComputed, inc.Pending, storeDir)
+		fmt.Printf("[shard %s done: %d computed, %d cached of %d cells; %d pending — run the other shards against %s, then any re-run emits the merged matrix]\n",
+			inc.Shard, inc.Computed, inc.CacheHits, inc.Cells, inc.Missing, f.store)
 		return nil
 	}
 	if err != nil {
 		return err
 	}
+	res := out.Matrix
+	exp.PrintMatrix(os.Stdout, res)
+	nT, nP := len(job.Topos), len(job.Patterns)
+	if job.Trace != "" {
+		nP++
+	}
+	elapsed := time.Since(start).Round(time.Millisecond)
+	if len(job.Faults) > 0 {
+		fmt.Printf("[matrix: %d topologies x %d patterns x %d faults x %d rates in %v]\n",
+			nT, nP, len(res.Curves)/(nT*nP), len(res.Rates), elapsed)
+	} else {
+		fmt.Printf("[matrix: %d topologies x %d patterns x %d rates in %v]\n",
+			nT, nP, len(res.Rates), elapsed)
+	}
+	if st != nil {
+		fmt.Printf("[store %s: %d cells simulated, %d from cache]\n",
+			f.store, res.Stats.Computed, res.Stats.CacheHits)
+		if res.Stats.StoreErrors > 0 {
+			fmt.Fprintf(os.Stderr, "warning: %d cells could not be persisted to %s (results above are complete; those cells will recompute on resume)\n",
+				res.Stats.StoreErrors, f.store)
+		}
+	}
+	return writeOutputs(f.csv, "matrix", res, exp.MatrixCSV, exp.MatrixJSON)
+}
+
+// runPareto sweeps the synthesis weight grid as a pareto job
+// (serve.ExecutePareto) into a dominated-point-free frontier with
+// fleet-level energy accounting.
+func runPareto(f *jobFlags) error {
+	fid, rates, sh, st, err := f.prepare()
+	if err != nil {
+		return err
+	}
+	ews, err := parseFloatList("energy weight", f.energyWeights)
+	if err != nil {
+		return err
+	}
+	rws, err := parseFloatList("robust weight", f.robustWeights)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	out, _, err := serve.ExecutePareto(context.Background(), st, serve.ParetoRequest{
+		Grid: f.grid, Class: f.class,
+		EnergyWeights: ews, RobustWeights: rws,
+		Rates: rates, Fidelity: fid, Seed: &f.seed,
+		SynthPopulation: f.population, SynthGenerations: f.generations,
+	}, sh, nil)
+	var inc *exp.ParetoIncompleteError
+	if errors.As(err, &inc) {
+		// Not a failure: this shard's points are persisted; the frontier
+		// assembles once the remaining shards run against the store.
+		fmt.Printf("[pareto shard %s done: %d of %d points owned (%d synthesized, %d cached; %d cells, %d computed); %d pending — run the other shards against %s, then an unsharded re-run emits the frontier]\n",
+			inc.Shard, inc.Owned, inc.Points, inc.Synthesized, inc.SynthCached, inc.Cells, inc.CellsComputed, inc.Pending, f.store)
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	fr := out.Frontier
 	exp.PrintFrontier(os.Stdout, fr)
 	fmt.Printf("[pareto: %d points (%d energy x %d robust weights) in %v]\n",
 		fr.Swept, len(fr.EnergyWeights), len(fr.RobustWeights), time.Since(start).Round(time.Millisecond))
 	if st != nil {
 		if fr.Stats.FrontierCached {
-			fmt.Printf("[store %s: frontier served from cache; 0 points synthesized, 0 cells simulated]\n", storeDir)
+			fmt.Printf("[store %s: frontier served from cache; 0 points synthesized, 0 cells simulated]\n", f.store)
 		} else {
 			fmt.Printf("[store %s: %d points synthesized, %d from cache; %d cells simulated, %d from cache]\n",
-				storeDir, fr.Stats.Synthesized, fr.Stats.SynthCached, fr.Stats.CellsComputed, fr.Stats.CellsCached)
+				f.store, fr.Stats.Synthesized, fr.Stats.SynthCached, fr.Stats.CellsComputed, fr.Stats.CellsCached)
 			if fr.Stats.StoreErrors > 0 {
 				fmt.Fprintf(os.Stderr, "warning: %d cells could not be persisted to %s (the frontier above is complete; those cells recompute on re-run)\n",
-					fr.Stats.StoreErrors, storeDir)
+					fr.Stats.StoreErrors, f.store)
 			}
 		}
 	}
-
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		cf, err := os.Create(filepath.Join(csvDir, "frontier.csv"))
-		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		if err := exp.FrontierCSV(cf, fr); err != nil {
-			return err
-		}
-		jf, err := os.Create(filepath.Join(csvDir, "frontier.json"))
-		if err != nil {
-			return err
-		}
-		defer jf.Close()
-		if err := exp.FrontierJSON(jf, fr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeOutputs(f.csv, "frontier", fr, exp.FrontierCSV, exp.FrontierJSON)
 }

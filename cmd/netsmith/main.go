@@ -2,7 +2,9 @@
 // router layout, link-length class and radix, optimizing average hop
 // count (latop), sparsest-cut bandwidth (scop) or a traffic pattern
 // (shufopt), and prints the topology with its metrics, MCLB routing
-// summary and deadlock-free VC assignment.
+// summary and deadlock-free VC assignment. The flags fill the synth
+// job that netsmith serve accepts, so they are checked and capped the
+// same way.
 //
 // Example:
 //
@@ -29,6 +31,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -38,12 +41,10 @@ import (
 	"syscall"
 	"time"
 
-	"netsmith/internal/layout"
 	"netsmith/internal/route"
 	"netsmith/internal/serve"
 	"netsmith/internal/store"
-	"netsmith/internal/synth"
-	"netsmith/internal/traffic"
+	"netsmith/internal/topo"
 	"netsmith/internal/vc"
 )
 
@@ -135,43 +136,27 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
-	class, err := layout.ParseClass(*className)
-	if err != nil {
-		fatal(err)
-	}
-	g := layout.NewGrid(*rows, *cols)
 	// The step budget makes the run a pure function of the flags:
 	// rerunning prints byte-identical output (the CI smoke relies on this
 	// to diff population runs across processes).
-	cfg := synth.Config{
-		Grid: g, Class: class, Radix: *radix,
-		Symmetric: *symmetric, MaxDiameter: *maxDiameter,
+	res, _, err := serve.ExecuteSynth(context.Background(), nil, serve.SynthRequest{
+		Grid: fmt.Sprintf("%dx%d", *rows, *cols), Class: *className, Objective: *objective,
+		Radix: *radix, Symmetric: *symmetric, MaxDiameter: *maxDiameter,
 		Seed: *seed, Iterations: *iterations,
-		Population:  *population,
-		Generations: *generations,
-	}
-	switch *objective {
-	case "latop":
-		cfg.Objective = synth.LatOp
-	case "scop":
-		cfg.Objective = synth.SCOp
-	case "shufopt":
-		cfg.Objective = synth.Weighted
-		cfg.Weights = traffic.Shuffle{N: g.N()}.WeightMatrix()
-	default:
-		fatal(fmt.Errorf("unknown objective %q", *objective))
-	}
-
-	fmt.Printf("NetSmith: %s, %s class, radix %d, objective %s\n", g, class, *radix, *objective)
-	res, err := synth.Generate(cfg)
+		Population: *population, Generations: *generations,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	t := res.Topology
+	t := new(topo.Topology)
+	if err := json.Unmarshal(res.Topology, t); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("NetSmith: %s, %s class, radix %d, objective %s\n", t.Grid, t.Class, *radix, *objective)
 	fmt.Printf("objective=%.4g bound=%.4g gap=%.1f%% optimal=%v\n",
 		res.Objective, res.Bound, 100*res.Gap, res.Optimal)
 	fmt.Printf("links=%d diameter=%d avgHops=%.3f bisectionBW=%d sparsestCut=%.4f\n",
-		t.NumLinks(), t.Diameter(), t.AverageHops(), t.BisectionBandwidth(), t.SparsestCut().Bandwidth)
+		res.Links, res.Diameter, res.AvgHops, t.BisectionBandwidth(), t.SparsestCut().Bandwidth)
 	fmt.Println("link list (directed):")
 	for _, l := range t.Links() {
 		fmt.Printf("  %d -> %d\n", l.From, l.To)

@@ -172,10 +172,13 @@
 // repeats from cache). With -shards N the server becomes a cluster
 // coordinator, leasing matrix shards to `netsmith serve -worker`
 // processes that share its store. cmd/netbench regenerates the
-// paper's tables and figures and runs scenario matrices (-matrix,
-// with -store/-shard for cached, resumable, distributed runs).
-// cmd/netsim sweeps a single configuration; cmd/calibrate fits the
-// power model; cmd/benchdiff gates CI on benchmark regressions.
+// paper's tables and figures and runs scenario matrices over mesh,
+// synthesized and expert topologies (-matrix, with -store/-shard for
+// cached, resumable, distributed runs) and Pareto sweeps (-pareto).
+// netbench -matrix/-pareto and netsmith run the same jobs as the
+// HTTP API, with its defaults and caps. cmd/calibrate regenerates the
+// frozen expert link lists; cmd/benchdiff gates CI on benchmark
+// regressions.
 //
 // Runnable walkthroughs live under examples/ (see examples/README.md);
 // design notes and fidelity arguments in DESIGN.md.

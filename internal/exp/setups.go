@@ -1,56 +1,53 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"netsmith/internal/expert"
 	"netsmith/internal/layout"
 	"netsmith/internal/sim"
 	"netsmith/internal/store"
 	"netsmith/internal/synth"
+	"netsmith/internal/topo"
 )
 
 // MatrixSetups prepares scenario-matrix topologies the one way every
-// front end (netbench -matrix, netsmith serve) must share: "mesh" is
-// the expert baseline with NDBT routing, "ns" is synthesized through
-// the cache (synth.MatrixNSConfig) with MCLB routing, and both Prepare
-// with the matrix seed. The routing and seed are baked into every
-// cell's Setup fingerprint, so a private copy of this logic that
-// drifted would silently stop CLI and HTTP runs from sharing store
-// cells — it lives here, next to the other experiment drivers, for the
-// same reason sim.ApplyFidelity and synth.MatrixNSConfig are shared.
-// The returned bool reports whether every "ns" synthesis came from the
-// cache. population/generations select population-mode synthesis for
-// the "ns" topology (0 keeps the classic restart annealer).
+// front end shares (they all reach it through netsmith serve's matrix
+// plan): "ns" is synthesized through the cache (synth.MatrixNSConfig)
+// with MCLB routing, "mesh" and any other name are expert baselines
+// (expert.Get) with NDBT routing, and all Prepare with the matrix seed.
+// The routing and seed are baked into every cell's Setup fingerprint,
+// so a private copy of this logic that drifted would silently stop
+// runs from sharing store cells. The returned bool reports whether
+// every "ns" synthesis came from the cache. population/generations
+// select population-mode synthesis for the "ns" topology (0 keeps the
+// classic restart annealer).
 func MatrixSetups(topos []string, g *layout.Grid, cl layout.Class, st *store.Store, energyWeight, robustWeight float64, seed int64, synthIters, population, generations int) ([]*sim.Setup, bool, error) {
 	var setups []*sim.Setup
 	synthAllCached := true
 	for _, name := range topos {
-		switch strings.TrimSpace(name) {
+		var t *topo.Topology
+		kind := sim.UseNDBT
+		switch name {
 		case "mesh":
-			setup, err := sim.Prepare(expert.Mesh(g), sim.UseNDBT, seed)
-			if err != nil {
-				return nil, false, err
-			}
-			setups = append(setups, setup)
+			t = expert.Mesh(g)
 		case "ns":
 			res, hit, err := synth.CachedGenerate(st,
 				synth.MatrixNSConfig(g, cl, energyWeight, robustWeight, seed, synthIters, population, generations))
 			if err != nil {
 				return nil, false, err
 			}
-			if !hit {
-				synthAllCached = false
-			}
-			setup, err := sim.Prepare(res.Topology, sim.UseMCLB, seed)
-			if err != nil {
+			synthAllCached = synthAllCached && hit
+			t, kind = res.Topology, sim.UseMCLB
+		default:
+			var err error
+			if t, err = expert.Get(name, g); err != nil {
 				return nil, false, err
 			}
-			setups = append(setups, setup)
-		default:
-			return nil, false, fmt.Errorf("unknown topology %q (want mesh or ns)", name)
 		}
+		setup, err := sim.Prepare(t, kind, seed)
+		if err != nil {
+			return nil, false, err
+		}
+		setups = append(setups, setup)
 	}
 	return setups, synthAllCached, nil
 }

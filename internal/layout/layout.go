@@ -62,14 +62,18 @@ func ParseClass(s string) (Class, error) {
 	return 0, fmt.Errorf("layout: unknown link-length class %q", s)
 }
 
-// ParseGrid converts the CLI/API "RxC" notation (e.g. "4x5") to a
-// Grid; the single parser shared by cmd/netbench and the serve API.
+// ParseGrid converts the "RxC" notation of job bodies and CLI flags
+// (e.g. "4x5") to a Grid. Rows and columns must be positive and small
+// enough that their product, Grid.N, does not overflow.
 func ParseGrid(s string) (*Grid, error) {
 	r, c, ok := strings.Cut(s, "x")
 	if ok {
 		rows, err1 := strconv.Atoi(r)
 		cols, err2 := strconv.Atoi(c)
 		if err1 == nil && err2 == nil && rows > 0 && cols > 0 {
+			if rows > math.MaxInt/cols {
+				return nil, fmt.Errorf("layout: grid %q has too many routers", s)
+			}
 			return NewGrid(rows, cols), nil
 		}
 	}

@@ -64,6 +64,27 @@ func TestClassStringParse(t *testing.T) {
 	}
 }
 
+// TestParseGrid: the "RxC" parser accepts positive sizes whose router
+// count fits an int. 4294967296x4294967296 overflows N to 0 and
+// 3037000500x3037000500 overflows it to a negative count, so a cap on N
+// alone would let both through.
+func TestParseGrid(t *testing.T) {
+	for in, want := range map[string][2]int{"4x5": {4, 5}, "1x1": {1, 1}, "32x32": {32, 32}} {
+		g, err := ParseGrid(in)
+		if err != nil || g.Rows != want[0] || g.Cols != want[1] {
+			t.Errorf("ParseGrid(%q) = %v, %v; want %dx%d", in, g, err, want[0], want[1])
+		}
+	}
+	for _, in := range []string{
+		"", "0x5", "5x0", "4x", "x5", "4x5x6", "-1x5", "4 x 5", "4X5", "axb",
+		"4294967296x4294967296", "3037000500x3037000500",
+	} {
+		if g, err := ParseGrid(in); err == nil {
+			t.Errorf("ParseGrid(%q) accepted: %v", in, g)
+		}
+	}
+}
+
 func TestClockOrdering(t *testing.T) {
 	if !(Small.ClockGHz() > Medium.ClockGHz() && Medium.ClockGHz() > Large.ClockGHz()) {
 		t.Errorf("clock speeds must decrease with link length: %v %v %v",

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"netsmith/internal/sim"
 	"netsmith/internal/store"
 )
 
@@ -125,8 +126,8 @@ func TestCancelRunningJobFreesSlot(t *testing.T) {
 // whenever a DELETE lands.
 type holdPlan struct{ plan }
 
-func (h holdPlan) finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
-	return h.plan.finish(ctx, st, func(done, total int) {
+func (h holdPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
+	return h.plan.finish(ctx, st, sh, func(done, total int) {
 		progress(done, total)
 		<-ctx.Done()
 	}, tally)

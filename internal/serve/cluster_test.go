@@ -73,7 +73,7 @@ func localReference(t *testing.T, req MatrixRequest) (matrix *sim.MatrixResult, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ExecuteMatrix(context.Background(), st, req, nil)
+	res, _, err := ExecuteMatrix(context.Background(), st, req, sim.Shard{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,13 +342,13 @@ func TestPayloadParityAcrossPaths(t *testing.T) {
 					if err := decodeStrict([]byte(c.body), &req); err != nil {
 						t.Fatal(err)
 					}
-					out, hit, err = ExecuteMatrix(context.Background(), st, req, nil)
+					out, hit, err = ExecuteMatrix(context.Background(), st, req, sim.Shard{}, nil)
 				case "pareto":
 					var req ParetoRequest
 					if err := decodeStrict([]byte(c.body), &req); err != nil {
 						t.Fatal(err)
 					}
-					out, hit, err = ExecutePareto(context.Background(), st, req, nil)
+					out, hit, err = ExecutePareto(context.Background(), st, req, sim.Shard{}, nil)
 				}
 				if err != nil {
 					t.Fatal(err)

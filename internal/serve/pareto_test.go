@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"netsmith/internal/sim"
 	"netsmith/internal/store"
 )
 
@@ -103,7 +104,7 @@ func TestParetoJobLifecycle(t *testing.T) {
 	if err := json.Unmarshal([]byte(smokeParetoBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	local, hit, err := ExecutePareto(context.Background(), cold, req, nil)
+	local, hit, err := ExecutePareto(context.Background(), cold, req, sim.Shard{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestClusterParetoSweep(t *testing.T) {
 	if err := json.Unmarshal([]byte(smokeParetoBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	local, _, err := ExecutePareto(context.Background(), cold, req, nil)
+	local, _, err := ExecutePareto(context.Background(), cold, req, sim.Shard{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -41,10 +45,13 @@ type plan interface {
 	// for; 0 when the plan's units are not cells, so the shard's last
 	// heartbeat stands.
 	shardDone(st sim.MatrixStats) int
-	// finish runs the job unsharded and cache-first over st and folds
-	// the shard tally into its stats; the zero tally is a local run.
-	// note charges the run to /metrics and is called under Server.mu.
-	finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (out any, hit bool, note func(*serverStats), err error)
+	// finish runs the job cache-first over st and folds the shard tally
+	// into its stats; the zero tally is a local run. Served jobs pass the
+	// zero shard, which runs the whole job; an enabled shard (a CLI
+	// -shard run) returns the plan's incomplete-shard error until the
+	// store holds every other shard's work. note charges the run to
+	// /metrics and is called under Server.mu.
+	finish(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int), tally shardTally) (out any, hit bool, note func(*serverStats), err error)
 }
 
 // kinds is the job-kind table: each entry strictly decodes a request
@@ -80,12 +87,12 @@ func decodeKind(kind string, body []byte) (plan, error) {
 
 // executePlan runs a validated request in-process: the served local
 // job's path, with an empty shard tally and no metrics.
-func executePlan[T any, P plan](ctx context.Context, st *store.Store, validate func() (P, error), progress func(done, total int)) (*T, bool, error) {
+func executePlan[T any, P plan](ctx context.Context, st *store.Store, validate func() (P, error), sh sim.Shard, progress func(done, total int)) (*T, bool, error) {
 	p, err := validate()
 	if err != nil {
 		return nil, false, err
 	}
-	out, hit, _, err := p.finish(ctx, st, progress, shardTally{})
+	out, hit, _, err := p.finish(ctx, st, sh, progress, shardTally{})
 	if err != nil {
 		return nil, false, err
 	}
@@ -104,9 +111,9 @@ func shardCount(asked, def, limit int) int {
 
 // ---- synth ----
 
-// SynthRequest is the body of a {"kind":"synth"} job. Zero values
-// select the paper defaults (radix 4, asymmetric, fixed 60000x4 search
-// budget).
+// SynthRequest is the body of a {"kind":"synth"} job; netsmith fills
+// one from its flags. Zero values select the paper defaults (radix 4,
+// asymmetric, fixed 60000x4 search budget).
 type SynthRequest struct {
 	Grid         string  `json:"grid"`      // "RxC", e.g. "4x5"
 	Class        string  `json:"class"`     // small | medium | large
@@ -167,11 +174,8 @@ func (req *SynthRequest) plan() (*synthPlan, error) {
 	if req.Radix < 0 {
 		return nil, fmt.Errorf("negative radix %d", req.Radix)
 	}
-	if req.EnergyWeight < 0 {
-		return nil, fmt.Errorf("negative energy_weight %v", req.EnergyWeight)
-	}
-	if req.RobustWeight < 0 {
-		return nil, fmt.Errorf("negative robust_weight %v", req.RobustWeight)
+	if err := checkWeights(req.EnergyWeight, req.RobustWeight); err != nil {
+		return nil, err
 	}
 	if req.MaxDiameter < 0 || req.MinCutBW < 0 {
 		return nil, fmt.Errorf("negative constraint bound")
@@ -211,7 +215,7 @@ func (*synthPlan) shard(context.Context, *store.Store, sim.Shard, func(int, int)
 	return nil, errors.New("synth jobs do not shard")
 }
 
-func (p *synthPlan) finish(ctx context.Context, st *store.Store, _ func(int, int), _ shardTally) (any, bool, func(*serverStats), error) {
+func (p *synthPlan) finish(ctx context.Context, st *store.Store, _ sim.Shard, _ func(int, int), _ shardTally) (any, bool, func(*serverStats), error) {
 	// Synthesis has no internal cancellation points; honor a cancel that
 	// lands before it starts.
 	if err := ctx.Err(); err != nil {
@@ -247,25 +251,27 @@ func (p *synthPlan) finish(ctx context.Context, st *store.Store, _ func(int, int
 // uses. It backs the root-package Client's local mode, so local and
 // remote execution cannot drift.
 func ExecuteSynth(ctx context.Context, st *store.Store, req SynthRequest) (*SynthResult, bool, error) {
-	return executePlan[SynthResult](ctx, st, req.plan, nil)
+	return executePlan[SynthResult](ctx, st, req.plan, sim.Shard{}, nil)
 }
 
 // ---- matrix ----
 
-// MatrixRequest is the body of a {"kind":"matrix"} job; it mirrors the
-// netbench -matrix flags.
+// MatrixRequest is the body of a {"kind":"matrix"} job; netbench
+// -matrix fills one from its flags.
 type MatrixRequest struct {
-	Grid     string    `json:"grid"`               // "RxC"
-	Class    string    `json:"class,omitempty"`    // synthesized-topology class
-	Topos    []string  `json:"topos,omitempty"`    // "mesh" and/or "ns"; default mesh
+	Grid  string `json:"grid"`            // "RxC"
+	Class string `json:"class,omitempty"` // synthesized-topology class
+	// Topos names the topologies: "mesh", "ns" (synthesized, MCLB
+	// routing) or an expert baseline such as "Kite-Medium" (NDBT
+	// routing); default mesh.
+	Topos    []string  `json:"topos,omitempty"`
 	Patterns []string  `json:"patterns,omitempty"` // registry args; default uniform
 	Rates    []float64 `json:"rates,omitempty"`    // default 0.02, 0.08, 0.14
 	// Fidelity selects the cycle budgets: smoke, fast (default) or
 	// full.
 	Fidelity string `json:"fidelity,omitempty"`
-	// Seed is the matrix base seed. Omitted means 42 — the
-	// netbench -matrix default, so a bare HTTP request and a bare CLI
-	// run share cache cells (an explicit 0 is honored as 0).
+	// Seed is the matrix base seed. Omitted means 42, the netbench
+	// -matrix default (an explicit 0 is honored as 0).
 	Seed         *int64  `json:"seed,omitempty"`
 	Energy       bool    `json:"energy,omitempty"`
 	EnergyWeight float64 `json:"energy_weight,omitempty"`
@@ -274,13 +280,13 @@ type MatrixRequest struct {
 	// "name:key=val:..."), each added as a matrix axis entry alongside
 	// the always-present fault-free baseline.
 	Faults []string `json:"faults,omitempty"`
-	// SynthIterations bounds "ns" topology synthesis (default 20000,
-	// fixed 4 restarts; deterministic, hence cacheable).
+	// SynthIterations bounds "ns" topology synthesis (default 20000, or
+	// 80000 at full fidelity; fixed 4 restarts; deterministic, hence
+	// cacheable).
 	SynthIterations int `json:"synth_iterations,omitempty"`
 	// SynthPopulation/SynthGenerations switch "ns" synthesis to
 	// population mode (still deterministic and cacheable). Like the
-	// synthesis budget, they are part of the ns topology's identity, so
-	// CLI and HTTP runs must agree on them to share matrix cells.
+	// synthesis budget, they are part of the ns topology's identity.
 	SynthPopulation  int `json:"synth_population,omitempty"`
 	SynthGenerations int `json:"synth_generations,omitempty"`
 	// Shards, when > 1, splits the matrix into that many shard leases
@@ -288,6 +294,12 @@ type MatrixRequest struct {
 	// cell count; capped at 32). 0 defers to the server's configured
 	// default (Config.ClusterShards); 1 forces local execution.
 	Shards int `json:"shards,omitempty"`
+	// Trace names a trace file replayed as one more pattern after
+	// Patterns; its cells are keyed by the file's content, not its name.
+	// It is in-process only: the JSON decoder cannot set it, so a server
+	// never opens a client-chosen path, and a remote-mode Client refuses
+	// a job that sets it.
+	Trace string `json:"-"`
 }
 
 // MatrixJobResult is a matrix job's result payload: the matrix itself
@@ -370,6 +382,68 @@ func parseBoundedGrid(s string) (*layout.Grid, error) {
 	return g, nil
 }
 
+// checkWeights rejects negative or non-finite synthesis objective
+// weights.
+func checkWeights(energy, robust float64) error {
+	for _, w := range []float64{energy, robust} {
+		if !(w >= 0) || math.IsInf(w, 0) {
+			return fmt.Errorf("energy_weight %v and robust_weight %v must be finite and non-negative", energy, robust)
+		}
+	}
+	return nil
+}
+
+// nsDefaults resolves the knobs of the synthesized "ns" topologies the
+// matrix and pareto plans share: the seed (omitted means 42; an
+// explicit 0 is honored) and the synthesis budget (omitted means 20000
+// annealing steps, or 80000 at full fidelity), then validates the
+// budget and the population knobs. They decide each ns topology, whose
+// fingerprint anchors its cells' store keys, so every front end must
+// resolve them here or stop sharing cells.
+func nsDefaults(seed *int64, fidelity string, iters, population, generations int) (int64, int, error) {
+	s := int64(42)
+	if seed != nil {
+		s = *seed
+	}
+	if iters == 0 {
+		iters = 20000
+		if fidelity == sim.FidelityFull {
+			iters = 80000
+		}
+	}
+	if iters < 0 || iters > maxSynthIters {
+		return 0, 0, fmt.Errorf("synth_iterations %d outside [0, %d]", iters, maxSynthIters)
+	}
+	return s, iters, checkPopulation(population, generations, iters)
+}
+
+// traceFactory replays the trace file at path as a matrix pattern. The
+// file is parsed once and every cell replays the in-memory records.
+// The cell key hashes the file's content, so two different traces named
+// alike never share cells, and the same trace under two names does.
+func traceFactory(path string, n int) (sim.PatternFactory, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return sim.PatternFactory{}, err
+	}
+	recs, err := traffic.ParseTrace(bytes.NewReader(raw))
+	if err != nil {
+		return sim.PatternFactory{}, err
+	}
+	tag := strings.TrimSuffix(filepath.Base(path), ".csv")
+	if _, err := traffic.NewReplay(tag, n, recs, true); err != nil {
+		return sim.PatternFactory{}, err
+	}
+	sum := sha256.Sum256(raw)
+	return sim.PatternFactory{
+		Name: "trace/" + tag,
+		Key:  fmt.Sprintf("trace:%x:loop=true", sum[:8]),
+		New: func() (traffic.Pattern, error) {
+			return traffic.NewReplay(tag, n, recs, true)
+		},
+	}, nil
+}
+
 // matrixPlan is the validated, executable form of a MatrixRequest.
 type matrixPlan struct {
 	grid        *layout.Grid
@@ -407,24 +481,34 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Defaulting matters for cache sharing: a bare request must key its
-	// cells exactly like a bare `netbench -matrix` run (seed 42).
-	seed := int64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
+	fidelity := defaultStr(req.Fidelity, sim.FidelityFast)
+	seed, synthIter, err := nsDefaults(req.Seed, fidelity, req.SynthIterations, req.SynthPopulation, req.SynthGenerations)
+	if err != nil {
+		return nil, err
 	}
-	p := &matrixPlan{grid: g, class: cl, seed: seed, ew: req.EnergyWeight, rw: req.RobustWeight}
-	p.topos = req.Topos
-	if len(p.topos) == 0 {
-		p.topos = []string{"mesh"}
+	if err := checkWeights(req.EnergyWeight, req.RobustWeight); err != nil {
+		return nil, err
 	}
-	if len(p.topos) > maxTopos {
-		return nil, fmt.Errorf("%d topologies over cap %d", len(p.topos), maxTopos)
+	p := &matrixPlan{
+		grid: g, class: cl, seed: seed, ew: req.EnergyWeight, rw: req.RobustWeight,
+		synthIter: synthIter, synthPop: req.SynthPopulation, synthGens: req.SynthGenerations,
 	}
-	for _, name := range p.topos {
+	topos := req.Topos
+	if len(topos) == 0 {
+		topos = []string{"mesh"}
+	}
+	if len(topos) > maxTopos {
+		return nil, fmt.Errorf("%d topologies over cap %d", len(topos), maxTopos)
+	}
+	for _, name := range topos {
+		name = strings.TrimSpace(name)
 		if name != "mesh" && name != "ns" {
-			return nil, fmt.Errorf("unknown topology %q (want mesh or ns)", name)
+			if _, err := expert.Get(name, g); err != nil {
+				return nil, fmt.Errorf("unknown topology %q (want mesh, ns or a baseline for the grid: %s)",
+					name, strings.Join(expert.Names(g), ", "))
+			}
 		}
+		p.topos = append(p.topos, name)
 	}
 	patterns := req.Patterns
 	if len(patterns) == 0 {
@@ -440,18 +524,23 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Trace replay is CLI-only: over HTTP it would make the server
-		// open client-chosen local file paths, and its cache key would
-		// follow the file name, not the file content (netbench hashes
-		// the trace bytes into the key; a path-keyed cell would serve
-		// stale results after the file changes).
+		// The registry's trace entry would key cells by file name, not
+		// content, and open a path named in the request: Trace replaces
+		// it.
 		if name == "trace" {
-			return nil, fmt.Errorf("trace replay is not available over the API; use netbench -matrix -trace")
+			return nil, fmt.Errorf("the trace pattern is not available in a job; use netbench -matrix -trace")
 		}
 		if _, err := reg.Build(name, env, params); err != nil {
 			return nil, err
 		}
 		p.factories = append(p.factories, sim.RegistryFactory(reg, name, env, params))
+	}
+	if req.Trace != "" {
+		f, err := traceFactory(req.Trace, env.N)
+		if err != nil {
+			return nil, err
+		}
+		p.factories = append(p.factories, f)
 	}
 	p.rates = req.Rates
 	if len(p.rates) == 0 {
@@ -461,29 +550,23 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 		return nil, fmt.Errorf("%d rates over cap %d", len(p.rates), maxRatePoints)
 	}
 	for _, r := range p.rates {
-		if r <= 0 {
-			return nil, fmt.Errorf("bad rate %g", r)
+		if !(r > 0) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("rate %v must be positive and finite", r)
 		}
 	}
-	// The shared presets keep the cycle budgets — part of every cell's
-	// cache key — in lockstep with netbench -matrix.
-	if err := sim.ApplyFidelity(&p.base, defaultStr(req.Fidelity, sim.FidelityFast)); err != nil {
+	if err := sim.ApplyFidelity(&p.base, fidelity); err != nil {
 		return nil, err
 	}
 	p.base.CollectEnergy = req.Energy
-	if req.EnergyWeight < 0 {
-		return nil, fmt.Errorf("negative energy_weight %v", req.EnergyWeight)
-	}
-	if req.RobustWeight < 0 {
-		return nil, fmt.Errorf("negative robust_weight %v", req.RobustWeight)
-	}
 	if len(req.Faults) > maxFaults {
 		return nil, fmt.Errorf("%d faults over cap %d", len(req.Faults), maxFaults)
 	}
 	if len(req.Faults) > 0 {
-		// Same axis construction as netbench -faults: the fault-free
-		// baseline leads, schedules are validated eagerly against the
-		// grid's mesh, and duplicate canonical specs collapse.
+		// The fault-free baseline leads the axis (degradation columns
+		// are measured against it, and its cells share store keys with
+		// matrices that have no fault axis), schedules are validated
+		// eagerly against the grid's mesh, and duplicate canonical specs
+		// collapse.
 		freg := fault.Default()
 		mesh := expert.Mesh(g)
 		p.faults = []sim.FaultFactory{sim.FaultRegistryFactory(freg, "none", nil)}
@@ -504,24 +587,6 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 			p.faults = append(p.faults, f)
 		}
 	}
-	p.synthIter = req.SynthIterations
-	if p.synthIter == 0 {
-		// Match netbench -matrix exactly (fast: 20000, -full: 80000) —
-		// the synthesis budget decides the ns topology, whose
-		// fingerprint anchors every cell key, so a different default
-		// here would stop "full" CLI and HTTP runs from sharing cells.
-		p.synthIter = 20000
-		if defaultStr(req.Fidelity, sim.FidelityFast) == sim.FidelityFull {
-			p.synthIter = 80000
-		}
-	}
-	if p.synthIter < 0 || p.synthIter > maxSynthIters {
-		return nil, fmt.Errorf("synth_iterations %d outside [0, %d]", p.synthIter, maxSynthIters)
-	}
-	if err := checkPopulation(req.SynthPopulation, req.SynthGenerations, p.synthIter); err != nil {
-		return nil, err
-	}
-	p.synthPop, p.synthGens = req.SynthPopulation, req.SynthGenerations
 	if req.Shards < 0 || req.Shards > maxShards {
 		return nil, fmt.Errorf("shards %d outside [0, %d]", req.Shards, maxShards)
 	}
@@ -529,13 +594,13 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 	return p, nil
 }
 
-// run builds the setups through the builder shared with
-// netbench -matrix (exp.MatrixSetups: mesh expert-routed, ns via
-// cached synthesis) and runs the store-backed matrix. A zero shard
-// executes (or merges) the full matrix; an enabled shard simulates
-// only owned cells and surfaces sim.IncompleteError when other shards'
-// cells are still pending. synthAllCached reports whether every "ns"
-// topology came from the store.
+// run builds the setups (exp.MatrixSetups: ns via cached synthesis
+// and MCLB, every other name an NDBT-routed expert baseline) and runs
+// the store-backed matrix. A zero shard executes (or merges) the full
+// matrix; an enabled shard simulates only owned cells and surfaces
+// sim.IncompleteError when other shards' cells are still pending.
+// synthAllCached reports whether every "ns" topology came from the
+// store.
 func (p *matrixPlan) run(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (res *sim.MatrixResult, synthAllCached bool, err error) {
 	setups, synthAllCached, err := exp.MatrixSetups(p.topos, p.grid, p.class, st, p.ew, p.rw, p.seed, p.synthIter, p.synthPop, p.synthGens)
 	if err != nil {
@@ -573,9 +638,9 @@ func (p *matrixPlan) shard(ctx context.Context, st *store.Store, sh sim.Shard, p
 	return nil, err
 }
 
-func (p *matrixPlan) finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
+func (p *matrixPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
 	start := time.Now()
-	res, synthCached, err := p.run(ctx, st, sim.Shard{}, progress)
+	res, synthCached, err := p.run(ctx, st, sh, progress)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -599,12 +664,15 @@ func (p *matrixPlan) finish(ctx context.Context, st *store.Store, progress func(
 	return out, computed == 0 && synthHit, note, nil
 }
 
-// ExecuteMatrix runs a matrix request in-process against st (full
-// matrix, no sharding), through the same validation and execution path
-// as the HTTP job runner. ctx cancels with cell granularity; progress
-// may be nil. It backs the root-package Client's local mode.
-func ExecuteMatrix(ctx context.Context, st *store.Store, req MatrixRequest, progress func(done, total int)) (*MatrixJobResult, bool, error) {
-	return executePlan[MatrixJobResult](ctx, st, req.plan, progress)
+// ExecuteMatrix runs a matrix request in-process against st, through
+// the same validation and execution path as the HTTP job runner. The
+// zero shard runs the full matrix; an enabled one simulates its own
+// cells and returns *sim.IncompleteError while other shards' cells are
+// missing from st. ctx cancels with cell granularity; progress may be
+// nil. It backs netbench -matrix and the root-package Client's local
+// mode.
+func ExecuteMatrix(ctx context.Context, st *store.Store, req MatrixRequest, sh sim.Shard, progress func(done, total int)) (*MatrixJobResult, bool, error) {
+	return executePlan[MatrixJobResult](ctx, st, req.plan, sh, progress)
 }
 
 // ---- pareto ----
@@ -672,25 +740,9 @@ func (req *ParetoRequest) plan() (*paretoPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := int64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
 	fidelity := defaultStr(req.Fidelity, sim.FidelityFast)
-	// Matrix "ns" parity: the synthesis budget decides each candidate
-	// topology, whose fingerprint anchors its cells, so pareto and
-	// matrix front ends must agree on the default or stop sharing work.
-	synthIter := req.SynthIterations
-	if synthIter == 0 {
-		synthIter = 20000
-		if fidelity == sim.FidelityFull {
-			synthIter = 80000
-		}
-	}
-	if synthIter < 0 || synthIter > maxSynthIters {
-		return nil, fmt.Errorf("synth_iterations %d outside [0, %d]", synthIter, maxSynthIters)
-	}
-	if err := checkPopulation(req.SynthPopulation, req.SynthGenerations, synthIter); err != nil {
+	seed, synthIter, err := nsDefaults(req.Seed, fidelity, req.SynthIterations, req.SynthPopulation, req.SynthGenerations)
+	if err != nil {
 		return nil, err
 	}
 	if len(req.Rates) > maxRatePoints {
@@ -757,9 +809,9 @@ func (p *paretoPlan) shard(ctx context.Context, st *store.Store, sh sim.Shard, p
 	return nil, err
 }
 
-func (p *paretoPlan) finish(ctx context.Context, st *store.Store, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
+func (p *paretoPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
 	start := time.Now()
-	fr, err := p.run(ctx, st, sim.Shard{}, progress)
+	fr, err := p.run(ctx, st, sh, progress)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -791,12 +843,15 @@ func (p *paretoPlan) finish(ctx context.Context, st *store.Store, progress func(
 	return &ParetoJobResult{Frontier: fr, Stats: stats, Shards: tally.shards}, hit, note, nil
 }
 
-// ExecutePareto runs a pareto request in-process against st (full
-// sweep, no sharding), through the same validation and execution path
-// as the HTTP job runner. It backs the root-package Client's local
-// mode, so served and in-process frontiers are byte-identical.
-func ExecutePareto(ctx context.Context, st *store.Store, req ParetoRequest, progress func(done, total int)) (*ParetoJobResult, bool, error) {
-	return executePlan[ParetoJobResult](ctx, st, req.plan, progress)
+// ExecutePareto runs a pareto request in-process against st, through
+// the same validation and execution path as the HTTP job runner. The
+// zero shard runs the full sweep; an enabled one computes its own
+// points and returns *exp.ParetoIncompleteError unless the frontier is
+// already in st. It backs netbench -pareto and the root-package
+// Client's local mode, so served and in-process frontiers are
+// byte-identical.
+func ExecutePareto(ctx context.Context, st *store.Store, req ParetoRequest, sh sim.Shard, progress func(done, total int)) (*ParetoJobResult, bool, error) {
+	return executePlan[ParetoJobResult](ctx, st, req.plan, sh, progress)
 }
 
 // ---- job-creating handlers ----
@@ -919,7 +974,7 @@ func (s *Server) submit(kind string, body []byte, p plan, priority int) (*job, *
 				return nil, false, err
 			}
 		}
-		out, hit, note, err := p.finish(ctx, s.cfg.Store, func(done, total int) { s.setProgress(j, done, total) }, tally)
+		out, hit, note, err := p.finish(ctx, s.cfg.Store, sim.Shard{}, func(done, total int) { s.setProgress(j, done, total) }, tally)
 		if err != nil {
 			return nil, false, err
 		}

@@ -1,14 +1,21 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"netsmith/internal/exp"
+	"netsmith/internal/sim"
 	"netsmith/internal/store"
 )
 
@@ -330,6 +337,19 @@ var badRequests = []struct{ path, body string }{
 	{"/v1/pareto", `{"grid":"3x3"}{"grid":"3x3"}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"} garbage`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"}{"kind":"matrix","grid":"3x3"}`},
+	// Grids whose router count overflows an int: N() reads 0 for the
+	// first and a negative count for the second, so a cap on N alone
+	// would let both through.
+	{"/v1/jobs", `{"kind":"synth","grid":"4294967296x4294967296"}`},
+	{"/v1/jobs", `{"kind":"synth","grid":"3037000500x3037000500"}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4294967296x4294967296"}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"3037000500x3037000500"}`},
+	{"/v1/jobs", `{"kind":"pareto","grid":"4294967296x4294967296"}`},
+	{"/v1/jobs", `{"kind":"pareto","grid":"3037000500x3037000500"}`},
+	// Trace replay is in-process only: no spelling of the field decodes,
+	// so a server never opens a client-chosen path.
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x4","trace":"/etc/hostname"}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x4","Trace":"/etc/hostname"}`},
 }
 
 func TestBadRequests(t *testing.T) {
@@ -451,6 +471,115 @@ func TestMatrixSeedDefault(t *testing.T) {
 	req.Seed = &zero
 	if p, err = req.plan(); err != nil || p.seed != 0 {
 		t.Errorf("explicit zero seed = %d (err %v), want 0", p.seed, err)
+	}
+}
+
+// TestNonFiniteInputsRejected: JSON cannot carry NaN or Inf, but an
+// in-process job can (netbench -rates NaN, a Go caller). Rates must be
+// positive and finite, as in a pareto job, and weights finite and
+// non-negative.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	ctx := context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, req := range map[string]MatrixRequest{
+		"rate NaN":           {Rates: []float64{nan}},
+		"rate +Inf":          {Rates: []float64{0.02, inf}},
+		"rate -Inf":          {Rates: []float64{-inf}},
+		"energy weight NaN":  {Topos: []string{"ns"}, EnergyWeight: nan},
+		"energy weight +Inf": {Topos: []string{"ns"}, EnergyWeight: inf},
+		"robust weight NaN":  {Topos: []string{"ns"}, RobustWeight: nan},
+	} {
+		req.Grid, req.Fidelity, req.SynthIterations = "3x3", sim.FidelitySmoke, 200
+		if out, _, err := ExecuteMatrix(ctx, nil, req, sim.Shard{}, nil); err == nil {
+			t.Errorf("matrix %s accepted (%d cells)", name, out.Stats.Cells)
+		}
+	}
+	for name, req := range map[string]SynthRequest{
+		"energy weight NaN":  {EnergyWeight: nan},
+		"energy weight +Inf": {EnergyWeight: inf},
+		"robust weight NaN":  {RobustWeight: nan},
+		"robust weight +Inf": {RobustWeight: inf},
+	} {
+		req.Grid, req.Iterations = "3x3", 200
+		if _, _, err := ExecuteSynth(ctx, nil, req); err == nil {
+			t.Errorf("synth %s accepted", name)
+		}
+	}
+}
+
+// TestTraceReplayKeysContent: a trace's cells are keyed by the file's
+// bytes, not its name. The same bytes under another name are served
+// from the store; new bytes under an old name are simulated again.
+func TestTraceReplayKeysContent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name, records string) *MatrixJobResult {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(records), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := ExecuteMatrix(context.Background(), st, MatrixRequest{
+			Grid: "3x3", Patterns: []string{"uniform"}, Rates: []float64{0.02, 0.1},
+			Fidelity: sim.FidelitySmoke, Trace: path,
+		}, sim.Shard{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const trace = "0,0,5,4\n3,1,7,2\n8,6,3,4\n10,2,8,1\n"
+	if out := run("a.csv", trace); out.Stats.Computed != 4 {
+		t.Fatalf("cold run simulated %d cells, want 4 (uniform and trace at 2 rates)", out.Stats.Computed)
+	}
+	out := run("b.csv", trace)
+	if out.Stats.Computed != 0 {
+		t.Errorf("the same trace under another name simulated %d cells, want 0", out.Stats.Computed)
+	}
+	if got := out.Matrix.Curves[1].Pattern; got != "trace/b" {
+		t.Errorf("trace row named %q, want trace/b", got)
+	}
+	if out := run("a.csv", strings.Replace(trace, "10,2,8,1", "10,2,8,3", 1)); out.Stats.Computed != 2 {
+		t.Errorf("a changed trace under an old name simulated %d cells, want its 2", out.Stats.Computed)
+	}
+	if _, _, err := ExecuteMatrix(context.Background(), st, MatrixRequest{Grid: "3x3", Trace: filepath.Join(dir, "missing.csv")}, sim.Shard{}, nil); err == nil {
+		t.Error("a missing trace file was accepted")
+	}
+}
+
+// TestExecuteSharded: an in-process sharded run (netbench -shard i/n)
+// persists its own share and reports itself incomplete while other
+// shards' work is missing from the store; the matrix shard that
+// completes the store returns the matrix a plain run returns.
+func TestExecuteSharded(t *testing.T) {
+	ctx := context.Background()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := MatrixRequest{Grid: "3x3", Patterns: []string{"uniform", "tornado"}, Rates: []float64{0.02, 0.1}, Fidelity: sim.FidelitySmoke}
+	var inc *sim.IncompleteError
+	if _, _, err := ExecuteMatrix(ctx, st, req, sim.Shard{Index: 0, Count: 2}, nil); !errors.As(err, &inc) || inc.Computed != 2 || inc.Missing != 2 {
+		t.Fatalf("shard 0/2: %v, want 2 cells computed and 2 pending", err)
+	}
+	out, _, err := ExecuteMatrix(ctx, st, req, sim.Shard{Index: 1, Count: 2}, nil)
+	if err != nil {
+		t.Fatalf("shard 1/2: %v", err)
+	}
+	if out.Stats.Computed != 2 || out.Stats.CacheHits != 2 {
+		t.Errorf("completing shard stats %+v, want 2 computed and 2 cached", out.Stats)
+	}
+	_, csv, js := localReference(t, req)
+	if !bytes.Equal(renderCSV(t, out.Matrix), csv) || !bytes.Equal(renderJSON(t, out.Matrix), js) {
+		t.Error("the merged matrix differs from a plain run")
+	}
+	preq := ParetoRequest{Grid: "3x3", EnergyWeights: []float64{0, 1.5}, Rates: []float64{0.02, 0.3}, Fidelity: sim.FidelitySmoke, SynthIterations: 400}
+	var pinc *exp.ParetoIncompleteError
+	if _, _, err := ExecutePareto(ctx, st, preq, sim.Shard{Index: 0, Count: 2}, nil); !errors.As(err, &pinc) || pinc.Owned != 1 || pinc.Pending != 1 {
+		t.Errorf("pareto shard 0/2: %v, want 1 point owned and 1 pending", err)
 	}
 }
 

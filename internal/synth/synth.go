@@ -23,6 +23,7 @@ package synth
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"netsmith/internal/layout"
 	"netsmith/internal/store"
@@ -215,11 +216,11 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.Radix < 1 {
 		return cfg, fmt.Errorf("synth: invalid radix %d", cfg.Radix)
 	}
-	if cfg.EnergyWeight < 0 {
-		return cfg, fmt.Errorf("synth: negative energy weight %v", cfg.EnergyWeight)
+	if !(cfg.EnergyWeight >= 0) || math.IsInf(cfg.EnergyWeight, 0) {
+		return cfg, fmt.Errorf("synth: energy weight %v must be finite and non-negative", cfg.EnergyWeight)
 	}
-	if cfg.RobustWeight < 0 {
-		return cfg, fmt.Errorf("synth: negative robust weight %v", cfg.RobustWeight)
+	if !(cfg.RobustWeight >= 0) || math.IsInf(cfg.RobustWeight, 0) {
+		return cfg, fmt.Errorf("synth: robust weight %v must be finite and non-negative", cfg.RobustWeight)
 	}
 	if cfg.Iterations < 0 {
 		return cfg, fmt.Errorf("synth: negative iterations %d", cfg.Iterations)

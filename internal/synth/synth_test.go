@@ -389,7 +389,8 @@ func TestProgressTraceMonotone(t *testing.T) {
 
 // Negative budgets are rejected, through the cache as well, instead of
 // panicking (negative Restarts) or silently searching nothing (negative
-// Iterations).
+// Iterations); so are weights that are not finite and non-negative,
+// which a plain "< 0" check lets through as NaN.
 func TestNegativeBudgetRejected(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -399,17 +400,21 @@ func TestNegativeBudgetRejected(t *testing.T) {
 		"iterations":            func(c *Config) { c.Iterations = -5 },
 		"restarts":              func(c *Config) { c.Restarts = -1 },
 		"population iterations": func(c *Config) { c.Iterations = -1; c.Population = 2 },
+		"energy weight NaN":     func(c *Config) { c.EnergyWeight = math.NaN() },
+		"energy weight +Inf":    func(c *Config) { c.EnergyWeight = math.Inf(1) },
+		"robust weight NaN":     func(c *Config) { c.RobustWeight = math.NaN() },
+		"robust weight -Inf":    func(c *Config) { c.RobustWeight = math.Inf(-1) },
 	} {
 		cfg := quickCfg(layout.Grid4x5, layout.Medium, LatOp)
 		mutate(&cfg)
 		if _, err := Generate(cfg); err == nil {
-			t.Errorf("%s: Generate accepted a negative budget", name)
+			t.Errorf("%s: Generate accepted the config", name)
 		}
 		if _, _, err := CachedGenerate(st, cfg); err == nil {
-			t.Errorf("%s: CachedGenerate accepted a negative budget", name)
+			t.Errorf("%s: CachedGenerate accepted the config", name)
 		}
 		if _, ok := cfg.CachePayload(); ok {
-			t.Errorf("%s: a negative budget has a cache payload", name)
+			t.Errorf("%s: the config has a cache payload", name)
 		}
 	}
 	if n := storeEntryCount(t, st); n != 0 {
