@@ -605,19 +605,6 @@ func BenchmarkMatrixBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkExactLatOpTiny measures the branch-and-bound optimality
-// certification on a small instance.
-func BenchmarkExactLatOpTiny(b *testing.B) {
-	cfg := synth.Config{Grid: layout.NewGrid(1, 4), Class: layout.Large, Radix: 2,
-		Objective: synth.LatOp, Seed: 3, Iterations: 2000, Restarts: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := synth.ExactLatOp(cfg, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParetoFilter measures the exact domination filter behind
 // ParetoSweep on a 1024-point cloud (the filter is O(n²) in swept
 // points, so this is the frontier-assembly hot path at fleet scale).

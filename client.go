@@ -133,7 +133,8 @@ func WithHTTPClient(h *http.Client) ClientOption {
 
 // WithProgress registers a matrix progress callback: done of total
 // cells resolved. Local mode reports per cell; remote mode reports at
-// the poll cadence from the job envelope.
+// the poll cadence from the job envelope. Calls never overlap, and done
+// never decreases within a job.
 func WithProgress(fn func(done, total int)) ClientOption {
 	return func(c *Client) error { c.progress = fn; return nil }
 }
@@ -215,9 +216,11 @@ func (c *Client) Pareto(ctx context.Context, job ParetoJob) (*ParetoJobOutcome, 
 	return &out, hit, nil
 }
 
-// monotone adapts a progress callback so done never regresses —
-// RunMatrix invokes callbacks concurrently from its pool, so raw done
-// values may arrive out of order. Remote mode needs no adapter: the
+// monotone adapts a progress callback so calls never overlap and done
+// never regresses — RunMatrix invokes callbacks concurrently from its
+// pool, so raw done values may arrive out of order. fn runs under the
+// mutex: released before the call, a stale smaller done could still
+// reach fn after a larger one. Remote mode needs no adapter: the
 // server's job envelope already reports monotone progress.
 func monotone(fn func(done, total int)) func(done, total int) {
 	if fn == nil {
@@ -227,12 +230,12 @@ func monotone(fn func(done, total int)) func(done, total int) {
 	best := 0
 	return func(done, total int) {
 		mu.Lock()
+		defer mu.Unlock()
 		if done < best {
 			done = best
 		} else {
 			best = done
 		}
-		mu.Unlock()
 		fn(done, total)
 	}
 }

@@ -64,9 +64,6 @@ func New(n int) *Graph {
 // N returns the node count.
 func (g *Graph) N() int { return g.n }
 
-// Words returns the number of Set words per row.
-func (g *Graph) Words() int { return g.w }
-
 // Full returns the all-nodes set; the caller must not mutate it.
 func (g *Graph) Full() Set { return g.full }
 

@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// Words returns the number of Set words per row.
+func (g *Graph) Words() int { return g.w }
+
 func TestAddRemoveInvariants(t *testing.T) {
 	g := New(8)
 	g.Add(0, 1)

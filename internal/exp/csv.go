@@ -2,7 +2,6 @@ package exp
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -128,6 +127,3 @@ func Fig11CSV(w io.Writer, curves []Fig11Curve) error {
 	return writeCSV(w, []string{"topology", "class", "offered_pkt_node_cycle",
 		"latency_ns", "accepted_pkt_node_ns"}, out)
 }
-
-// ErrUnknownExperiment is returned by CSVByName for unknown ids.
-var ErrUnknownExperiment = fmt.Errorf("exp: unknown experiment")

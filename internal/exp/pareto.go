@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"netsmith/internal/power"
 	"netsmith/internal/sim"
@@ -388,7 +389,7 @@ func ParetoSweep(pc ParetoConfig) (*Frontier, error) {
 	key, keyOK := pc.cacheKey()
 	if keyOK && pc.Store != nil {
 		var fr Frontier
-		if hit, err := pc.Store.Get(key, &fr); err == nil && hit {
+		if hit, err := pc.Store.Get(key, &fr); err == nil && hit && fr.fits(pc) {
 			fr.Stats = ParetoStats{Points: n, FrontierCached: true}
 			progress(total, total)
 			return &fr, nil
@@ -549,6 +550,33 @@ func ParetoSweep(pc ParetoConfig) (*Frontier, error) {
 	}
 	progress(total, total)
 	return fr, nil
+}
+
+// fits reports whether fr, read back from the frontier blob, is the
+// frontier of the normalized sweep pc: the same grid, class, objective,
+// seed, fidelity, weight grids and rates, one swept entry per point, and
+// between one and Swept surviving points, each with a topology, the rest
+// counted as pruned. Anything else (a null or emptied value, another
+// sweep's frontier) is damage, so the sweep re-assembles and overwrites
+// it.
+func (fr *Frontier) fits(pc ParetoConfig) bool {
+	n := len(pc.EnergyWeights) * len(pc.RobustWeights)
+	if fr.Grid != fmt.Sprintf("%dx%d", pc.Base.Grid.Rows, pc.Base.Grid.Cols) ||
+		fr.Class != pc.Base.Class.String() || fr.Objective != pc.Base.Objective.String() ||
+		fr.Seed != pc.Base.Seed || fr.Fidelity != pc.Fidelity ||
+		!slices.Equal(fr.EnergyWeights, pc.EnergyWeights) ||
+		!slices.Equal(fr.RobustWeights, pc.RobustWeights) || !slices.Equal(fr.Rates, pc.Rates) {
+		return false
+	}
+	if fr.Swept != n || len(fr.Points) < 1 || len(fr.Points) > n || fr.Pruned != n-len(fr.Points) {
+		return false
+	}
+	for _, p := range fr.Points {
+		if p.Topology == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // assemblePoint scores one sweep point from its synthesis result and

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -251,6 +252,63 @@ func TestParetoKeySensitivity(t *testing.T) {
 	}
 	if !again.Stats.FrontierCached {
 		t.Errorf("unchanged sweep missed the frontier cache: %+v", again.Stats)
+	}
+}
+
+// TestParetoDamagedFrontierReassembles: a frontier blob that decodes but
+// does not fit its sweep is a miss. The sweep re-assembles it from the
+// cached points and cells, emits the fresh bytes and overwrites the
+// blob, so the next run is a frontier hit again.
+func TestParetoDamagedFrontierReassembles(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ParetoSweep(smokePareto(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvWant, jsWant := renderFrontier(t, fresh)
+	other := smokePareto(st)
+	other.EnergyWeights = []float64{0, 2}
+	otherFr, err := ParetoSweep(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := smokePareto(st).normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := pc.cacheKey()
+	if !ok {
+		t.Fatal("smoke sweep has no frontier key")
+	}
+
+	for _, tc := range []struct {
+		name  string
+		value any
+	}{
+		{"null", json.RawMessage("null")},
+		{"empty", json.RawMessage("{}")},
+		{"other-sweep", otherFr},
+	} {
+		if err := st.Put(key, tc.value); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParetoSweep(smokePareto(st))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if s := got.Stats; s.FrontierCached || s.Synthesized != 0 || s.Cells == 0 || s.CellsCached != s.Cells {
+			t.Errorf("%s: stats %+v, want a re-assembly from cached points and cells", tc.name, s)
+		}
+		csvGot, jsGot := renderFrontier(t, got)
+		if !bytes.Equal(csvWant, csvGot) || !bytes.Equal(jsWant, jsGot) {
+			t.Errorf("%s: re-assembled frontier differs from the fresh one", tc.name)
+		}
+		if again, err := ParetoSweep(smokePareto(st)); err != nil || !again.Stats.FrontierCached {
+			t.Errorf("%s: re-assembled frontier was not overwritten: err %v", tc.name, err)
+		}
 	}
 }
 

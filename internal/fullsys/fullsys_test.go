@@ -235,43 +235,6 @@ func TestWorkloadInjectContract(t *testing.T) {
 	}
 }
 
-func TestRecordTraceReplays(t *testing.T) {
-	sys := buildMeshSystem(t)
-	b := Benchmarks()[len(Benchmarks())-1] // highest injection rate
-	recs := sys.RecordTrace(b, 2000, 7)
-	if len(recs) == 0 {
-		t.Fatal("trace recorded no packets")
-	}
-	for _, r := range recs {
-		if r.Cycle < 0 || r.Cycle >= 2000 || r.Flits < 1 || r.Src == r.Dst {
-			t.Fatalf("bad record %+v", r)
-		}
-	}
-	// Deterministic for a seed.
-	again := sys.RecordTrace(b, 2000, 7)
-	if len(again) != len(recs) || again[0] != recs[0] || again[len(again)-1] != recs[len(recs)-1] {
-		t.Error("RecordTrace is not deterministic")
-	}
-	// The trace feeds straight into the replay pattern.
-	rp, err := traffic.NewReplay("parsec", sys.Net.N(), recs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	replayed := 0
-	for _, src := range sys.CoreRouters {
-		if !rp.Originates(src) {
-			continue
-		}
-		if _, _, ok := rp.Inject(src, rng); ok {
-			replayed++
-		}
-	}
-	if replayed == 0 {
-		t.Error("no core replayed a recorded packet")
-	}
-}
-
 func TestBenchmarksOrdered(t *testing.T) {
 	bs := Benchmarks()
 	if len(bs) != 12 {

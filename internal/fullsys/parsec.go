@@ -109,30 +109,6 @@ func (w *workloadPattern) OnDeliver(src, dst int, rng *rand.Rand) (int, int, boo
 	return 0, 0, false
 }
 
-// RecordTrace samples the benchmark's workload model into a replayable
-// (cycle, src, dst, flits) trace of the given length: each cycle every
-// core draws the same Bernoulli injection coin the simulator uses at the
-// benchmark's injection rate. The result feeds traffic.NewReplay (or
-// traffic.WriteTrace for the on-disk form consumed by the registry's
-// "trace" pattern).
-func (s *System) RecordTrace(b Benchmark, cycles int, seed int64) []traffic.TraceRecord {
-	pat := s.NewWorkload(b)
-	rng := rand.New(rand.NewSource(seed))
-	rate := b.InjectionRate()
-	var recs []traffic.TraceRecord
-	for cycle := 0; cycle < cycles; cycle++ {
-		for _, src := range s.CoreRouters {
-			if rng.Float64() >= rate {
-				continue
-			}
-			if dst, flits, ok := pat.Inject(src, rng); ok {
-				recs = append(recs, traffic.TraceRecord{Cycle: int64(cycle), Src: src, Dst: dst, Flits: flits})
-			}
-		}
-	}
-	return recs
-}
-
 // ExecModel converts measured network latency into execution-time terms.
 type ExecModel struct {
 	// BaseCPI is the core CPI with an ideal (zero-latency) network.

@@ -237,20 +237,6 @@ func (g *Grid) ValidLinks(c Class) []Link {
 	return links
 }
 
-// ValidMask returns an n x n boolean matrix where entry [a][b] is true if
-// a directed link a->b is permitted by the class.
-func (g *Grid) ValidMask(c Class) [][]bool {
-	n := g.N()
-	m := make([][]bool, n)
-	for a := 0; a < n; a++ {
-		m[a] = make([]bool, n)
-	}
-	for _, l := range g.ValidLinks(c) {
-		m[l.From][l.To] = true
-	}
-	return m
-}
-
 // MemoryControllerRouters returns the routers that host memory
 // controllers. Following the paper's 4x5 organization, NoI routers in the
 // left-most and right-most columns connect two cores plus two memory

@@ -159,24 +159,6 @@ func TestValidLinksMonotone(t *testing.T) {
 	}
 }
 
-func TestValidMaskMatchesLinks(t *testing.T) {
-	g := Grid6x5
-	for _, c := range Classes() {
-		mask := g.ValidMask(c)
-		count := 0
-		for a := range mask {
-			for b := range mask[a] {
-				if mask[a][b] {
-					count++
-				}
-			}
-		}
-		if count != len(g.ValidLinks(c)) {
-			t.Errorf("%v: mask has %d links, slice has %d", c, count, len(g.ValidLinks(c)))
-		}
-	}
-}
-
 func TestMemoryControllerRouters(t *testing.T) {
 	g := Grid4x5
 	mcs := g.MemoryControllerRouters()

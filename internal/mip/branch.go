@@ -13,7 +13,9 @@ type MIPOptions struct {
 }
 
 // SolveMIP solves the problem with integrality enforced on integer
-// variables, using best-first branch-and-bound over LP relaxations.
+// variables, using best-first branch-and-bound over LP relaxations. It is
+// test support: only tests run it, as the exact oracle for small
+// instances, and it stays exported because they live in other packages.
 func (p *Problem) SolveMIP(opts MIPOptions) (*Solution, error) {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 100000

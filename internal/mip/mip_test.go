@@ -9,6 +9,11 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// isIntegral reports whether x is within tolerance of an integer.
+func isIntegral(x float64) bool {
+	return math.Abs(x-math.Round(x)) <= 1e-6
+}
+
 func TestLPSimple2D(t *testing.T) {
 	// minimize -x - 2y s.t. x + y <= 4, x <= 2, y <= 3, x,y >= 0.
 	// Optimum at (1, 3): obj -7.

@@ -2,9 +2,10 @@
 // toolkit: a dense two-phase primal simplex for linear programs and a
 // best-first branch-and-bound for integer variables. It is the
 // hand-rolled substitute for the commercial MILP solver the paper uses
-// (Gurobi): NetSmith's MCLB routing formulation (Table III) is solved
-// exactly with it on small instances, and its LP relaxation provides
-// rigorous lower bounds for the larger ones.
+// (Gurobi). In the product the simplex serves only DistanceLevelBound,
+// the LP lower bound synthesis gaps LatOp against; SolveMIP is test
+// support, the exact solve of the MCLB routing formulation (Table III)
+// that route's tests certify their heuristic against.
 //
 // The modelling surface is deliberately minimal: continuous or integer
 // variables with [lower, upper] bounds, linear constraints with <=, = or
@@ -15,7 +16,6 @@ package mip
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Rel is a constraint relation.
@@ -151,8 +151,3 @@ func (s *Solution) Value(v Var) float64 { return s.X[v] }
 var ErrNoSolution = errors.New("mip: no feasible solution")
 
 const eps = 1e-9
-
-// isIntegral reports whether x is within tolerance of an integer.
-func isIntegral(x float64) bool {
-	return math.Abs(x-math.Round(x)) <= 1e-6
-}

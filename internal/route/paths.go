@@ -2,9 +2,9 @@
 // of all shortest paths per flow (the static input to the MCLB
 // formulation of the paper's Table III), the expert-topology heuristic
 // "no double-back turns" (NDBT) routing, and MCLB — minimum maximum
-// channel load path selection — solved by multi-restart local search,
-// certified by the hand-rolled MIP solver on small instances and
-// lower-bounded by its LP relaxation.
+// channel load path selection — solved by multi-restart local search.
+// The exact MIP solve of the formulation and its LP lower bound are test
+// oracles that certify the search on small instances.
 package route
 
 import (

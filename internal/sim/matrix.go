@@ -262,10 +262,11 @@ func cellPoint(rate float64, res *Result) SweepPoint {
 // deterministic for a given config at any GOMAXPROCS.
 //
 // With a Store attached, cells hit the cache before simulating and
-// persist after (the resume path). With Shard enabled, only owned
-// cells are simulated; the rest are read from the store, and if any
-// are still missing the run returns *IncompleteError after persisting
-// its own share.
+// persist after (the resume path); a cached result that does not fit
+// its cell is a miss, recomputed and overwritten. With Shard enabled,
+// only owned cells are simulated; the rest are read from the store, and
+// if any are still missing the run returns *IncompleteError after
+// persisting its own share.
 func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 	if len(mc.Setups) == 0 || len(mc.Patterns) == 0 {
 		return nil, fmt.Errorf("sim: matrix needs at least one topology and one pattern")
@@ -401,7 +402,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 						errs[i] = err
 						continue
 					}
-					if hit {
+					if hit && cached.fits(rates[ri]) {
 						points[i] = cellPoint(rates[ri], &cached)
 						have[i] = true
 						cacheHits.Add(1)
@@ -466,7 +467,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !hit {
+			if !hit || !cached.fits(rates[i%nR]) {
 				missing++
 				continue
 			}

@@ -179,6 +179,31 @@ func cellKey(setupFP, patternKey, faultKey string, cfg Config) store.Key {
 	return store.NewKey("matrix-cell", p)
 }
 
+// fits reports whether r, read back from a cell blob, can be the result
+// of a cell offered at rate: a finished run records that rate and no
+// negative field, and a stalled run is stored as the bare
+// Result{Stalled: true}. Anything else (a null or emptied value, another
+// cell's result, a negative count) is damage, so the cell is a miss.
+func (r *Result) fits(rate float64) bool {
+	if r.Stalled {
+		return *r == (Result{Stalled: true})
+	}
+	for _, v := range [...]float64{r.AcceptedPerCycle, r.AcceptedPerNs,
+		r.AvgLatencyNs, r.AvgLatencyCycles, r.DeliveredFraction,
+		r.PreFaultAvgLatencyNs, r.PostFaultAvgLatencyNs} {
+		if v < 0 {
+			return false
+		}
+	}
+	for _, v := range [...]int{r.Measured, r.Delivered, r.DroppedFlits, r.DroppedPackets,
+		r.RerouteEvents, r.UnreachablePairs, r.SkippedInjections} {
+		if v < 0 {
+			return false
+		}
+	}
+	return r.OfferedRate == rate
+}
+
 // IncompleteError reports a sharded RunMatrix that computed and
 // persisted every cell it owns but could not assemble the full matrix:
 // cells owned by other shards are not yet in the store. Run the

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -158,6 +160,93 @@ func TestMatrixResume(t *testing.T) {
 	uninterrupted.Stats = MatrixStats{}
 	if !reflect.DeepEqual(uninterrupted, resumed) {
 		t.Error("resumed matrix differs from uninterrupted run")
+	}
+}
+
+// storedCellKey is the store key RunMatrix files cell (pi, ri) of a
+// one-topology, fault-free matrix under.
+func storedCellKey(t *testing.T, mc MatrixConfig, pi, ri int) store.Key {
+	t.Helper()
+	fp, err := mc.Setups[0].Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mc.Base
+	cfg.Topo = mc.Setups[0].Topo
+	cfg.InjectionRate = mc.Rates[ri]
+	cfg.Seed = mc.Seed + int64(pi*len(mc.Rates)+ri)*7919
+	return cellKey(fp, mc.Patterns[pi].Key, "", cfg.normalized())
+}
+
+// TestMatrixDamagedCellRecomputes: a cell blob that decodes but does not
+// fit its cell is a miss. The warm run recomputes exactly that cell,
+// overwrites it and emits the fresh run's bytes; a shard that does not
+// own the cell counts it as missing instead of serving it.
+func TestMatrixDamagedCellRecomputes(t *testing.T) {
+	mc := storeMatrix(t)
+	fresh, err := RunMatrix(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(mc.Setups) * len(mc.Patterns) * len(mc.Rates)
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.Store = st
+	if _, err := RunMatrix(mc); err != nil {
+		t.Fatal(err)
+	}
+	// uniform@0.1 is cell 1, which shard 0/2 does not own.
+	key, lowKey := storedCellKey(t, mc, 0, 1), storedCellKey(t, mc, 0, 0)
+	var intact, low Result
+	for _, c := range []struct {
+		k   store.Key
+		out *Result
+	}{{key, &intact}, {lowKey, &low}} {
+		if hit, err := st.Get(c.k, c.out); err != nil || !hit {
+			t.Fatalf("populated cell missing from the store: hit=%v err=%v", hit, err)
+		}
+	}
+	negative := intact
+	negative.AvgLatencyNs = -1
+
+	for _, tc := range []struct {
+		name  string
+		value any
+	}{
+		{"null", json.RawMessage("null")},
+		{"empty", json.RawMessage("{}")},
+		{"other-rate", low},
+		{"negative-latency", negative},
+	} {
+		if err := st.Put(key, tc.value); err != nil {
+			t.Fatal(err)
+		}
+		shard := mc
+		shard.Shard = Shard{Index: 0, Count: 2}
+		var inc *IncompleteError
+		if _, err := RunMatrix(shard); !errors.As(err, &inc) || inc.Missing != 1 {
+			t.Fatalf("%s: shard 0/2 over the damaged cell: err %v, want 1 missing", tc.name, err)
+		}
+		got, err := RunMatrix(mc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Stats.Computed != 1 || got.Stats.CacheHits != cells-1 {
+			t.Errorf("%s: stats %+v, want 1 computed, %d cached", tc.name, got.Stats, cells-1)
+		}
+		if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("%s: warm run differs from the fresh run (err %v)", tc.name, err)
+		}
+		if again, err := RunMatrix(mc); err != nil || again.Stats.Computed != 0 {
+			t.Errorf("%s: recomputed cell was not overwritten: err %v", tc.name, err)
+		}
 	}
 }
 

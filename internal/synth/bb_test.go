@@ -3,8 +3,10 @@ package synth
 import (
 	"errors"
 	"math"
+	"testing"
 
 	"netsmith/internal/bitgraph"
+	"netsmith/internal/layout"
 )
 
 // ExactLatOp solves the LatOp objective exactly by branch-and-bound over
@@ -161,4 +163,17 @@ type bbState struct {
 	nodes     int64
 	budget    int64
 	truncated bool
+}
+
+// BenchmarkExactLatOpTiny measures the branch-and-bound optimality
+// certification on a small instance.
+func BenchmarkExactLatOpTiny(b *testing.B) {
+	cfg := Config{Grid: layout.NewGrid(1, 4), Class: layout.Large, Radix: 2,
+		Objective: LatOp, Seed: 3, Iterations: 2000, Restarts: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExactLatOp(cfg, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -12,12 +12,12 @@
 //
 // The paper solves a MILP with Gurobi. This implementation substitutes a
 // specialized optimizer (documented in DESIGN.md): simulated annealing
-// over feasible link sets with exact incremental metric evaluation, lazy
-// sparsest-cut constraint generation for the SCOp objective (the
-// row-generation idea from MILP practice), and an exact branch-and-bound
-// for small instances that certifies optimality. Solver progress is
-// reported as an objective-bounds gap against rigorous lower bounds,
-// mirroring the paper's Figure 5.
+// over feasible link sets with exact incremental metric evaluation, and
+// lazy sparsest-cut constraint generation for the SCOp objective (the
+// row-generation idea from MILP practice). Solver progress is reported
+// as an objective-bounds gap against rigorous lower bounds, mirroring the
+// paper's Figure 5; the package's tests certify the annealer against an
+// exact branch-and-bound on small instances.
 package synth
 
 import (
@@ -187,8 +187,8 @@ type Result struct {
 	// minimization, upper for SCOp); Gap the resulting bounds gap.
 	Bound float64
 	Gap   float64
-	// Optimal is true when the search proved the result optimal (bound
-	// met, or exact branch-and-bound completed).
+	// Optimal is true when the search proved the result optimal: the
+	// achieved objective meets the bound.
 	Optimal bool
 	// EnergyProxy is the topology's energy-proxy value (wire dynamic +
 	// per-port leakage proxies summed over links, in the proxy's native

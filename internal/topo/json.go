@@ -67,30 +67,3 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
-
-// DOT renders the topology in Graphviz format (bidirectional pairs as
-// one undirected edge, unidirectional links as directed edges), with
-// routers laid out at their physical grid positions.
-func (t *Topology) DOT() string {
-	out := fmt.Sprintf("digraph %q {\n", t.Name)
-	out += "  layout=neato;\n  node [shape=circle];\n"
-	for r := 0; r < t.n; r++ {
-		row, col := t.Grid.Pos(r)
-		out += fmt.Sprintf("  %d [pos=\"%d,%d!\"];\n", r, col, -row)
-	}
-	for a := 0; a < t.n; a++ {
-		for b := 0; b < t.n; b++ {
-			if !t.adj[a][b] {
-				continue
-			}
-			if t.adj[b][a] {
-				if a < b {
-					out += fmt.Sprintf("  %d -> %d [dir=both];\n", a, b)
-				}
-			} else {
-				out += fmt.Sprintf("  %d -> %d [style=dashed];\n", a, b)
-			}
-		}
-	}
-	return out + "}\n"
-}

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"netsmith/internal/layout"
@@ -44,25 +43,5 @@ func TestJSONRejectsBadInput(t *testing.T) {
 		if err := json.Unmarshal([]byte(c), &tp); err == nil {
 			t.Errorf("input %s should fail", c)
 		}
-	}
-}
-
-func TestDOTOutput(t *testing.T) {
-	tp := New("dot-test", layout.NewGrid(2, 2), layout.Small)
-	tp.AddLink(0, 1)
-	tp.AddLink(1, 0)
-	tp.AddLink(2, 3)
-	dot := tp.DOT()
-	if !strings.Contains(dot, "digraph") {
-		t.Error("missing digraph header")
-	}
-	if !strings.Contains(dot, "0 -> 1 [dir=both]") {
-		t.Error("bidirectional pair must be one both-direction edge")
-	}
-	if !strings.Contains(dot, "2 -> 3 [style=dashed]") {
-		t.Error("unidirectional link must be dashed")
-	}
-	if strings.Contains(dot, "1 -> 0") {
-		t.Error("reverse of a both-edge must not be emitted")
 	}
 }

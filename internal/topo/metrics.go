@@ -127,23 +127,3 @@ func (t *Topology) Diameter() int {
 	}
 	return max
 }
-
-// HopHistogram returns counts of ordered pairs by their shortest-path hop
-// distance; index i holds the number of pairs at distance i. Disconnected
-// pairs are omitted.
-func (t *Topology) HopHistogram() []int {
-	dist := t.ShortestPaths()
-	var hist []int
-	for s := range dist {
-		for d, h := range dist[s] {
-			if s == d || h == Unreachable {
-				continue
-			}
-			for len(hist) <= h {
-				hist = append(hist, 0)
-			}
-			hist[h]++
-		}
-	}
-	return hist
-}

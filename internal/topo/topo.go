@@ -234,34 +234,6 @@ func (t *Topology) TotalWireLengthMM() float64 {
 	return total
 }
 
-// LinkSpanHistogram counts links (Table II style: bidirectional pair = 1)
-// by their Kite span name, e.g. "(1,0)", "(2,1)".
-func (t *Topology) LinkSpanHistogram() map[string]int {
-	hist := make(map[string]int)
-	seen := make(map[[2]int]bool)
-	for a := 0; a < t.n; a++ {
-		for b := 0; b < t.n; b++ {
-			if !t.adj[a][b] {
-				continue
-			}
-			key := [2]int{a, b}
-			if a > b {
-				key = [2]int{b, a}
-			}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			dx, dy := t.Grid.Span(a, b)
-			if dy > dx {
-				dx, dy = dy, dx
-			}
-			hist[fmt.Sprintf("(%d,%d)", dx, dy)]++
-		}
-	}
-	return hist
-}
-
 // String renders a compact description.
 func (t *Topology) String() string {
 	var b strings.Builder

@@ -162,29 +162,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestHopHistogramSumsToPairs(t *testing.T) {
-	tp := mesh4x5()
-	hist := tp.HopHistogram()
-	total := 0
-	for _, c := range hist {
-		total += c
-	}
-	if total != 20*19 {
-		t.Errorf("histogram covers %d pairs, want %d", total, 20*19)
-	}
-	if hist[0] != 0 {
-		t.Errorf("no pair has distance 0; got %d", hist[0])
-	}
-	// Mean from histogram equals AverageHops.
-	sum := 0
-	for h, c := range hist {
-		sum += h * c
-	}
-	if got, want := float64(sum)/float64(20*19), tp.AverageHops(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("histogram mean %v != AverageHops %v", got, want)
-	}
-}
-
 func TestWeightedAverageHops(t *testing.T) {
 	tp := mesh4x5()
 	n := tp.N()
@@ -297,14 +274,6 @@ func TestHeuristicCutNeverBelowExact(t *testing.T) {
 		if heur.Bandwidth < exact.Bandwidth-1e-12 {
 			t.Fatalf("heuristic %v beat exact %v", heur.Bandwidth, exact.Bandwidth)
 		}
-	}
-}
-
-func TestLinkSpanHistogram(t *testing.T) {
-	tp := mesh4x5()
-	hist := tp.LinkSpanHistogram()
-	if hist["(1,0)"] != 31 {
-		t.Errorf("mesh span histogram: %v, want 31 x (1,0)", hist)
 	}
 }
 

@@ -34,9 +34,6 @@ func NewBursty(base Pattern, n int, pOnOff, pOffOn float64) (*Bursty, error) {
 	return &Bursty{Base: base, POnOff: pOnOff, POffOn: pOffOn, off: make([]bool, n)}, nil
 }
 
-// DutyCycle returns the stationary ON probability of the chain.
-func (b *Bursty) DutyCycle() float64 { return b.POffOn / (b.POnOff + b.POffOn) }
-
 // Name implements Pattern.
 func (b *Bursty) Name() string { return "bursty/" + b.Base.Name() }
 

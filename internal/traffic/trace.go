@@ -11,9 +11,8 @@ import (
 )
 
 // TraceRecord is one recorded injection: at Cycle, router Src sent a
-// Flits-flit packet to Dst. Traces come from full-system runs (see
-// fullsys.RecordTrace, which distills the PARSEC workload models into
-// this shape) or from external tools via ParseTrace.
+// Flits-flit packet to Dst. Traces come from external tools via
+// ParseTrace.
 type TraceRecord struct {
 	Cycle int64
 	Src   int
@@ -62,20 +61,6 @@ func ParseTrace(r io.Reader) ([]TraceRecord, error) {
 		return nil, err
 	}
 	return recs, nil
-}
-
-// WriteTrace emits records in the format ParseTrace reads.
-func WriteTrace(w io.Writer, recs []TraceRecord) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "cycle,src,dst,flits"); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if _, err := fmt.Fprintf(bw, "%d,%d,%d,%d\n", r.Cycle, r.Src, r.Dst, r.Flits); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // replayEntry is the per-source remainder of a record (timing is owned
