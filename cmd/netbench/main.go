@@ -72,8 +72,8 @@ import (
 	"netsmith/internal/store"
 )
 
-// defaultMatrixPatterns lists every registry pattern constructible
-// without required parameters ("trace" needs -trace).
+// defaultMatrixPatterns lists every registry pattern, with default
+// parameters (trace replay is -trace, not a registry pattern).
 const defaultMatrixPatterns = "uniform,shuffle,memory,transpose,bitcomp,bitrev,tornado,hotspot,bursty"
 
 func main() {

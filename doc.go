@@ -59,10 +59,15 @@
 // # Scenario matrices
 //
 // RunMatrix crosses prepared topologies with registered workloads
-// (PatternNames, BuildPattern, PatternFactoryFor) and a rate grid on a
-// bounded worker pool. Matrix output is bit-identical across reruns
-// and GOMAXPROCS — the determinism contract that also makes results
-// cacheable:
+// (PatternNames, BuildPattern, PatternFactoryFor), optional fault
+// schedules (FaultNames, BuildFaultSchedule, FaultFactoryFor) and a
+// rate grid on a bounded worker pool. Patterns and schedules share one
+// registry: the same "name:key=val:..." syntax (ParseFaultArg) and one
+// canonical key, which enters the store's cell keys. Trace replay is
+// not a registry pattern: MatrixJob.Trace replays a file and keys its
+// cells by the file's content. Matrix output is bit-identical across
+// reruns and GOMAXPROCS — the determinism contract that also makes
+// results cacheable:
 //
 //	mc := netsmith.MatrixConfig{
 //		Setups:   []*netsmith.Network{net},

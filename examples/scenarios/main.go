@@ -37,14 +37,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Assemble the scenario matrix: every parameter-free registry
-	//    pattern, plus a sharpened hotspot to show parameterization
-	//    (80% of traffic to the two corner routers).
+	// 2. Assemble the scenario matrix: every registry pattern with its
+	//    default parameters, plus a sharpened hotspot to show
+	//    parameterization (80% of traffic to the two corner routers).
 	var patterns []netsmith.PatternFactory
 	for _, name := range netsmith.PatternNames() {
-		if name == "trace" { // needs a recorded trace file
-			continue
-		}
 		patterns = append(patterns, netsmith.PatternFactoryFor(name, netsmith.Grid4x5, nil))
 	}
 	patterns = append(patterns, netsmith.PatternFactory{

@@ -1,10 +1,10 @@
 // Package fault defines deterministic, seedable fault schedules for the
 // flit engine: link and router failures, transient (fail at cycle c0,
 // recover at c1) or permanent, expressed as (kind, element, start, end)
-// events. Schedules are registered and parsed exactly like traffic
-// patterns — "name:key=val:..." arguments, a self-describing registry,
-// and canonical keys for content-addressed caching — so the scenario
-// matrix can grow a fault axis without new plumbing idioms.
+// events. Schedules share the traffic patterns' spec registry
+// (internal/spec): "name:key=val:..." arguments, self-describing
+// parameters and canonical keys for content-addressed caching, so the
+// scenario matrix grows a fault axis without new plumbing idioms.
 //
 // Determinism contract: building the same schedule spec against the same
 // topology always yields the same event list (seeded permutations draw
@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"netsmith/internal/spec"
 	"netsmith/internal/topo"
 )
 
@@ -71,9 +72,9 @@ func (e Event) String() string {
 }
 
 // Schedule is a validated, deterministically ordered set of fault events
-// built for one concrete topology. Key is the canonical schedule key
-// (CanonicalScheduleKey of the spec that built it; "" for no faults) and
-// is the fault component of content-addressed cache keys.
+// built for one concrete topology. Key is the ScheduleKey of the spec
+// that built it ("" for no faults) and is the fault component of
+// content-addressed cache keys.
 type Schedule struct {
 	Key    string
 	Events []Event
@@ -144,81 +145,34 @@ func (s *Schedule) DeadAt(cycle int64) (links [][2]int, routers []int) {
 	return links, routers
 }
 
-// Params carries per-schedule options as string key/values, mirroring
-// traffic.Params.
-type Params map[string]string
-
-// ParamSpec documents one schedule parameter.
-type ParamSpec struct {
-	Name    string
-	Default string
-	Doc     string
-}
+// Params carries per-schedule options as string key/values; each
+// schedule declares its keys and their defaults in its entry's
+// spec.ParamSpec list.
+type Params = spec.Params
 
 // Builder constructs the event list of a schedule for a topology.
-type Builder func(t *topo.Topology, p Params) ([]Event, error)
+type Builder func(t *topo.Topology, a spec.Args) ([]Event, error)
 
 // Entry is one registered schedule family.
-type Entry struct {
-	Name   string
-	Doc    string
-	Params []ParamSpec
-	Build  Builder
-}
+type Entry = spec.Entry[Builder]
 
-// Registry maps schedule names to constructors.
-type Registry struct {
-	entries map[string]Entry
-}
+// Registry maps schedule names to builders.
+type Registry struct{ *spec.Registry[Builder] }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{entries: map[string]Entry{}} }
-
-// Register adds an entry; duplicate names are an error.
-func (r *Registry) Register(e Entry) error {
-	if e.Name == "" || e.Build == nil {
-		return fmt.Errorf("fault: registry entry needs a name and builder")
-	}
-	if _, dup := r.entries[e.Name]; dup {
-		return fmt.Errorf("fault: schedule %q already registered", e.Name)
-	}
-	r.entries[e.Name] = e
-	return nil
-}
-
-// Names lists registered schedules in sorted order.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+// specKind labels the schedule registry's and parser's errors.
+var specKind = spec.Kind{Pkg: "fault", Noun: "schedule"}
 
 // Build constructs the named schedule against a topology, validating
 // that every supplied parameter is declared and every produced event
-// names an element that exists. The returned schedule's Key is the
-// canonical key of (name, params) and its events are deterministically
+// names an element that exists. The returned schedule's Key is
+// ScheduleKey(name, params) and its events are deterministically
 // ordered.
 func (r *Registry) Build(name string, t *topo.Topology, params Params) (*Schedule, error) {
-	e, ok := r.entries[name]
-	if !ok {
-		return nil, fmt.Errorf("fault: unknown schedule %q (have %s)", name, strings.Join(r.Names(), ", "))
+	build, a, err := r.Lookup(name, params)
+	if err != nil {
+		return nil, err
 	}
-	for k := range params {
-		known := false
-		for _, s := range e.Params {
-			if s.Name == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("fault: schedule %q has no parameter %q", name, k)
-		}
-	}
-	events, err := e.Build(t, params)
+	events, err := build(t, a)
 	if err != nil {
 		return nil, err
 	}
@@ -243,11 +197,17 @@ func (r *Registry) Build(name string, t *topo.Topology, params Params) (*Schedul
 		}
 	}
 	sortEvents(events)
-	key := ""
-	if !(name == "none" && len(params) == 0) {
-		key = CanonicalScheduleKey(name, params)
+	return &Schedule{Key: ScheduleKey(name, params), Events: events}, nil
+}
+
+// ScheduleKey is a schedule spec's component of store cell keys: its
+// spec.Key, except that the bare "none" keys as "" so fault-free cells
+// share keys with matrices that have no fault axis.
+func ScheduleKey(name string, p Params) string {
+	if name == "none" && len(p) == 0 {
+		return ""
 	}
-	return &Schedule{Key: key, Events: events}, nil
+	return spec.Key(name, p)
 }
 
 // sortEvents orders events deterministically and drops exact duplicates.
@@ -273,46 +233,14 @@ func sortEvents(events []Event) {
 	})
 }
 
-// param returns the supplied value or the spec default.
-func param(p Params, name, def string) string {
-	if v, ok := p[name]; ok && v != "" {
-		return v
-	}
-	return def
-}
-
-func intParam(p Params, name, def string) (int, error) {
-	v, err := strconv.Atoi(param(p, name, def))
-	if err != nil {
-		return 0, fmt.Errorf("fault: parameter %s: %v", name, err)
-	}
-	return v, nil
-}
-
-func int64Param(p Params, name, def string) (int64, error) {
-	v, err := strconv.ParseInt(param(p, name, def), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("fault: parameter %s: %v", name, err)
-	}
-	return v, nil
-}
-
-func floatParam(p Params, name, def string) (float64, error) {
-	v, err := strconv.ParseFloat(param(p, name, def), 64)
-	if err != nil {
-		return 0, fmt.Errorf("fault: parameter %s: %v", name, err)
-	}
-	return v, nil
-}
-
 // window parses the shared at/until parameters (fault onset cycle and
 // recovery cycle, until=0 meaning permanent).
-func window(p Params) (start, end int64, err error) {
-	start, err = int64Param(p, "at", "2000")
+func window(a spec.Args) (start, end int64, err error) {
+	start, err = a.Int64("at")
 	if err != nil {
 		return 0, 0, err
 	}
-	end, err = int64Param(p, "until", "0")
+	end, err = a.Int64("until")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -329,45 +257,38 @@ func window(p Params) (start, end int64, err error) {
 // registry is freshly populated on each call, so callers may extend it
 // without affecting others.
 func Default() *Registry {
-	r := NewRegistry()
-	must := func(e Entry) {
-		if err := r.Register(e); err != nil {
-			panic(err)
-		}
-	}
-	windowSpecs := []ParamSpec{
+	windowSpecs := []spec.ParamSpec{
 		{Name: "at", Default: "2000", Doc: "cycle the faults set in"},
 		{Name: "until", Default: "0", Doc: "cycle the faults recover (0 = permanent)"},
 	}
-	must(Entry{
+	return &Registry{spec.NewRegistry(specKind, []Entry{{
 		Name: "none",
 		Doc:  "no faults (the healthy-network baseline)",
-		Build: func(t *topo.Topology, p Params) ([]Event, error) {
+		Build: func(*topo.Topology, spec.Args) ([]Event, error) {
 			return nil, nil
 		},
-	})
-	must(Entry{
+	}, {
 		Name: "klinks",
 		Doc:  "k seeded-random directed link failures",
-		Params: append([]ParamSpec{
+		Params: append([]spec.ParamSpec{
 			{Name: "k", Default: "1", Doc: "number of distinct links to kill"},
 			{Name: "seed", Default: "1", Doc: "selection seed (links drawn from dense link-ID order)"},
 		}, windowSpecs...),
-		Build: func(t *topo.Topology, p Params) ([]Event, error) {
-			k, err := intParam(p, "k", "1")
+		Build: func(t *topo.Topology, a spec.Args) ([]Event, error) {
+			k, err := a.Int64("k")
 			if err != nil {
 				return nil, err
 			}
-			seed, err := int64Param(p, "seed", "1")
+			seed, err := a.Int64("seed")
 			if err != nil {
 				return nil, err
 			}
-			start, end, err := window(p)
+			start, end, err := window(a)
 			if err != nil {
 				return nil, err
 			}
 			links := t.Links()
-			if k < 0 || k > len(links) {
+			if k < 0 || k > int64(len(links)) {
 				return nil, fmt.Errorf("fault: klinks k=%d out of range (topology has %d directed links)", k, len(links))
 			}
 			perm := rand.New(rand.NewSource(seed)).Perm(len(links))
@@ -378,28 +299,27 @@ func Default() *Registry {
 			}
 			return events, nil
 		},
-	})
-	must(Entry{
+	}, {
 		Name: "krouters",
 		Doc:  "k seeded-random router failures (all ports plus local inject/eject)",
-		Params: append([]ParamSpec{
+		Params: append([]spec.ParamSpec{
 			{Name: "k", Default: "1", Doc: "number of distinct routers to kill"},
 			{Name: "seed", Default: "1", Doc: "selection seed"},
 		}, windowSpecs...),
-		Build: func(t *topo.Topology, p Params) ([]Event, error) {
-			k, err := intParam(p, "k", "1")
+		Build: func(t *topo.Topology, a spec.Args) ([]Event, error) {
+			k, err := a.Int64("k")
 			if err != nil {
 				return nil, err
 			}
-			seed, err := int64Param(p, "seed", "1")
+			seed, err := a.Int64("seed")
 			if err != nil {
 				return nil, err
 			}
-			start, end, err := window(p)
+			start, end, err := window(a)
 			if err != nil {
 				return nil, err
 			}
-			if k < 0 || k > t.N() {
+			if k < 0 || k > int64(t.N()) {
 				return nil, fmt.Errorf("fault: krouters k=%d out of range (topology has %d routers)", k, t.N())
 			}
 			perm := rand.New(rand.NewSource(seed)).Perm(t.N())
@@ -409,27 +329,26 @@ func Default() *Registry {
 			}
 			return events, nil
 		},
-	})
-	must(Entry{
+	}, {
 		Name: "randlinks",
 		Doc:  "every directed link fails independently with probability rate",
-		Params: append([]ParamSpec{
+		Params: append([]spec.ParamSpec{
 			{Name: "rate", Default: "0.05", Doc: "per-link failure probability in [0,1]"},
 			{Name: "seed", Default: "1", Doc: "selection seed (links drawn in dense link-ID order)"},
 		}, windowSpecs...),
-		Build: func(t *topo.Topology, p Params) ([]Event, error) {
-			rate, err := floatParam(p, "rate", "0.05")
+		Build: func(t *topo.Topology, a spec.Args) ([]Event, error) {
+			rate, err := a.Float("rate")
 			if err != nil {
 				return nil, err
 			}
-			if rate < 0 || rate > 1 {
+			if !(0 <= rate && rate <= 1) {
 				return nil, fmt.Errorf("fault: randlinks rate=%v outside [0,1]", rate)
 			}
-			seed, err := int64Param(p, "seed", "1")
+			seed, err := a.Int64("seed")
 			if err != nil {
 				return nil, err
 			}
-			start, end, err := window(p)
+			start, end, err := window(a)
 			if err != nil {
 				return nil, err
 			}
@@ -442,15 +361,14 @@ func Default() *Registry {
 			}
 			return events, nil
 		},
-	})
-	must(Entry{
+	}, {
 		Name: "list",
 		Doc:  "explicit event list, e.g. list:events=link=0>1@100-200+router=3@500",
-		Params: []ParamSpec{
+		Params: []spec.ParamSpec{
 			{Name: "events", Default: "", Doc: "'+'-separated events: link=A>B@start[-end] or router=R@start[-end] (required)"},
 		},
-		Build: func(t *topo.Topology, p Params) ([]Event, error) {
-			raw := param(p, "events", "")
+		Build: func(t *topo.Topology, a spec.Args) ([]Event, error) {
+			raw := a.String("events")
 			if raw == "" {
 				return nil, fmt.Errorf("fault: list schedule requires the events parameter")
 			}
@@ -464,8 +382,7 @@ func Default() *Registry {
 			}
 			return events, nil
 		},
-	})
-	return r
+	}}...)}
 }
 
 // parseEvent parses one "list" event item: "link=A>B@start[-end]" or
@@ -520,51 +437,9 @@ func parseEvent(item string) (Event, error) {
 	return ev, nil
 }
 
-// scheduleKeyEscaper keeps CanonicalScheduleKey injective, mirroring the
-// traffic pattern-key escaping: values containing ':' or '=' must not
-// render the same bytes as a differently-split parameter set.
-var scheduleKeyEscaper = strings.NewReplacer("%", "%25", ":", "%3A", "=", "%3D")
-
-// CanonicalScheduleKey renders a (name, params) pair as the canonical
-// "name:key=val:..." string with parameters in sorted key order (':',
-// '=' and '%' percent-escaped). It is the fault component of
-// content-addressed cache keys; the no-fault schedule uses the empty
-// string so healthy-network cell payloads are unchanged.
-func CanonicalScheduleKey(name string, p Params) string {
-	if len(p) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := name
-	for _, k := range keys {
-		out += ":" + scheduleKeyEscaper.Replace(k) + "=" + scheduleKeyEscaper.Replace(p[k])
-	}
-	return out
-}
-
 // ParseScheduleArg splits a command-line fault-schedule argument of the
 // form "name" or "name:key=val:key=val" (e.g. "klinks:k=2:seed=9",
 // "list:events=link=0>1@100-200+router=3@500").
 func ParseScheduleArg(arg string) (name string, params Params, err error) {
-	parts := strings.Split(arg, ":")
-	name = strings.TrimSpace(parts[0])
-	if name == "" {
-		return "", nil, fmt.Errorf("fault: empty schedule name in %q", arg)
-	}
-	if len(parts) == 1 {
-		return name, nil, nil
-	}
-	params = Params{}
-	for _, kv := range parts[1:] {
-		k, v, found := strings.Cut(kv, "=")
-		if !found || k == "" {
-			return "", nil, fmt.Errorf("fault: bad schedule parameter %q in %q (want key=val)", kv, arg)
-		}
-		params[k] = v
-	}
-	return name, params, nil
+	return specKind.Parse(arg)
 }

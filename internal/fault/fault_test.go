@@ -143,7 +143,8 @@ func TestBuildRejectsInvalid(t *testing.T) {
 		{"klinks", Params{"k": "9999"}},                // more than links
 		{"klinks", Params{"k": "1", "bogus": "1"}},     // unknown param
 		{"klinks", Params{"k": "1", "until": "10"}},    // until <= default at
-		{"nosuch", nil}, // unknown schedule
+		{"randlinks", Params{"rate": "nan"}},           // NaN fails the [0,1] check
+		{"nosuch", nil},                                // unknown schedule
 	}
 	for _, c := range cases {
 		if _, err := reg.Build(c.name, tp, c.p); err == nil {
@@ -196,31 +197,47 @@ func TestNoneHasEmptyKey(t *testing.T) {
 }
 
 func TestCanonicalScheduleKey(t *testing.T) {
-	k1 := CanonicalScheduleKey("klinks", Params{"seed": "9", "k": "2"})
-	k2 := CanonicalScheduleKey("klinks", Params{"k": "2", "seed": "9"})
+	k1 := ScheduleKey("klinks", Params{"seed": "9", "k": "2"})
+	k2 := ScheduleKey("klinks", Params{"k": "2", "seed": "9"})
 	if k1 != k2 || k1 != "klinks:k=2:seed=9" {
 		t.Fatalf("canonical keys %q / %q", k1, k2)
 	}
 	// Escaping keeps the key injective for hostile values.
-	esc := CanonicalScheduleKey("list", Params{"events": "link=0>1@5"})
+	esc := ScheduleKey("list", Params{"events": "link=0>1@5"})
 	if esc != "list:events=link%3D0>1@5" {
 		t.Fatalf("escaped key = %q", esc)
+	}
+	// Only the bare fault-free schedule keys as "".
+	if k := ScheduleKey("none", nil); k != "" {
+		t.Fatalf("bare none key = %q", k)
+	}
+	if k := ScheduleKey("none", Params{"x": "1"}); k != "none:x=1" {
+		t.Fatalf("parameterized none key = %q", k)
 	}
 }
 
 func TestParseScheduleArg(t *testing.T) {
-	name, p, err := ParseScheduleArg("klinks:k=2:seed=9")
-	if err != nil || name != "klinks" || !reflect.DeepEqual(p, Params{"k": "2", "seed": "9"}) {
-		t.Fatalf("ParseScheduleArg = %q %v %v", name, p, err)
-	}
-	name, p, err = ParseScheduleArg("list:events=link=0>1@100-200+router=3@500")
-	if err != nil || name != "list" || p["events"] != "link=0>1@100-200+router=3@500" {
-		t.Fatalf("ParseScheduleArg(list) = %q %v %v", name, p, err)
-	}
-	if _, _, err := ParseScheduleArg(""); err == nil {
-		t.Fatal("empty arg accepted")
-	}
-	if _, _, err := ParseScheduleArg("name:noequals"); err == nil {
-		t.Fatal("parameter without '=' accepted")
+	for _, c := range []struct {
+		arg    string
+		name   string
+		params Params
+		err    string
+	}{
+		{"klinks:k=2:seed=9", "klinks", Params{"k": "2", "seed": "9"}, ""},
+		{"list:events=link=0>1@100-200+router=3@500", "list", Params{"events": "link=0>1@100-200+router=3@500"}, ""},
+		{"none", "none", nil, ""},
+		{"", "", nil, `fault: empty schedule name in ""`},
+		{"name:noequals", "", nil, `fault: bad schedule parameter "noequals" in "name:noequals" (want key=val)`},
+	} {
+		name, p, err := ParseScheduleArg(c.arg)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%q: err %v, want %s", c.arg, err, c.err)
+			}
+			continue
+		}
+		if err != nil || name != c.name || !reflect.DeepEqual(p, c.params) {
+			t.Errorf("%q = %q %v %v, want %q %v", c.arg, name, p, err, c.name, c.params)
+		}
 	}
 }

@@ -75,8 +75,8 @@ func FuzzParseFaultSchedule(f *testing.F) {
 		if sched, err := reg.Build(name, tp, params); err == nil {
 			// Canonical keys of accepted schedules are stable under
 			// re-keying with the same params.
-			if sched.Key != "" && sched.Key != CanonicalScheduleKey(name, params) {
-				t.Fatalf("schedule key %q != canonical %q", sched.Key, CanonicalScheduleKey(name, params))
+			if sched.Key != ScheduleKey(name, params) {
+				t.Fatalf("schedule key %q != canonical %q", sched.Key, ScheduleKey(name, params))
 			}
 		}
 	})

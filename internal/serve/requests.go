@@ -524,12 +524,6 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The registry's trace entry would key cells by file name, not
-		// content, and open a path named in the request: Trace replaces
-		// it.
-		if name == "trace" {
-			return nil, fmt.Errorf("the trace pattern is not available in a job; use netbench -matrix -trace")
-		}
 		if _, err := reg.Build(name, env, params); err != nil {
 			return nil, err
 		}

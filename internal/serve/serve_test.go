@@ -295,7 +295,7 @@ var badRequests = []struct{ path, body string }{
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","fidelity":"warp"}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"200x200"}`},                              // router cap
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","synth_iterations":2000000}`},       // iteration cap
-	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["trace:file=/etc/x"]}`}, // trace is CLI-only
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["trace:file=/etc/x"]}`}, // no trace pattern
 	{"/v1/jobs", `{"kind":"synth","grid":"4x5","iterations":-1}`},                   // negative budget
 	{"/v1/jobs", `{"kind":"synth","grid":"4x5","energy_weight":-1}`},                // negative weight
 	{"/v1/jobs", `{"kind":"synth","grid":"4x5","radix":-2}`},                        // negative radix
@@ -306,6 +306,11 @@ var badRequests = []struct{ path, body string }{
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["klinks:k=abc"]}`},        // bad param
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["klinks:k=1","klinks:k=2","klinks:k=3","klinks:k=4","klinks:k=5","klinks:k=6","klinks:k=7","klinks:k=8","klinks:k=9","klinks:k=10","klinks:k=11","klinks:k=12","klinks:k=13","klinks:k=14","klinks:k=15","klinks:k=16","klinks:k=17"]}`}, // fault cap
 	{"/v1/jobs", `{"kind":"synth","priority":"high","grid":"4x5"}`},
+	// NaN parses as a float, so each range check must reject it.
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["hotspot:weight=nan"]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["bursty:ponoff=nan"]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["bursty:poffon=nan"]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["randlinks:rate=nan"]}`},
 	// Unified-endpoint rejections: missing/unknown kind, bad
 	// priority, out-of-range shards, typoed fields.
 	{"/v1/jobs", `{"grid":"4x5"}`},                                // missing kind

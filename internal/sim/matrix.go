@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"netsmith/internal/fault"
+	"netsmith/internal/spec"
 	"netsmith/internal/store"
 	"netsmith/internal/topo"
 	"netsmith/internal/traffic"
@@ -32,9 +33,9 @@ import (
 type PatternFactory struct {
 	Name string
 	// Key is the workload's canonical content key for the result store
-	// (traffic.CanonicalPatternKey form: name plus sorted, escaped
-	// parameters). Factories built by RegistryFactory always fill it;
-	// hand-built factories must set it before running with a Store —
+	// (spec.Key form: name plus sorted, escaped parameters). Factories
+	// built by RegistryFactory always fill it; hand-built factories
+	// must set it before running with a Store —
 	// RunMatrix refuses keyless factories there, because a Name-only
 	// fallback would let two differently-parameterized closures collide
 	// on the same cached cells.
@@ -52,7 +53,7 @@ type FaultFactory struct {
 	// Name labels the fault axis in curves and reports.
 	Name string
 	// Key is the schedule's canonical content key for the result store
-	// (fault.CanonicalScheduleKey form). Like PatternFactory.Key it must
+	// (fault.ScheduleKey form). Like PatternFactory.Key it must
 	// be non-empty for store-backed runs unless the built schedule is
 	// empty: a keyless lossy schedule would collide with fault-free
 	// cells in the cache.
@@ -61,43 +62,27 @@ type FaultFactory struct {
 }
 
 // FaultRegistryFactory adapts a fault-registry schedule spec to a
-// FaultFactory. The display name is the canonical key, so differently
-// parameterized instances of one builder stay distinguishable in the
-// matrix output.
+// FaultFactory. The display name is the canonical spec.Key, so
+// differently parameterized instances of one builder stay
+// distinguishable in the matrix output; the store key is
+// fault.ScheduleKey, empty for the bare "none".
 func FaultRegistryFactory(reg *fault.Registry, name string, params fault.Params) FaultFactory {
-	key := fault.CanonicalScheduleKey(name, params)
-	f := FaultFactory{
-		Name: key,
-		Key:  key,
+	return FaultFactory{
+		Name: spec.Key(name, params),
+		Key:  fault.ScheduleKey(name, params),
 		New: func(t *topo.Topology) (*fault.Schedule, error) {
 			return reg.Build(name, t, params)
 		},
 	}
-	if name == "none" && len(params) == 0 {
-		// Matches Registry.Build's convention: the bare fault-free
-		// schedule carries an empty key so its cells are cache-compatible
-		// with matrices that have no fault axis at all.
-		f.Key = ""
-	}
-	return f
 }
 
 // RegistryFactory adapts a traffic-registry pattern to a PatternFactory.
 func RegistryFactory(reg *traffic.Registry, name string, env traffic.Env, params traffic.Params) PatternFactory {
-	f := PatternFactory{
+	return PatternFactory{
 		Name: name,
-		Key:  traffic.CanonicalPatternKey(name, params),
+		Key:  spec.Key(name, params),
 		New:  func() (traffic.Pattern, error) { return reg.Build(name, env, params) },
 	}
-	// The registry's trace entry is keyed by its file PATH parameter,
-	// which is not a content address: the file can change under the
-	// same name and serve stale cells. Leave the Key empty so
-	// store-backed runs reject it (netbench -trace builds a
-	// content-hashed factory instead).
-	if name == "trace" {
-		f.Key = ""
-	}
-	return f
 }
 
 // MatrixConfig drives a scenario matrix run. Cells execute batched:
@@ -308,7 +293,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 			}
 			scheds[ti*nF+fi] = s
 			if mc.Store != nil && ff.Key == "" && !s.Empty() {
-				return nil, fmt.Errorf("sim: fault factory %q needs a content Key for store-backed runs (see fault.CanonicalScheduleKey) — a keyless lossy schedule would collide with fault-free cached cells", ff.Name)
+				return nil, fmt.Errorf("sim: fault factory %q needs a content Key for store-backed runs (see fault.ScheduleKey) — a keyless lossy schedule would collide with fault-free cached cells", ff.Name)
 			}
 		}
 	}
@@ -318,7 +303,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 	if mc.Store != nil {
 		for _, f := range mc.Patterns {
 			if f.Key == "" {
-				return nil, fmt.Errorf("sim: pattern factory %q needs a content Key for store-backed runs (file-path keys like the registry's trace entry are rejected — use netbench -trace, which hashes the trace bytes; see traffic.CanonicalPatternKey)", f.Name)
+				return nil, fmt.Errorf("sim: pattern factory %q needs a content Key for store-backed runs (RegistryFactory keys a registry pattern by spec.Key; a trace replay keys on a hash of its bytes)", f.Name)
 			}
 		}
 		fps = make([]string, nT)
@@ -402,7 +387,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 						errs[i] = err
 						continue
 					}
-					if hit && cached.fits(rates[ri]) {
+					if hit && cached.fits(rates[ri], mc.Base.CollectEnergy) {
 						points[i] = cellPoint(rates[ri], &cached)
 						have[i] = true
 						cacheHits.Add(1)
@@ -467,7 +452,7 @@ func RunMatrix(mc MatrixConfig) (*MatrixResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !hit || !cached.fits(rates[i%nR]) {
+			if !hit || !cached.fits(rates[i%nR], mc.Base.CollectEnergy) {
 				missing++
 				continue
 			}

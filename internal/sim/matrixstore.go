@@ -181,19 +181,24 @@ func cellKey(setupFP, patternKey, faultKey string, cfg Config) store.Key {
 
 // fits reports whether r, read back from a cell blob, can be the result
 // of a cell offered at rate: a finished run records that rate and no
-// negative field, and a stalled run is stored as the bare
-// Result{Stalled: true}. Anything else (a null or emptied value, another
-// cell's result, a negative count) is damage, so the cell is a miss.
-func (r *Result) fits(rate float64) bool {
+// negative field, and carries an energy report with no negative energy
+// exactly when the matrix collects energy; a stalled run is stored as
+// the bare Result{Stalled: true}. Anything else (a null or emptied
+// value, another cell's result, a negative count, a lost or damaged
+// energy report) is damage, so the cell is a miss.
+func (r *Result) fits(rate float64, energy bool) bool {
 	if r.Stalled {
 		return *r == (Result{Stalled: true})
 	}
-	for _, v := range [...]float64{r.AcceptedPerCycle, r.AcceptedPerNs,
+	if (r.Energy != nil) != energy || negative(r.AcceptedPerCycle, r.AcceptedPerNs,
 		r.AvgLatencyNs, r.AvgLatencyCycles, r.DeliveredFraction,
-		r.PreFaultAvgLatencyNs, r.PostFaultAvgLatencyNs} {
-		if v < 0 {
-			return false
-		}
+		r.PreFaultAvgLatencyNs, r.PostFaultAvgLatencyNs) {
+		return false
+	}
+	if e := r.Energy; e != nil && (negative(e.DurationNs, e.RouterDynPJ, e.WireDynPJ,
+		e.DynamicPJ, e.LeakagePJ, e.TotalPJ, e.AvgDynamicMW, e.AvgTotalMW) ||
+		negative(e.PerRouterPJ...) || negative(e.PerLinkPJ...)) {
+		return false
 	}
 	for _, v := range [...]int{r.Measured, r.Delivered, r.DroppedFlits, r.DroppedPackets,
 		r.RerouteEvents, r.UnreachablePairs, r.SkippedInjections} {
@@ -202,6 +207,16 @@ func (r *Result) fits(rate float64) bool {
 		}
 	}
 	return r.OfferedRate == rate
+}
+
+// negative reports whether any of vs is below zero.
+func negative(vs ...float64) bool {
+	for _, v := range vs {
+		if v < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // IncompleteError reports a sharded RunMatrix that computed and

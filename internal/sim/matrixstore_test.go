@@ -215,6 +215,12 @@ func TestMatrixDamagedCellRecomputes(t *testing.T) {
 	}
 	negative := intact
 	negative.AvgLatencyNs = -1
+	noEnergy := intact
+	noEnergy.Energy = nil
+	negativeEnergy := intact
+	energy := *intact.Energy
+	energy.DynamicPJ = -1
+	negativeEnergy.Energy = &energy
 
 	for _, tc := range []struct {
 		name  string
@@ -224,6 +230,8 @@ func TestMatrixDamagedCellRecomputes(t *testing.T) {
 		{"empty", json.RawMessage("{}")},
 		{"other-rate", low},
 		{"negative-latency", negative},
+		{"no-energy", noEnergy},
+		{"negative-energy", negativeEnergy},
 	} {
 		if err := st.Put(key, tc.value); err != nil {
 			t.Fatal(err)

@@ -28,7 +28,7 @@ func NewBursty(base Pattern, n int, pOnOff, pOffOn float64) (*Bursty, error) {
 	if base == nil {
 		return nil, fmt.Errorf("traffic: bursty needs a base pattern")
 	}
-	if pOnOff <= 0 || pOnOff > 1 || pOffOn <= 0 || pOffOn > 1 {
+	if !(0 < pOnOff && pOnOff <= 1 && 0 < pOffOn && pOffOn <= 1) {
 		return nil, fmt.Errorf("traffic: bursty transition probabilities (%g, %g) must be in (0,1]", pOnOff, pOffOn)
 	}
 	return &Bursty{Base: base, POnOff: pOnOff, POffOn: pOffOn, off: make([]bool, n)}, nil

@@ -181,7 +181,7 @@ func NewHotspot(n int, hot []int, weight float64) (*Hotspot, error) {
 		}
 		seen[h] = true
 	}
-	if weight < 0 || weight > 1 {
+	if !(0 <= weight && weight <= 1) {
 		return nil, fmt.Errorf("traffic: hotspot weight %g outside [0,1]", weight)
 	}
 	return &Hotspot{N: n, Hot: hot, Weight: weight}, nil

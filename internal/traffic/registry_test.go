@@ -2,17 +2,16 @@ package traffic
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"netsmith/internal/layout"
+	"netsmith/internal/spec"
 )
 
 func TestRegistryNames(t *testing.T) {
 	want := []string{"bitcomp", "bitrev", "bursty", "hotspot", "memory",
-		"shuffle", "tornado", "trace", "transpose", "uniform"}
+		"shuffle", "tornado", "transpose", "uniform"}
 	if got := Default().Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Names() = %v, want %v", got, want)
 	}
@@ -23,9 +22,6 @@ func TestRegistryBuildsAllParamFree(t *testing.T) {
 	reg := Default()
 	rng := rand.New(rand.NewSource(1))
 	for _, name := range reg.Names() {
-		if name == "trace" { // requires a file parameter
-			continue
-		}
 		p, err := reg.Build(name, env, nil)
 		if err != nil {
 			t.Fatalf("Build(%s): %v", name, err)
@@ -93,32 +89,6 @@ func TestRegistryMemoryControllers(t *testing.T) {
 	}
 }
 
-func TestRegistryTraceFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.csv")
-	recs := []TraceRecord{{Cycle: 0, Src: 1, Dst: 2, Flits: 9}}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTrace(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	env := GridEnv(layout.Grid4x5)
-	p, err := Default().Build("trace", env, Params{"file": path, "loop": "false"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	if dst, flits, ok := p.Inject(1, rng); !ok || dst != 2 || flits != 9 {
-		t.Errorf("trace replay = (%d,%d,%v)", dst, flits, ok)
-	}
-	if _, err := Default().Build("trace", env, nil); err == nil {
-		t.Error("trace without file accepted")
-	}
-}
-
 func TestRegistryErrors(t *testing.T) {
 	env := GridEnv(layout.Grid4x5)
 	reg := Default()
@@ -131,13 +101,26 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := reg.Build("hotspot", env, Params{"weight": "nan%"}); err == nil {
 		t.Error("malformed weight accepted")
 	}
+	// NaN parses as a float but must fail the range checks.
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"hotspot", Params{"weight": "nan"}},
+		{"bursty", Params{"ponoff": "nan"}},
+		{"bursty", Params{"poffon": "nan"}},
+	} {
+		if _, err := reg.Build(c.name, env, c.p); err == nil {
+			t.Errorf("%s %v accepted", c.name, c.p)
+		}
+	}
 	if _, err := reg.Build("bursty", env, Params{"base": "bursty"}); err == nil {
 		t.Error("self-referential bursty accepted")
 	}
 	if _, err := reg.Build("uniform", Env{N: 1}, nil); err != nil {
 		t.Error("uniform over one node should build (it just never injects)")
 	}
-	if err := reg.Register(Entry{Name: "uniform", Build: func(Env, Params) (Pattern, error) { return nil, nil }}); err == nil {
+	if err := reg.Register(Entry{Name: "uniform", Build: func(Env, spec.Args) (Pattern, error) { return nil, nil }}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 }
@@ -158,20 +141,26 @@ func TestRegistryHotspotParams(t *testing.T) {
 }
 
 func TestParsePatternArg(t *testing.T) {
-	name, params, err := ParsePatternArg("hotspot:weight=0.7:hot=0+19")
-	if err != nil || name != "hotspot" {
-		t.Fatalf("parse: %v name=%s", err, name)
-	}
-	if params["weight"] != "0.7" || params["hot"] != "0+19" {
-		t.Errorf("params = %v", params)
-	}
-	if name, params, err := ParsePatternArg("uniform"); err != nil || name != "uniform" || params != nil {
-		t.Errorf("bare name parse = %s %v %v", name, params, err)
-	}
-	if _, _, err := ParsePatternArg("hotspot:weight"); err == nil {
-		t.Error("missing value accepted")
-	}
-	if _, _, err := ParsePatternArg(""); err == nil {
-		t.Error("empty arg accepted")
+	for _, c := range []struct {
+		arg    string
+		name   string
+		params Params
+		err    string
+	}{
+		{"hotspot:weight=0.7:hot=0+19", "hotspot", Params{"weight": "0.7", "hot": "0+19"}, ""},
+		{"uniform", "uniform", nil, ""},
+		{"hotspot:weight", "", nil, `traffic: bad pattern parameter "weight" in "hotspot:weight" (want key=val)`},
+		{"", "", nil, `traffic: empty pattern name in ""`},
+	} {
+		name, p, err := ParsePatternArg(c.arg)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%q: err %v, want %s", c.arg, err, c.err)
+			}
+			continue
+		}
+		if err != nil || name != c.name || !reflect.DeepEqual(p, c.params) {
+			t.Errorf("%q = %q %v %v, want %q %v", c.arg, name, p, err, c.name, c.params)
+		}
 	}
 }

@@ -265,7 +265,8 @@ func ShuffleWeights(n int) [][]float64 { return traffic.Shuffle{N: n}.WeightMatr
 
 // PatternNames lists the workload registry's built-in traffic patterns
 // (uniform, shuffle, memory, transpose, bitcomp, bitrev, tornado,
-// hotspot, bursty, trace).
+// hotspot, bursty). Trace replay is not a registry pattern: it is
+// MatrixJob.Trace, keyed by the trace's content.
 func PatternNames() []string { return traffic.Default().Names() }
 
 // BuildPattern constructs a fresh instance of a registered pattern for a
@@ -300,8 +301,8 @@ func ParseFaultArg(arg string) (name string, params map[string]string, err error
 
 // FaultFactoryFor returns a RunMatrix fault-axis factory for a
 // registered schedule generator; the factory rebuilds the schedule per
-// topology, so link-count-relative generators (klinks, region) adapt to
-// each matrix topology.
+// topology, so generators that draw from the topology (klinks,
+// krouters, randlinks) adapt to each matrix topology.
 func FaultFactoryFor(name string, params map[string]string) FaultFactory {
 	return sim.FaultRegistryFactory(fault.Default(), name, fault.Params(params))
 }
