@@ -34,9 +34,10 @@ type (
 	// MatrixJobOutcome is a matrix job's payload: the matrix plus the
 	// simulated/cached cell split.
 	MatrixJobOutcome = serve.MatrixJobResult
-	// ParetoJob describes one Pareto-frontier sweep (POST /v1/pareto):
-	// synthesize a topology per weight-grid point, measure each, prune
-	// dominated points, report fleet-level energy accounting.
+	// ParetoJob describes one Pareto-frontier sweep ({"kind":"pareto"}
+	// on POST /v1/jobs): synthesize a topology per weight-grid point,
+	// measure each, prune dominated points, report fleet-level energy
+	// accounting.
 	ParetoJob = serve.ParetoRequest
 	// ParetoJobOutcome is a pareto job's payload: the frontier plus the
 	// run's synthesis/cell cache accounting.

@@ -2,7 +2,8 @@
 // scenario matrices over the pluggable workload registry. Each
 // experiment prints the same rows/series the paper reports; absolute
 // numbers differ from the authors' gem5 testbed but the comparative
-// shapes hold (see EXPERIMENTS.md).
+// shapes hold (Table II's paper_* columns, netbench -exp table2, set
+// the published values beside the reproduced ones).
 //
 // Usage:
 //

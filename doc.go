@@ -125,9 +125,8 @@
 //	})
 //
 // Client.Pareto runs the same sweep as a served job (in remote mode it
-// posts {"kind":"pareto",...} to /v1/jobs; POST /v1/pareto takes the
-// bare body too), shardable across cluster workers like a matrix;
-// netbench -pareto is the CLI front end.
+// posts {"kind":"pareto",...} to /v1/jobs), shardable across cluster
+// workers like a matrix; netbench -pareto is the CLI front end.
 //
 // # Full system
 //

@@ -15,7 +15,8 @@ import (
 // topologies within the link-length class for one matching the target
 // link count, diameter, average hops and bisection bandwidth. The
 // resulting frozen link lists stand in for the original designs in every
-// experiment; divergences are recorded in EXPERIMENTS.md.
+// experiment; Table II's paper_* columns (netbench -exp table2) show
+// where they diverge from the published metrics.
 type CalibrationSpec struct {
 	Name       string
 	Grid       *layout.Grid

@@ -8,7 +8,8 @@
 // metrics but not adjacency lists, so this package carries frozen link
 // lists calibrated to the published Table II metrics (#links, diameter,
 // average hops, bisection bandwidth); see calibrate.go and DESIGN.md for
-// the methodology, and EXPERIMENTS.md for achieved-vs-published numbers.
+// the methodology, and Table II's paper_* columns (netbench -exp table2)
+// for achieved-vs-published numbers.
 package expert
 
 import (

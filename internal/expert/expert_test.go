@@ -93,7 +93,8 @@ func TestFoldedTorus6x5(t *testing.T) {
 
 // Published Table II metrics with the tolerance our calibrated stand-ins
 // must meet. Bisection tolerances are wider where calibration could not
-// reach the published value (recorded in EXPERIMENTS.md).
+// reach the published value (Table II's paper_* columns, netbench -exp
+// table2, show both).
 func TestCalibratedBaselines20(t *testing.T) {
 	cases := []struct {
 		name    string

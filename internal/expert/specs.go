@@ -6,8 +6,8 @@ import "netsmith/internal/layout"
 // adjacency list is not published, keyed by the paper's Table II metrics
 // (20- and 30-router configurations) and, for the 48-router scalability
 // study, by extrapolated targets (the paper publishes no Table II row for
-// 48 routers; the targets extend the 20->30 trends and are marked as
-// approximations in EXPERIMENTS.md).
+// 48 routers; the targets extend the 20->30 trends and are
+// approximations).
 func Specs() []CalibrationSpec {
 	g20, g30, g48 := layout.Grid4x5, layout.Grid6x5, layout.Grid8x6
 	return []CalibrationSpec{

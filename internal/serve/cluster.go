@@ -45,7 +45,7 @@ type shardState struct {
 	worker  string
 	leaseID string
 	expires time.Time
-	created time.Time // when the slot became claimable (self-work grace anchor)
+	offered time.Time // when the slot became claimable (self-work grace anchor)
 	done    int       // progress units per the last heartbeat/completion
 }
 
@@ -164,7 +164,7 @@ func (s *Server) claimFromLocked(cr *clusterRun, worker string, now time.Time, m
 	}
 	for i := range cr.shards {
 		ss := &cr.shards[i]
-		eligible := (ss.state == shardPending && now.Sub(ss.created) >= minAge) ||
+		eligible := (ss.state == shardPending && now.Sub(ss.offered) >= minAge) ||
 			(ss.state == shardLeased && now.After(ss.expires))
 		if !eligible {
 			continue
@@ -387,7 +387,7 @@ func (s *Server) runShards(ctx context.Context, j *job, kind string, body []byte
 		finished: make(chan struct{}),
 	}
 	for i := range cr.shards {
-		cr.shards[i] = shardState{index: i, created: now}
+		cr.shards[i] = shardState{index: i, offered: now}
 	}
 	s.mu.Lock()
 	s.clusters[j.id] = cr

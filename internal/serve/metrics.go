@@ -43,7 +43,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.jobs {
 		byState[j.state]++
 	}
-	queued := s.queuedLocked()
+	queued := len(s.pending)
 	st := s.stats
 	accepted := make(map[string]int64, len(st.accepted))
 	for k, v := range st.accepted {

@@ -20,6 +20,9 @@ import (
 // two energy weights, tiny synthesis budget, smoke cycle budgets.
 const smokeParetoBody = `{"grid":"3x3","energy_weights":[0,1.5],"rates":[0.02,0.3],"fidelity":"smoke","seed":7,"synth_iterations":400}`
 
+// paretoJob tags a pareto request body as a POST /v1/jobs body.
+func paretoJob(body string) string { return `{"kind":"pareto",` + body[1:] }
+
 func decodePareto(t *testing.T, v JobView) ParetoJobResult {
 	t.Helper()
 	var r ParetoJobResult
@@ -29,15 +32,15 @@ func decodePareto(t *testing.T, v JobView) ParetoJobResult {
 	return r
 }
 
-// TestParetoJobLifecycle: POST /v1/pareto computes a frontier; the
-// identical repeat (via the tagged /v1/jobs form) is a cache hit with a
-// byte-identical frontier; and the served frontier matches the
-// in-process ExecutePareto path bit for bit.
+// TestParetoJobLifecycle: a pareto job computes a frontier; the
+// identical repeat is a cache hit with a byte-identical frontier; and
+// the served frontier matches the in-process ExecutePareto path bit for
+// bit.
 func TestParetoJobLifecycle(t *testing.T) {
 	s, ts := newTestServer(t)
-	code, j := postReq(t, ts.URL+"/v1/pareto", smokeParetoBody)
+	code, j := postReq(t, ts.URL+"/v1/jobs", paretoJob(smokeParetoBody))
 	if code != http.StatusAccepted {
-		t.Fatalf("POST /v1/pareto status %d", code)
+		t.Fatalf("POST /v1/jobs kind=pareto status %d", code)
 	}
 	if j.Kind != "pareto" {
 		t.Errorf("job kind %q, want pareto", j.Kind)
@@ -72,11 +75,11 @@ func TestParetoJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The tagged /v1/jobs form is the same job; the warm store answers
-	// it without recomputing, byte-identically.
-	code, j2 := postReq(t, ts.URL+"/v1/jobs", `{"kind":"pareto",`+smokeParetoBody[1:])
+	// The warm store answers the repeat without recomputing,
+	// byte-identically.
+	code, j2 := postReq(t, ts.URL+"/v1/jobs", paretoJob(smokeParetoBody))
 	if code != http.StatusAccepted {
-		t.Fatalf("POST /v1/jobs kind=pareto status %d", code)
+		t.Fatalf("repeat POST status %d", code)
 	}
 	v2 := pollDone(t, ts.URL, j2.ID)
 	if v2.State != StateDone || !v2.CacheHit {
@@ -157,7 +160,7 @@ func TestParetoJobLifecycle(t *testing.T) {
 // progress (total = 2 x points) and terminates on the terminal event.
 func TestParetoSSEProgress(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, j := postReq(t, ts.URL+"/v1/pareto", smokeParetoBody)
+	code, j := postReq(t, ts.URL+"/v1/jobs", paretoJob(smokeParetoBody))
 	if code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
 	}
@@ -207,7 +210,7 @@ func TestParetoCancelMidSweep(t *testing.T) {
 	s, ts := newTestServer(t)
 	// A wider, slower sweep so cancellation lands mid-run.
 	body := `{"grid":"4x4","energy_weights":[0,0.5,1,1.5,2,2.5],"rates":[0.02,0.3],"fidelity":"smoke","seed":7,"synth_iterations":6000}`
-	code, j := postReq(t, ts.URL+"/v1/pareto", body)
+	code, j := postReq(t, ts.URL+"/v1/jobs", paretoJob(body))
 	if code != http.StatusAccepted {
 		t.Fatalf("POST status %d", code)
 	}
@@ -239,7 +242,7 @@ func TestParetoCancelMidSweep(t *testing.T) {
 	}
 
 	// Resume: the identical request completes from the persisted points.
-	code, j2 := postReq(t, ts.URL+"/v1/pareto", body)
+	code, j2 := postReq(t, ts.URL+"/v1/jobs", paretoJob(body))
 	if code != http.StatusAccepted {
 		t.Fatalf("resume POST status %d", code)
 	}
@@ -354,7 +357,7 @@ func TestParetoRequestValidation(t *testing.T) {
 		"unknown field":     `{"grid":"3x3","bogus":1}`,
 		"negative shards":   `{"grid":"3x3","shards":-1}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/pareto", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(paretoJob(body)))
 		if err != nil {
 			t.Fatal(err)
 		}

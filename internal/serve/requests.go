@@ -112,8 +112,8 @@ func shardCount(asked, def, limit int) int {
 // ---- synth ----
 
 // SynthRequest is the body of a {"kind":"synth"} job; netsmith fills
-// one from its flags. Zero values select the paper defaults (radix 4,
-// asymmetric, fixed 60000x4 search budget).
+// one from its flags. Zero values select synth.Config's defaults: the
+// paper's radix 4, asymmetric links and a fixed search budget.
 type SynthRequest struct {
 	Grid         string  `json:"grid"`      // "RxC", e.g. "4x5"
 	Class        string  `json:"class"`     // small | medium | large
@@ -129,7 +129,7 @@ type SynthRequest struct {
 	Restarts     int     `json:"restarts,omitempty"`
 	// Population >= 2 selects population-mode synthesis (evolution over
 	// a pool of that many topologies); Generations is the number of
-	// evolution rounds (default 8). See synth.Config.
+	// evolution rounds. See synth.Config.
 	Population  int `json:"population,omitempty"`
 	Generations int `json:"generations,omitempty"`
 }
@@ -160,23 +160,10 @@ func (req *SynthRequest) plan() (*synthPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Iterations < 0 || req.Iterations > maxSynthIters {
-		return nil, fmt.Errorf("iterations %d outside [0, %d]", req.Iterations, maxSynthIters)
-	}
-	if req.Restarts < 0 || req.Restarts > maxSynthRestarts {
-		return nil, fmt.Errorf("restarts %d outside [0, %d]", req.Restarts, maxSynthRestarts)
-	}
-	if err := checkPopulation(req.Population, req.Generations, req.Iterations); err != nil {
-		return nil, err
-	}
 	// Statically invalid knobs must 400 at POST time, not fail the job
-	// after consuming a queue slot.
-	if req.Radix < 0 {
-		return nil, fmt.Errorf("negative radix %d", req.Radix)
-	}
-	if err := checkWeights(req.EnergyWeight, req.RobustWeight); err != nil {
-		return nil, err
-	}
+	// after consuming a queue slot. synth has no sign rule for the
+	// constraint bounds (zero or below means unconstrained), so serve
+	// keeps this one.
 	if req.MaxDiameter < 0 || req.MinCutBW < 0 {
 		return nil, fmt.Errorf("negative constraint bound")
 	}
@@ -202,6 +189,9 @@ func (req *SynthRequest) plan() (*synthPlan, error) {
 		cfg.Weights = traffic.Shuffle{N: g.N()}.WeightMatrix()
 	default:
 		return nil, fmt.Errorf("unknown objective %q (want latop, scop or shufopt)", req.Objective)
+	}
+	if err := checkBudget(cfg); err != nil {
+		return nil, err
 	}
 	return &synthPlan{cfg}, nil
 }
@@ -341,31 +331,31 @@ const (
 	maxGenerations   = 64
 )
 
-// checkPopulation validates population-mode knobs, including the total
-// annealing budget population * (1 + generations) * iterations — a
-// population job must not exceed what the restart caps already allow
-// (maxSynthIters * maxSynthRestarts steps).
-func checkPopulation(population, generations, iterations int) error {
-	if population < 0 || population == 1 || population > maxPopulation {
-		return fmt.Errorf("population %d outside {0, 2..%d}", population, maxPopulation)
+// checkBudget validates a synthesis config by synth's own rules
+// (Normalized: radix, weights, the budget's signs and the population
+// knobs) and then bounds the normalized budget by the server caps. The
+// caps hold before the total population budget, population * (1 +
+// generations) * iterations annealing steps, is formed, so it cannot
+// overflow; it must not exceed what the restart caps already allow.
+func checkBudget(cfg synth.Config) error {
+	n, err := cfg.Normalized()
+	if err != nil {
+		return err
 	}
-	if generations < 0 || generations > maxGenerations {
-		return fmt.Errorf("generations %d outside [0, %d]", generations, maxGenerations)
+	switch {
+	case n.Iterations > maxSynthIters:
+		return fmt.Errorf("iterations %d over cap %d", n.Iterations, maxSynthIters)
+	case n.Restarts > maxSynthRestarts:
+		return fmt.Errorf("restarts %d over cap %d", n.Restarts, maxSynthRestarts)
+	case n.Population > maxPopulation:
+		return fmt.Errorf("population %d over cap %d", n.Population, maxPopulation)
+	case n.Generations > maxGenerations:
+		return fmt.Errorf("generations %d over cap %d", n.Generations, maxGenerations)
 	}
-	if generations > 0 && population == 0 {
-		return fmt.Errorf("generations %d needs population >= 2", generations)
-	}
-	if population > 0 {
-		iters, gens := iterations, generations
-		if iters == 0 {
-			iters = 60000 // synth.Config default
-		}
-		if gens == 0 {
-			gens = 8 // synth.Config default
-		}
-		if total := int64(population) * int64(1+gens) * int64(iters); total > int64(maxSynthIters)*int64(maxSynthRestarts) {
-			return fmt.Errorf("population budget %d annealing steps over cap %d", total, int64(maxSynthIters)*int64(maxSynthRestarts))
-		}
+	// Without a population the product is 0.
+	steps := int64(n.Population) * int64(1+n.Generations) * int64(n.Iterations)
+	if limit := int64(maxSynthIters) * int64(maxSynthRestarts); steps > limit {
+		return fmt.Errorf("population budget %d annealing steps over cap %d", steps, limit)
 	}
 	return nil
 }
@@ -382,25 +372,14 @@ func parseBoundedGrid(s string) (*layout.Grid, error) {
 	return g, nil
 }
 
-// checkWeights rejects negative or non-finite synthesis objective
-// weights.
-func checkWeights(energy, robust float64) error {
-	for _, w := range []float64{energy, robust} {
-		if !(w >= 0) || math.IsInf(w, 0) {
-			return fmt.Errorf("energy_weight %v and robust_weight %v must be finite and non-negative", energy, robust)
-		}
-	}
-	return nil
-}
-
-// nsDefaults resolves the knobs of the synthesized "ns" topologies the
-// matrix and pareto plans share: the seed (omitted means 42; an
-// explicit 0 is honored) and the synthesis budget (omitted means 20000
-// annealing steps, or 80000 at full fidelity), then validates the
-// budget and the population knobs. They decide each ns topology, whose
-// fingerprint anchors its cells' store keys, so every front end must
-// resolve them here or stop sharing cells.
-func nsDefaults(seed *int64, fidelity string, iters, population, generations int) (int64, int, error) {
+// nsConfig builds the synthesis config of the "ns" topologies the
+// matrix and pareto plans share, with synth.MatrixNSConfig, and checks
+// it. An omitted seed means 42 (an explicit 0 is honored) and an
+// omitted budget 20000 annealing steps, or 80000 at full fidelity. The
+// config decides each ns topology, whose fingerprint anchors its cells'
+// store keys, so every front end must build it here or stop sharing
+// cells.
+func nsConfig(g *layout.Grid, cl layout.Class, energyWeight, robustWeight float64, seed *int64, fidelity string, iters, population, generations int) (synth.Config, error) {
 	s := int64(42)
 	if seed != nil {
 		s = *seed
@@ -411,10 +390,8 @@ func nsDefaults(seed *int64, fidelity string, iters, population, generations int
 			iters = 80000
 		}
 	}
-	if iters < 0 || iters > maxSynthIters {
-		return 0, 0, fmt.Errorf("synth_iterations %d outside [0, %d]", iters, maxSynthIters)
-	}
-	return s, iters, checkPopulation(population, generations, iters)
+	cfg := synth.MatrixNSConfig(g, cl, energyWeight, robustWeight, s, iters, population, generations)
+	return cfg, checkBudget(cfg)
 }
 
 // traceFactory replays the trace file at path as a matrix pattern. The
@@ -446,19 +423,14 @@ func traceFactory(path string, n int) (sim.PatternFactory, error) {
 
 // matrixPlan is the validated, executable form of a MatrixRequest.
 type matrixPlan struct {
-	grid        *layout.Grid
-	class       layout.Class
-	topos       []string
-	factories   []sim.PatternFactory
-	faults      []sim.FaultFactory
-	rates       []float64
-	base        sim.Config
-	seed        int64
-	ew          float64
-	rw          float64
-	synthIter   int
-	synthPop    int
-	synthGens   int
+	topos     []string
+	factories []sim.PatternFactory
+	faults    []sim.FaultFactory
+	rates     []float64
+	base      sim.Config
+	// ns is the "ns" topology's synthesis config; its grid, class and
+	// seed are the matrix's.
+	ns          synth.Config
 	shardsAsked int
 }
 
@@ -482,17 +454,11 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 		return nil, err
 	}
 	fidelity := defaultStr(req.Fidelity, sim.FidelityFast)
-	seed, synthIter, err := nsDefaults(req.Seed, fidelity, req.SynthIterations, req.SynthPopulation, req.SynthGenerations)
+	ns, err := nsConfig(g, cl, req.EnergyWeight, req.RobustWeight, req.Seed, fidelity, req.SynthIterations, req.SynthPopulation, req.SynthGenerations)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkWeights(req.EnergyWeight, req.RobustWeight); err != nil {
-		return nil, err
-	}
-	p := &matrixPlan{
-		grid: g, class: cl, seed: seed, ew: req.EnergyWeight, rw: req.RobustWeight,
-		synthIter: synthIter, synthPop: req.SynthPopulation, synthGens: req.SynthGenerations,
-	}
+	p := &matrixPlan{ns: ns}
 	topos := req.Topos
 	if len(topos) == 0 {
 		topos = []string{"mesh"}
@@ -596,14 +562,15 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 // synthAllCached reports whether every "ns" topology came from the
 // store.
 func (p *matrixPlan) run(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (res *sim.MatrixResult, synthAllCached bool, err error) {
-	setups, synthAllCached, err := exp.MatrixSetups(p.topos, p.grid, p.class, st, p.ew, p.rw, p.seed, p.synthIter, p.synthPop, p.synthGens)
+	ns := p.ns
+	setups, synthAllCached, err := exp.MatrixSetups(p.topos, ns.Grid, ns.Class, st, ns.EnergyWeight, ns.RobustWeight, ns.Seed, ns.Iterations, ns.Population, ns.Generations)
 	if err != nil {
 		return nil, false, err
 	}
 	res, err = sim.RunMatrix(sim.MatrixConfig{
 		Setups: setups, Patterns: p.factories, Faults: p.faults,
 		Rates: p.rates,
-		Base:  p.base, Seed: p.seed, Store: st,
+		Base:  p.base, Seed: ns.Seed, Store: st,
 		Shard: shard, Ctx: ctx, Progress: progress,
 	})
 	return res, synthAllCached, err
@@ -675,13 +642,12 @@ func ExecuteMatrix(ctx context.Context, st *store.Store, req MatrixRequest, sh s
 // |robust_weights|): each point is a full synthesis plus a matrix row.
 const maxParetoPoints = 64
 
-// ParetoRequest is the body of a {"kind":"pareto"} job (and of POST
-// /v1/pareto). It sweeps the synthesis weight grid, measures every
-// candidate, and returns the dominated-point-free frontier with
-// fleet-level energy accounting. Synthesis knobs default exactly like
-// matrix "ns" topologies (seed 42, 20000 iterations fast / 80000 full),
-// so a pareto sweep and a matrix run over the same store share
-// synthesis results and cells.
+// ParetoRequest is the body of a {"kind":"pareto"} job. It sweeps the
+// synthesis weight grid, measures every candidate, and returns the
+// dominated-point-free frontier with fleet-level energy accounting.
+// Synthesis knobs default exactly like matrix "ns" topologies (seed 42,
+// 20000 iterations fast / 80000 full), so a pareto sweep and a matrix
+// run over the same store share synthesis results and cells.
 type ParetoRequest struct {
 	Grid  string `json:"grid"`            // "RxC"
 	Class string `json:"class,omitempty"` // small | medium | large
@@ -735,7 +701,7 @@ func (req *ParetoRequest) plan() (*paretoPlan, error) {
 		return nil, err
 	}
 	fidelity := defaultStr(req.Fidelity, sim.FidelityFast)
-	seed, synthIter, err := nsDefaults(req.Seed, fidelity, req.SynthIterations, req.SynthPopulation, req.SynthGenerations)
+	base, err := nsConfig(g, cl, 0, 0, req.Seed, fidelity, req.SynthIterations, req.SynthPopulation, req.SynthGenerations)
 	if err != nil {
 		return nil, err
 	}
@@ -746,7 +712,7 @@ func (req *ParetoRequest) plan() (*paretoPlan, error) {
 		return nil, fmt.Errorf("shards %d outside [0, %d]", req.Shards, maxShards)
 	}
 	cfg := exp.ParetoConfig{
-		Base:          synth.MatrixNSConfig(g, cl, 0, 0, seed, synthIter, req.SynthPopulation, req.SynthGenerations),
+		Base:          base,
 		EnergyWeights: req.EnergyWeights,
 		RobustWeights: req.RobustWeights,
 		Rates:         req.Rates,
@@ -904,7 +870,9 @@ func splitJobBody(body []byte) (kind string, priority int, rest []byte, err erro
 }
 
 // handlePostJob is POST /v1/jobs: one tagged body for every kind in the
-// table — {"kind":K, "priority":N, ...kind-specific fields}.
+// table — {"kind":K, "priority":N, ...kind-specific fields}. The rest
+// is planned strictly through the kind table (typos fail loudly instead
+// of silently running a default job) and enqueued.
 func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r) {
 		return
@@ -914,34 +882,15 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	kind, priority, rest, err := splitJobBody(body)
+	var p plan
+	if err == nil {
+		p, err = decodeKind(kind, rest)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	s.accept(w, kind, rest, priority)
-}
-
-// handleParetoPost is POST /v1/pareto: the pareto request alone, at
-// priority 0.
-func (s *Server) handleParetoPost(w http.ResponseWriter, r *http.Request) {
-	if !s.allowClient(w, r) {
-		return
-	}
-	if body, ok := readBody(w, r); ok {
-		s.accept(w, "pareto", body, 0)
-	}
-}
-
-// accept plans a kind-specific request body through the kind table,
-// strictly (typos fail loudly instead of silently running a default
-// job), and enqueues it.
-func (s *Server) accept(w http.ResponseWriter, kind string, body []byte, priority int) {
-	p, err := decodeKind(kind, body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	j, qerr := s.submit(kind, body, p, priority)
+	j, qerr := s.submit(kind, rest, p, priority)
 	if qerr != nil {
 		writeAPIError(w, qerr)
 		return

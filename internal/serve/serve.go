@@ -15,7 +15,6 @@
 // The v1 job surface:
 //
 //	POST   /v1/jobs             tagged body {"kind":"synth"|"matrix"|"pareto",...}
-//	POST   /v1/pareto           Pareto-frontier sweep (the pareto body alone, priority 0)
 //	GET    /v1/jobs             list (pagination ?limit=&after=, ?state=)
 //	GET    /v1/jobs/{id}        poll one job
 //	DELETE /v1/jobs/{id}        cancel (stops a running matrix within a cell)
@@ -139,7 +138,6 @@ type job struct {
 	cacheHit bool
 	err      string
 	result   json.RawMessage
-	created  time.Time
 	started  time.Time
 	finished time.Time
 
@@ -149,7 +147,7 @@ type job struct {
 	cancelled bool // DELETE arrived (running jobs flip state on finish)
 	cancel    context.CancelFunc
 	ctx       context.Context
-	heapIdx   int // position in the pending heap; -1 once popped
+	heapIdx   int // position in the pending heap while queued
 	run       runFunc
 }
 
@@ -180,8 +178,9 @@ type JobView struct {
 	Result    json.RawMessage `json:"result,omitempty"`
 }
 
-// pendingHeap orders queued jobs by (priority desc, seq asc): higher
-// priority first, FIFO within a priority band.
+// pendingHeap holds exactly the queued jobs, ordered by (priority desc,
+// seq asc): higher priority first, FIFO within a priority band. A job
+// leaves it when a worker pops it or a DELETE cancels it.
 type pendingHeap []*job
 
 func (h pendingHeap) Len() int { return len(h) }
@@ -205,7 +204,6 @@ func (h *pendingHeap) Pop() any {
 	n := len(old)
 	j := old[n-1]
 	old[n-1] = nil
-	j.heapIdx = -1
 	*h = old[:n-1]
 	return j
 }
@@ -295,7 +293,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("POST /v1/pareto", s.handleParetoPost)
 	s.mux.HandleFunc("POST /v1/cluster/claim", s.handleClusterClaim)
 	s.mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
 	s.mux.HandleFunc("POST /v1/cluster/complete", s.handleClusterComplete)
@@ -331,13 +328,10 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.pending) > 0 {
-		j := heap.Pop(&s.pending).(*job)
-		if terminal(j.state) {
-			continue // cancelled while queued; already accounted
-		}
+	for _, j := range s.pending {
 		s.finishLocked(j, StateFailed, "server shut down before the job started")
 	}
+	s.pending = nil
 }
 
 // finishLocked moves a job into a terminal state. Caller holds s.mu.
@@ -357,47 +351,19 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for !s.closed && s.queuedLocked() == 0 {
+		for !s.closed && len(s.pending) == 0 {
 			s.cond.Wait()
 		}
 		if s.closed {
 			s.mu.Unlock()
 			return
 		}
-		j := s.popLocked()
-		if j == nil {
-			s.mu.Unlock()
-			continue
-		}
+		j := heap.Pop(&s.pending).(*job)
 		j.state = StateRunning
 		j.started = time.Now()
 		s.mu.Unlock()
 		s.execute(j)
 	}
-}
-
-// queuedLocked counts live (non-cancelled) queued jobs; cancelled jobs
-// linger in the heap until popped but consume no admission budget.
-func (s *Server) queuedLocked() int {
-	n := 0
-	for _, j := range s.pending {
-		if !terminal(j.state) {
-			n++
-		}
-	}
-	return n
-}
-
-// popLocked pops the highest-priority live queued job, discarding
-// entries cancelled while they waited.
-func (s *Server) popLocked() *job {
-	for len(s.pending) > 0 {
-		j := heap.Pop(&s.pending).(*job)
-		if !terminal(j.state) {
-			return j
-		}
-	}
-	return nil
 }
 
 func (s *Server) execute(j *job) {
@@ -443,7 +409,7 @@ func (s *Server) evictLocked() {
 	}
 	finished := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		if terminal(j.state) && j.heapIdx < 0 {
+		if terminal(j.state) {
 			finished = append(finished, j)
 		}
 	}
@@ -493,7 +459,7 @@ func (s *Server) enqueue(kind string, priority int, run runFunc) (*job, *apiErro
 		return nil, &apiError{status: http.StatusServiceUnavailable, code: "shutting_down", message: "server shutting down"}
 	}
 	s.evictLocked()
-	queued := s.queuedLocked()
+	queued := len(s.pending)
 	retry := 1 + queued/s.cfg.Workers
 	if queued >= s.cfg.QueueDepth {
 		s.stats.shedTotal++
@@ -516,8 +482,7 @@ func (s *Server) enqueue(kind string, priority int, run runFunc) (*job, *apiErro
 	j := &job{
 		id:   fmt.Sprintf("j%06d", s.nextID),
 		seq:  s.nextID,
-		kind: kind, priority: priority,
-		state: StateQueued, created: time.Now(),
+		kind: kind, priority: priority, state: StateQueued,
 		ctx: ctx, cancel: cancel,
 		run: run,
 	}
@@ -598,7 +563,7 @@ func writeAPIError(w http.ResponseWriter, e *apiError) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs, queued := len(s.jobs), s.queuedLocked()
+	jobs, queued := len(s.jobs), len(s.pending)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
@@ -639,7 +604,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.cancelled = true
+		heap.Remove(&s.pending, j.heapIdx)
 		s.stats.cancelledTotal++
 		s.finishLocked(j, StateCancelled, "cancelled before start")
 	case StateRunning:

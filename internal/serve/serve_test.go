@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -338,8 +339,8 @@ var badRequests = []struct{ path, body string }{
 	{"/v1/jobs", `{"kind":"synth","grid":"4x5"}{"grid":"4x5"}`},
 	{"/v1/jobs", `{"kind":7,"grid":"3x3"}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"}{"grid":"3x3"}`},
-	{"/v1/pareto", `{"grid":"3x3"} garbage`},
-	{"/v1/pareto", `{"grid":"3x3"}{"grid":"3x3"}`},
+	{"/v1/jobs", `{"kind":"pareto","grid":"3x3"} garbage`},
+	{"/v1/jobs", `{"kind":"pareto","grid":"3x3"}{"grid":"3x3"}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"} garbage`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"3x3"}{"kind":"matrix","grid":"3x3"}`},
 	// Grids whose router count overflows an int: N() reads 0 for the
@@ -375,17 +376,27 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("POST %s %s: error envelope %+v (decode err %v)", c.path, c.body, env, decErr)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/j999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || env.Error.Code != "not_found" {
-		t.Errorf("unknown job: status %d code %q, want 404 not_found", resp.StatusCode, env.Error.Code)
+	// 404s: an unknown job answers with the error envelope; POST
+	// /v1/pareto has no route (pareto jobs post {"kind":"pareto",...}
+	// to /v1/jobs), so the mux answers it.
+	for _, c := range []struct{ method, path, code string }{
+		{http.MethodGet, "/v1/jobs/j999999", "not_found"},
+		{http.MethodPost, "/v1/pareto", ""},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(`{"grid":"3x3"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		decErr := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || (c.code != "" && (decErr != nil || env.Error.Code != c.code)) {
+			t.Errorf("%s %s: status %d code %q, want 404 %s", c.method, c.path, resp.StatusCode, env.Error.Code, c.code)
+		}
 	}
 }
 
@@ -469,13 +480,95 @@ func TestMatrixSeedDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.seed != 42 {
-		t.Errorf("omitted seed = %d, want 42", p.seed)
+	if p.ns.Seed != 42 {
+		t.Errorf("omitted seed = %d, want 42", p.ns.Seed)
 	}
 	zero := int64(0)
 	req.Seed = &zero
-	if p, err = req.plan(); err != nil || p.seed != 0 {
-		t.Errorf("explicit zero seed = %d (err %v), want 0", p.seed, err)
+	if p, err = req.plan(); err != nil || p.ns.Seed != 0 {
+		t.Errorf("explicit zero seed = %d (err %v), want 0", p.ns.Seed, err)
+	}
+}
+
+// pinnedStoreKeys are the sorted store hashes TestStoreKeysPinned's
+// jobs write. A change here orphans every store filled by an earlier
+// build, so only a deliberate key change, with a store.SchemaVersion
+// bump, may update the list.
+var pinnedStoreKeys = []string{
+	"0d90100de7092043b91d7ca6ed1eb77edcb19dd8c5ceccea2292ebce3a41f772",
+	"2438ae66d7f46a1381d09f7945dbd4292d195ee0c5d04a22311c376a819f924f",
+	"2cc6baa597fe8c3240ad69bb142147571f2646a7895683b75e316a3cff2965fa",
+	"407dd0e1043d54b2904e2b5f412b72456afd0b2d54fd1c2b4da9ffc320beaf74",
+	"577e4472c817e1e0ba661088918febb028b60d113e85b3d5b81159df0634e06d",
+	"59a4f54e5b4c2be1dfc5968ee76cb1f04e4cc3cb941546035f61ed228b99c23c",
+	"75745ea2e86afe1032b110c2aabd8d422bd13b7ad67a526af3692f6cc5f9b822",
+	"9309f681815dc7c0e913ac60a21e9ee8610c2a70fd86300a8a8769c9aeea731a",
+	"984a647bd7e206eec6592f3933d2d068552f157ad6e55b787ed1133225fa94f9",
+	"b1bca2ecf3e668f8a1f83076835fd0ffaeac7cfc27192d64ffc31b5d21c26bef",
+	"c506874676fd3edc409cc441875a1bfa91f8b556935367263c09a2c86f1699d7",
+	"c7089ff4a5ef530e7c4d202e115d69bec91bfbdf38e084a9eacd5184158a7cd6",
+	"d592e74c47da8e1186a901cf51dfd7cdd0ff98f6508a4251d3bc88dd28865d64",
+	"e4533adc52360535687a37592c485e69b15388d1245a7290fd9fbd52b4cd7ab2",
+	"ea4e005ce7e58feab62a10745e8ca25eeb4808d5d9ac794fd0b4f5d11bdc4629",
+	"eac81689a537e09148c8d2370541193cb5c0981841b70f4208d75d8d87005843",
+	"f05878f99e983825c4e188d156f5c090f9522079e5cfd2a000ba1dc4453d514e",
+	"f1906e0b41d8f7543d1d350b5f3c08353efc37c092d8f2c269d3c3fea52fae3f",
+}
+
+// TestStoreKeysPinned runs fixed smoke jobs into an empty store and
+// pins every key they write: matrix cells with a fault schedule and
+// energy, a population-mode ns synthesis with its portfolio members,
+// and a pareto sweep with its frontier. The omitted matrix seed (42),
+// generation count (8) and pareto synthesis budget (20000) are part of
+// those keys, so a moved default or a reordered payload field fails
+// here instead of orphaning every existing store.
+func TestStoreKeysPinned(t *testing.T) {
+	ctx := context.Background()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExecuteMatrix(ctx, st, MatrixRequest{
+		Grid: "3x3", Topos: []string{"mesh", "ns"}, Rates: []float64{0.02, 0.1},
+		Fidelity: sim.FidelitySmoke, Energy: true, Faults: []string{"klinks:k=1:seed=1:at=150"},
+		SynthIterations: 100, SynthPopulation: 2,
+	}, sim.Shard{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(7)
+	if _, _, err := ExecutePareto(ctx, st, ParetoRequest{
+		Grid: "3x3", EnergyWeights: []float64{0, 1}, Rates: []float64{0.02, 0.1},
+		Fidelity: sim.FidelitySmoke, Seed: &seed,
+	}, sim.Shard{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Hashes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, h := range got {
+		b, err := os.ReadFile(filepath.Join(st.Dir(), "objects", h[:2], h+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blob struct {
+			Key struct {
+				Kind string `json:"kind"`
+			} `json:"key"`
+		}
+		if err := json.Unmarshal(b, &blob); err != nil {
+			t.Fatal(err)
+		}
+		kinds[blob.Key.Kind]++
+	}
+	for _, kind := range []string{"matrix-cell", "synth", "synth-member", "pareto"} {
+		if kinds[kind] == 0 {
+			t.Errorf("the jobs wrote no %s blob (kinds %v)", kind, kinds)
+		}
+	}
+	if !slices.Equal(got, pinnedStoreKeys) {
+		t.Errorf("store keys moved; got:\n%q", got)
 	}
 }
 

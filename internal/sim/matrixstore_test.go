@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -178,10 +180,32 @@ func storedCellKey(t *testing.T, mc MatrixConfig, pi, ri int) store.Key {
 	return cellKey(fp, mc.Patterns[pi].Key, "", cfg.normalized())
 }
 
+// copyBlob copies the whole stored blob of key from onto key to's path,
+// as a user copying store files around would.
+func copyBlob(t *testing.T, st *store.Store, from, to store.Key) error {
+	t.Helper()
+	path := func(k store.Key) string {
+		h, err := k.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(st.Dir(), "objects", h[:2], h+".json")
+	}
+	blob, err := os.ReadFile(path(from))
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path(to)), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(path(to), blob, 0o644)
+}
+
 // TestMatrixDamagedCellRecomputes: a cell blob that decodes but does not
-// fit its cell is a miss. The warm run recomputes exactly that cell,
-// overwrites it and emits the fresh run's bytes; a shard that does not
-// own the cell counts it as missing instead of serving it.
+// fit its cell, or that was written for another cell, is a miss. The
+// warm run recomputes exactly that cell, overwrites it and emits the
+// fresh run's bytes; a shard that does not own the cell counts it as
+// missing instead of serving it.
 func TestMatrixDamagedCellRecomputes(t *testing.T) {
 	mc := storeMatrix(t)
 	fresh, err := RunMatrix(mc)
@@ -202,8 +226,9 @@ func TestMatrixDamagedCellRecomputes(t *testing.T) {
 	if _, err := RunMatrix(mc); err != nil {
 		t.Fatal(err)
 	}
-	// uniform@0.1 is cell 1, which shard 0/2 does not own.
-	key, lowKey := storedCellKey(t, mc, 0, 1), storedCellKey(t, mc, 0, 0)
+	// uniform@0.1 is cell 1 and bursty@0.1 cell 3; shard 0/2 owns
+	// neither.
+	key, lowKey, burstyKey := storedCellKey(t, mc, 0, 1), storedCellKey(t, mc, 0, 0), storedCellKey(t, mc, 1, 1)
 	var intact, low Result
 	for _, c := range []struct {
 		k   store.Key
@@ -222,18 +247,23 @@ func TestMatrixDamagedCellRecomputes(t *testing.T) {
 	energy.DynamicPJ = -1
 	negativeEnergy.Energy = &energy
 
+	put := func(v any) func() error { return func() error { return st.Put(key, v) } }
 	for _, tc := range []struct {
-		name  string
-		value any
+		name   string
+		damage func() error
 	}{
-		{"null", json.RawMessage("null")},
-		{"empty", json.RawMessage("{}")},
-		{"other-rate", low},
-		{"negative-latency", negative},
-		{"no-energy", noEnergy},
-		{"negative-energy", negativeEnergy},
+		{"null", put(json.RawMessage("null"))},
+		{"empty", put(json.RawMessage("{}"))},
+		{"other-rate", put(low)},
+		{"negative-latency", put(negative)},
+		{"no-energy", put(noEnergy)},
+		{"negative-energy", put(negativeEnergy)},
+		// uniform@0.1's whole blob on bursty@0.1's path: its value fits
+		// that cell's rate and energy setting, so only the key it
+		// records tells it apart.
+		{"copied-blob", func() error { return copyBlob(t, st, key, burstyKey) }},
 	} {
-		if err := st.Put(key, tc.value); err != nil {
+		if err := tc.damage(); err != nil {
 			t.Fatal(err)
 		}
 		shard := mc

@@ -21,6 +21,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -55,12 +56,18 @@ func NewKey(kind string, payload any) Key {
 
 // Hash returns the hex SHA-256 of the key's canonical JSON encoding.
 func (k Key) Hash() (string, error) {
+	_, hash, err := k.encode()
+	return hash, err
+}
+
+// encode returns the key's canonical JSON encoding and its hex SHA-256.
+func (k Key) encode() ([]byte, string, error) {
 	b, err := json.Marshal(k)
 	if err != nil {
-		return "", fmt.Errorf("store: marshal key: %w", err)
+		return nil, "", fmt.Errorf("store: marshal key: %w", err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return b, hex.EncodeToString(sum[:]), nil
 }
 
 // Store is a content-addressed cache rooted at a directory. It is safe
@@ -84,10 +91,11 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// entry is the on-disk blob format: the full key is stored alongside
-// the value so blobs are self-describing and auditable.
+// entry is the on-disk blob format: the key's canonical encoding is
+// stored alongside the value, so blobs are self-describing and
+// auditable, and a read can tell whether a blob is the one it asked for.
 type entry struct {
-	Key   Key             `json:"key"`
+	Key   json.RawMessage `json:"key"`
 	Value json.RawMessage `json:"value"`
 }
 
@@ -97,9 +105,11 @@ func (s *Store) objectPath(hash string) string {
 
 // Get looks the key up and, on a hit, unmarshals the stored value into
 // out (a pointer). A missing or unreadable blob is a miss, not an
-// error: the caller recomputes and overwrites.
+// error: the caller recomputes and overwrites. So is a blob recorded
+// under any other key (one copied onto this key's path): a hit's
+// recorded key bytes equal the encoding Hash digests and Put writes.
 func (s *Store) Get(k Key, out any) (bool, error) {
-	hash, err := k.Hash()
+	kb, hash, err := k.encode()
 	if err != nil {
 		return false, err
 	}
@@ -111,7 +121,7 @@ func (s *Store) Get(k Key, out any) (bool, error) {
 	if err := json.Unmarshal(b, &e); err != nil {
 		return false, nil // corrupt blob: treat as miss, Put will rewrite
 	}
-	if e.Key.Kind != k.Kind || e.Key.Schema != k.Schema {
+	if !bytes.Equal(e.Key, kb) {
 		return false, nil
 	}
 	if err := json.Unmarshal(e.Value, out); err != nil {
@@ -124,7 +134,7 @@ func (s *Store) Get(k Key, out any) (bool, error) {
 // existing key is a no-op rewrite of identical bytes (content
 // addressing: same key, same deterministic value).
 func (s *Store) Put(k Key, v any) error {
-	hash, err := k.Hash()
+	kb, hash, err := k.encode()
 	if err != nil {
 		return err
 	}
@@ -132,7 +142,7 @@ func (s *Store) Put(k Key, v any) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal value: %w", err)
 	}
-	blob, err := json.Marshal(entry{Key: k, Value: val})
+	blob, err := json.Marshal(entry{Key: kb, Value: val})
 	if err != nil {
 		return fmt.Errorf("store: marshal entry: %w", err)
 	}

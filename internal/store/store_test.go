@@ -89,6 +89,41 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 	}
 }
 
+// TestCopiedBlobIsMiss: a blob is a hit only under the key it records.
+// A whole blob copied onto another key's path decodes, and its value
+// fits that key's type, so only the recorded key can tell it apart.
+func TestCopiedBlobIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := NewKey("cell", payload{Name: "uniform"}), NewKey("cell", payload{Name: "bursty"})
+	if err := s.Put(from, value{Latency: 7}); err != nil {
+		t.Fatal(err)
+	}
+	fromHash, _ := from.Hash()
+	toHash, _ := to.Hash()
+	blob, err := os.ReadFile(filepath.Join(dir, "objects", fromHash[:2], fromHash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	toPath := filepath.Join(dir, "objects", toHash[:2], toHash+".json")
+	if err := os.MkdirAll(filepath.Dir(toPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(toPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got value
+	if hit, err := s.Get(to, &got); err != nil || hit {
+		t.Fatalf("copied blob: hit=%v err=%v, want a miss", hit, err)
+	}
+	if hit, err := s.Get(from, &got); err != nil || !hit || got.Latency != 7 {
+		t.Fatalf("original blob: hit=%v err=%v got=%+v", hit, err, got)
+	}
+}
+
 func TestCorruptBlobIsMissAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -118,25 +118,56 @@ func TestCachedGeneratePopulationKeySensitivity(t *testing.T) {
 }
 
 // TestCorruptBlobIsMiss: a stored result whose topology is missing or
-// is not on the config's grid and class reads as absent, and
-// CachedGenerate recomputes it and overwrites the blob.
+// is not on the config's grid and class reads as absent, and so does
+// another seed's whole blob copied onto the config's path.
+// CachedGenerate recomputes the config's own topology and overwrites
+// the blob.
 func TestCorruptBlobIsMiss(t *testing.T) {
 	cfg := smallCfg()
 	key, err := cfg.cacheKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, value := range map[string]string{
-		"null topology": `{"topology":null}`,
-		"no topology":   `{"objective":1}`,
-		"other grid":    `{"topology":{"name":"x","rows":3,"cols":3,"class":"medium","links":[[0,1]]}}`,
-		"other class":   `{"topology":{"name":"x","rows":4,"cols":5,"class":"large","links":[[0,1]]}}`,
+	fresh, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(value string) func(*store.Store) error {
+		return func(st *store.Store) error { return st.Put(key, json.RawMessage(value)) }
+	}
+	for name, damage := range map[string]func(*store.Store) error{
+		"null topology": put(`{"topology":null}`),
+		"no topology":   put(`{"objective":1}`),
+		"other grid":    put(`{"topology":{"name":"x","rows":3,"cols":3,"class":"medium","links":[[0,1]]}}`),
+		"other class":   put(`{"topology":{"name":"x","rows":4,"cols":5,"class":"large","links":[[0,1]]}}`),
+		// Its topology is on the config's grid and class, so only the
+		// key the blob records tells it apart.
+		"other seed's blob": func(st *store.Store) error {
+			other := cfg
+			other.Seed--
+			if _, _, err := CachedGenerate(st, other); err != nil {
+				return err
+			}
+			otherKey, err := other.cacheKey()
+			if err != nil {
+				return err
+			}
+			blob, err := os.ReadFile(blobPath(t, st, otherKey))
+			if err != nil {
+				return err
+			}
+			path := blobPath(t, st, key)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(path, blob, 0o644)
+		},
 	} {
 		st, err := store.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Put(key, json.RawMessage(value)); err != nil {
+		if err := damage(st); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := Probe(st, cfg); ok {
@@ -146,16 +177,30 @@ func TestCorruptBlobIsMiss(t *testing.T) {
 		if err != nil || hit || res.Topology == nil {
 			t.Fatalf("%s: CachedGenerate hit=%v err=%v", name, hit, err)
 		}
+		if res.Topology.CanonicalLinkList() != fresh.Topology.CanonicalLinkList() {
+			t.Errorf("%s: the recomputed topology differs from a fresh run's", name)
+		}
 		if again, ok := Probe(st, cfg); !ok || again.Topology.CanonicalLinkList() != res.Topology.CanonicalLinkList() {
 			t.Errorf("%s: the recomputed result did not overwrite the blob", name)
 		}
 	}
 }
 
+// blobPath is the file the store keeps key's blob in.
+func blobPath(t *testing.T, st *store.Store, key store.Key) string {
+	t.Helper()
+	hash, err := key.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(st.Dir(), "objects", hash[:2], hash+".json")
+}
+
 // FuzzSynthCacheBlob writes arbitrary bytes as the stored object of the
 // matrix front ends' NS config and reads it through Probe. The blob may
 // miss but must never panic, and a hit must carry a topology on the
-// config's grid and class.
+// config's grid and class. exp's FuzzStoreBlob, which CI fuzzes, holds
+// the same seeds and check next to the other store key kinds.
 func FuzzSynthCacheBlob(f *testing.F) {
 	cfg := MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 11, 20000, 0, 0)
 	key, err := cfg.cacheKey()
