@@ -175,6 +175,20 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// CopyFrom makes g an exact copy of src, link order included, reusing
+// g's buffers. Both graphs must have the same node count.
+func (g *Graph) CopyFrom(src *Graph) {
+	if g.n != src.n {
+		panic(fmt.Sprintf("bitgraph: CopyFrom of a %d-node graph into a %d-node one", src.n, g.n))
+	}
+	copy(g.out, src.out)
+	copy(g.in, src.in)
+	copy(g.OutDeg, src.OutDeg)
+	copy(g.InDeg, src.InDeg)
+	copy(g.linkIndex, src.linkIndex)
+	g.linkList = append(g.linkList[:0], src.linkList...)
+}
+
 // HopStats runs one bitmask BFS per source and returns the total hop
 // count over reachable ordered pairs, the number of unreachable ordered
 // pairs and the diameter over reachable pairs.

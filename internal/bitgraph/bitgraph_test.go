@@ -3,6 +3,7 @@ package bitgraph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +157,27 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Remove(0, 1)
 	if !g.Has(0, 1) || g.Has(1, 2) {
 		t.Fatal("clone shares state")
+	}
+	// CopyFrom into a graph with other links must leave exactly g's
+	// links, in g's order, and share nothing with g.
+	g.Add(3, 0)
+	g.Add(2, 0)
+	d := New(4)
+	d.Add(2, 3)
+	d.Add(3, 0)
+	d.CopyFrom(g)
+	if got, want := d.Links(), g.Links(); !slices.Equal(got, want) {
+		t.Fatalf("CopyFrom links %v, want %v", got, want)
+	}
+	if d.Has(2, 3) || d.OutDeg[2] != 1 || d.InDeg[3] != 0 || d.InDeg[0] != 2 {
+		t.Fatal("CopyFrom kept the old links' state")
+	}
+	d.Remove(3, 0)
+	if !g.Has(3, 0) {
+		t.Fatal("CopyFrom shares state")
+	}
+	if d.Add(1, 3); !slices.Equal(d.Links(), []Link{{0, 1}, {2, 0}, {1, 3}}) {
+		t.Fatalf("CopyFrom left a stale link index: links %v", d.Links())
 	}
 }
 

@@ -53,6 +53,12 @@ type Eval struct {
 	srcWUnreach []int32
 	wTotal      float64
 	wUnreach    int
+	// Fast mode with weights: wSupport[s] is the mask of vertices v != s
+	// with w[s][v] != 0, and wDelta the sources whose srcWTotal was last
+	// moved by repairAddFast's deltas rather than re-summed by
+	// reweighRow (see reweighChanged).
+	wSupport []uint64
+	wDelta   uint64
 
 	cuts []evalCut
 
@@ -128,6 +134,7 @@ type rowSave struct {
 	unreach  int32
 	wTotal   float64
 	wUnreach int32
+	wDelta   bool
 }
 
 // NewEval builds an evaluator over g with an optional demand matrix
@@ -168,6 +175,16 @@ func NewEval(g *Graph, weights [][]float64) *Eval {
 		e.fastT = true
 		e.T = make([]uint64, n*(n+1))
 		e.reach = make([]uint64, n)
+		if weights != nil {
+			e.wSupport = make([]uint64, n)
+			for s := 0; s < n; s++ {
+				for v, w := range weights[s] {
+					if v != s && w != 0 {
+						e.wSupport[s] |= 1 << uint(v)
+					}
+				}
+			}
+		}
 		for s := 0; s < n; s++ {
 			bit := uint64(1) << uint(s)
 			for v := 0; v < n; v++ {
@@ -236,10 +253,11 @@ func (e *Eval) flush() {
 			// link's head, falling back to a BFS when it grows large.
 			for ; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
-				if !e.repairRemoveFast(s, e.remB) {
-					e.recomputeFast(s)
+				changed, ok := e.repairRemoveFast(s, e.remB)
+				if !ok {
+					changed = e.recomputeFast(s)
 				}
-				e.reweighRow(s)
+				e.reweighChanged(s, changed)
 			}
 			return
 		}
@@ -550,6 +568,11 @@ func (e *Eval) Rollback() {
 		if e.w != nil {
 			e.srcWTotal[r.src] = r.wTotal
 			e.srcWUnreach[r.src] = r.wUnreach
+			if bit := uint64(1) << uint(r.src); r.wDelta {
+				e.wDelta |= bit
+			} else {
+				e.wDelta &^= bit
+			}
 		}
 		e.rowPool = append(e.rowPool, r.row)
 		r.row = nil
@@ -659,29 +682,7 @@ func (e *Eval) Remove(a, b int) {
 	}
 	n := e.n
 	if e.fastT {
-		// Level-mask form: candidates at level d are sources with
-		// dist(.,a)==d and dist(.,b)==d+1; each alternative predecessor
-		// of b clears the candidates it covers at level d.
-		stride := n + 1
-		ta := e.T[a*stride : a*stride+stride]
-		tb := e.T[b*stride : b*stride+stride]
-		pm := e.g.in[b] &^ (1 << uint(a)) // w==1 in fast mode
-		var dirty, seen uint64
-		reachA := e.reach[a]
-		for d := 0; seen != reachA; d++ {
-			la := ta[d]
-			seen |= la
-			cand := la & tb[d+1]
-			if cand != 0 {
-				pp := pm
-				for pp != 0 && cand != 0 {
-					p := bits.TrailingZeros64(pp)
-					pp &= pp - 1
-					cand &^= e.T[p*stride+d]
-				}
-				dirty |= cand
-			}
-		}
+		dirty := e.removeDirtyFast(a, b)
 		e.singleRem = e.pendMask == 0
 		e.remB = b
 		e.pendMask |= dirty
@@ -722,6 +723,35 @@ func (e *Eval) Remove(a, b int) {
 	if e.inTxn {
 		e.ops = append(e.ops, linkOp{a, b, false})
 	}
+}
+
+// removeDirtyFast is Remove's dirty rule in level-mask form, for
+// single-word graphs: candidates at level d are the sources with
+// dist(.,a)==d and dist(.,b)==d+1, and each alternative predecessor of
+// b clears the candidates it covers at level d. Remove, PeekRemove and
+// PeekRemoveWeighted all detect through it.
+func (e *Eval) removeDirtyFast(a, b int) uint64 {
+	stride := e.n + 1
+	ta := e.T[a*stride : a*stride+stride]
+	tb := e.T[b*stride : b*stride+stride]
+	pm := e.g.in[b] &^ (1 << uint(a)) // w==1 in fast mode
+	var dirty, seen uint64
+	reachA := e.reach[a]
+	for d := 0; seen != reachA; d++ {
+		la := ta[d]
+		seen |= la
+		cand := la & tb[d+1]
+		if cand != 0 {
+			pp := pm
+			for pp != 0 && cand != 0 {
+				p := bits.TrailingZeros64(pp)
+				pp &= pp - 1
+				cand &^= e.T[p*stride+d]
+			}
+			dirty |= cand
+		}
+	}
+	return dirty
 }
 
 // repairAddFast patches source s's row after inserting a->b, where
@@ -802,6 +832,9 @@ func (e *Eval) repairAddFast(s, a, b int) {
 		e.srcWUnreach[s] += wUnreach
 		e.wTotal += wTot
 		e.wUnreach += int(wUnreach)
+		if changed&e.wSupport[s] != 0 {
+			e.wDelta |= bit
+		}
 	}
 	if e.trackDiameter {
 		for e.maxDist > 0 && e.histo[e.maxDist] == 0 {
@@ -815,25 +848,29 @@ func (e *Eval) repairAddFast(s, a, b int) {
 // vertex anyway.
 const maxAffectedRepair = 10
 
-// repairRemoveFast patches source s's row after a removal whose head is
-// b, for a source whose only shortest support of b was the removed
-// link. Phase 1 walks the shortest-path DAG forward from b collecting
-// the affected vertices (those left with no unaffected equal-level
-// predecessor); phase 2 re-levels exactly that set. Returns false when
-// the affected region exceeds maxAffectedRepair. Fast mode without
-// diameter tracking only (callers re-sum weighted rows with reweighRow);
-// rows must be exact for the pre-removal graph.
-func (e *Eval) repairRemoveFast(s, b int) bool {
-	n := e.n
-	row := e.dist[s*n : (s+1)*n]
+// affectedFast is phase 1 of repairRemoveFast: for a source s whose
+// only shortest support of b was a removed link into b, it walks s's
+// shortest-path DAG forward from b and returns the affected vertices
+// at distance at most depth from s, those left with no unaffected
+// equal-level predecessor; exactly their distances from s grow. The
+// walk visits levels in order, so every affected predecessor of a
+// vertex is marked before the vertex is tested. It gives up, returning
+// ok false, once more than limit vertices are affected. The removed
+// link itself is never examined, so the walk gives the same set before
+// the removal as after it. Fast mode only; s's row must be exact for
+// the pre-removal graph.
+func (e *Eval) affectedFast(s, b, limit int, depth int16) (aff uint64, ok bool) {
+	row := e.dist[s*e.n : (s+1)*e.n]
 	out, in := e.g.out, e.g.in
-	db := row[b]
-	aff := uint64(1) << uint(b)
+	aff = uint64(1) << uint(b)
 	count := 1
 	wave := append(e.wave[:0], int32(b))
 	for head := 0; head < len(wave); head++ {
 		v := int(wave[head])
 		dv1 := row[v] + 1
+		if dv1 > depth {
+			break
+		}
 		m := out[v]
 		for m != 0 {
 			u := bits.TrailingZeros64(m)
@@ -856,22 +893,41 @@ func (e *Eval) repairRemoveFast(s, b int) bool {
 			if !alt {
 				aff |= 1 << uint(u)
 				count++
-				if count > maxAffectedRepair {
+				if count > limit {
 					e.wave = wave[:0]
-					return false
+					return aff, false
 				}
 				wave = append(wave, int32(u))
 			}
 		}
 	}
 	e.wave = wave[:0]
+	return aff, true
+}
+
+// repairRemoveFast patches source s's row after a removal whose head is
+// b, for a source whose only shortest support of b was the removed
+// link: phase 1 (affectedFast) collects the affected vertices and phase
+// 2 re-levels exactly that set. It returns the changed-vertex mask, or
+// ok false when the affected region exceeds maxAffectedRepair. Fast
+// mode without diameter tracking only (callers re-sum weighted rows
+// through reweighChanged); rows must be exact for the pre-removal
+// graph.
+func (e *Eval) repairRemoveFast(s, b int) (changed uint64, ok bool) {
+	aff, ok := e.affectedFast(s, b, maxAffectedRepair, math.MaxInt16)
+	if !ok {
+		return 0, false
+	}
+	n := e.n
+	row := e.dist[s*n : (s+1)*n]
+	in := e.g.in
+	db := row[b]
 	e.journalRow(s)
 	// Phase 2: distances of affected vertices strictly grow, so
 	// re-level upward from b's old distance; a vertex settles at d once
 	// a settled or never-affected predecessor sits at d-1.
 	bit := uint64(1) << uint(s)
 	stride := n + 1
-	var changed uint64
 	var dTot int64
 	var dUnreach int32
 	rem := aff
@@ -935,7 +991,7 @@ func (e *Eval) repairRemoveFast(s, b int) bool {
 	e.srcUnreach[s] += dUnreach
 	e.total += dTot
 	e.unreachable += int(dUnreach)
-	return true
+	return changed, true
 }
 
 // PeekRemove returns the number of sources whose distance rows would
@@ -947,30 +1003,10 @@ func (e *Eval) PeekRemove(a, b int) int {
 		return 0
 	}
 	e.flush()
-	n := e.n
 	if e.fastT {
-		stride := n + 1
-		ta := e.T[a*stride : a*stride+stride]
-		tb := e.T[b*stride : b*stride+stride]
-		pm := e.g.in[b] &^ (1 << uint(a))
-		var dirty, seen uint64
-		reachA := e.reach[a]
-		for d := 0; seen != reachA; d++ {
-			la := ta[d]
-			seen |= la
-			cand := la & tb[d+1]
-			if cand != 0 {
-				pp := pm
-				for pp != 0 && cand != 0 {
-					p := bits.TrailingZeros64(pp)
-					pp &= pp - 1
-					cand &^= e.T[p*stride+d]
-				}
-				dirty |= cand
-			}
-		}
-		return bits.OnesCount64(dirty)
+		return bits.OnesCount64(e.removeDirtyFast(a, b))
 	}
+	n := e.n
 	e.preds = e.preds[:0]
 	e.g.InRow(b).ForEach(func(p int) {
 		if p != a {
@@ -996,6 +1032,54 @@ func (e *Eval) PeekRemove(a, b int) int {
 		}
 	}
 	return count
+}
+
+// PeekRemoveWeighted returns PeekRemove's count for link a->b together
+// with a lower bound on the rise of wTotal + lostPair*wUnreach (the two
+// values of WeightedTotal, with each weighted pair the removal
+// disconnects priced at lostPair), without mutating any state. The
+// bound sums w[s][v] over every dirty source s and every target v with
+// w[s][v] > 0 whose distance from s grows (affectedFast's set, walked
+// only as deep as s's deepest target). Such a pair adds at least one
+// hop, w, to the weighted total, or, if it is lost, lostPair minus the
+// w*dist(s,v) it leaves; that is at least w unless w*(dist(s,v)+1) >
+// lostPair. ok is false, and there is no bound, when some such target
+// passes that limit, and on graphs of more than MaxFastNodes nodes or
+// without weights. Weights must be non-negative.
+func (e *Eval) PeekRemoveWeighted(a, b int, lostPair float64) (dirty int, bound float64, ok bool) {
+	if a == b || !e.g.Has(a, b) {
+		return 0, 0, true
+	}
+	if !e.fastT || e.w == nil {
+		return e.PeekRemove(a, b), 0, false
+	}
+	e.flush()
+	m := e.removeDirtyFast(a, b)
+	dirty = bits.OnesCount64(m)
+	n := e.n
+	for ; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		row, ws := e.dist[s*n:(s+1)*n], e.w[s]
+		// Affected vertices sit at b's level or deeper.
+		depth := int16(-1)
+		for t := e.wSupport[s]; t != 0; t &= t - 1 {
+			if d := row[bits.TrailingZeros64(t)]; d > depth {
+				depth = d
+			}
+		}
+		if depth < row[b] {
+			continue
+		}
+		aff, _ := e.affectedFast(s, b, n, depth)
+		for t := aff & e.wSupport[s]; t != 0; t &= t - 1 {
+			v := bits.TrailingZeros64(t)
+			if ws[v]*float64(row[v]+1) > lostPair {
+				return dirty, 0, false
+			}
+			bound += ws[v]
+		}
+	}
+	return dirty, bound, true
 }
 
 // retuneT moves source s's transposed level-mask bits from the old row
@@ -1062,6 +1146,7 @@ func (e *Eval) journalRow(s int) {
 	if e.w != nil {
 		save.wTotal = e.srcWTotal[s]
 		save.wUnreach = e.srcWUnreach[s]
+		save.wDelta = e.wDelta&(1<<uint(s)) != 0
 	}
 	e.savedIdx[s] = int32(len(e.rows))
 	e.rows = append(e.rows, save)
@@ -1081,8 +1166,7 @@ func (e *Eval) noteChanged(s int, mask uint64) {
 func (e *Eval) recompute(s int) {
 	n := e.n
 	if e.fastT && !e.trackDiameter {
-		e.recomputeFast(s)
-		e.reweighRow(s)
+		e.reweighChanged(s, e.recomputeFast(s))
 		return
 	}
 	e.journalRow(s)
@@ -1134,8 +1218,9 @@ func (e *Eval) recompute(s int) {
 // reweighRow re-sums source s's demand-weighted row from its settled
 // distances, over v = 0..n-1 in order, and folds the change into the
 // weighted aggregates (no-op without weights). Every recompute path
-// ends here, so the sums are bit-identical whichever path settled the
-// row; only repairAddFast applies weighted deltas instead.
+// ends here (single-word ones through reweighChanged), so the sums are
+// bit-identical whichever path settled the row; only repairAddFast
+// applies weighted deltas instead.
 func (e *Eval) reweighRow(s int) {
 	if e.w == nil {
 		return
@@ -1160,13 +1245,27 @@ func (e *Eval) reweighRow(s int) {
 	e.wUnreach += int(wUnreach - e.srcWUnreach[s])
 	e.srcWTotal[s] = wTotal
 	e.srcWUnreach[s] = wUnreach
+	e.wDelta &^= 1 << uint(s)
+}
+
+// reweighChanged is reweighRow for a single-word row whose settle
+// changed the vertices in changed. A change that misses every vertex s
+// has demand for leaves the row's nonzero terms, in their order, as
+// they were, so the re-sum would reproduce srcWTotal[s] bit for bit and
+// is skipped, unless repairAddFast's deltas (which a re-sum may round
+// differently) moved srcWTotal[s] last.
+func (e *Eval) reweighChanged(s int, changed uint64) {
+	if e.w != nil && (changed&e.wSupport[s] != 0 || e.wDelta&(1<<uint(s)) != 0) {
+		e.reweighRow(s)
+	}
 }
 
 // recomputeFast is recompute for single-word graphs without diameter
 // tracking: one fused BFS pass rewrites only the distances that changed,
 // moving their transposed level-mask bits and journaling the
-// changed-vertex set as it goes. Weighted sums are left to reweighRow.
-func (e *Eval) recomputeFast(s int) {
+// changed-vertex set as it goes, and returns that set. Weighted sums
+// are left to the caller (reweighChanged).
+func (e *Eval) recomputeFast(s int) uint64 {
 	n := e.n
 	e.journalRow(s)
 	row := e.dist[s*n : (s+1)*n]
@@ -1228,6 +1327,7 @@ func (e *Eval) recomputeFast(s int) {
 	e.unreachable += int(unreach - e.srcUnreach[s])
 	e.srcTotal[s] = total
 	e.srcUnreach[s] = unreach
+	return changed
 }
 
 // CheckConsistency recomputes every aggregate from scratch and returns
@@ -1295,6 +1395,22 @@ func (e *Eval) CheckConsistency() error {
 		if math.Abs(wTotal-e.wTotal) > 1e-6*(1+math.Abs(wTotal)) || wUnreach != e.wUnreach {
 			return fmt.Errorf("bitgraph: eval weighted (%v,%d) != recomputed (%v,%d)",
 				e.wTotal, e.wUnreach, wTotal, wUnreach)
+		}
+		// reweighChanged's skip is exact only while every row outside
+		// wDelta holds reweighRow's own sum, bit for bit.
+		for s := 0; e.fastT && s < n; s++ {
+			if e.wDelta&(1<<uint(s)) != 0 {
+				continue
+			}
+			var sum float64
+			for v, d := range e.dist[s*n : (s+1)*n] {
+				if v != s && d >= 0 {
+					sum += e.w[s][v] * float64(d)
+				}
+			}
+			if math.Float64bits(sum) != math.Float64bits(e.srcWTotal[s]) {
+				return fmt.Errorf("bitgraph: eval weighted row %d = %v, re-summed %v", s, e.srcWTotal[s], sum)
+			}
 		}
 	}
 	if e.costOf != nil {

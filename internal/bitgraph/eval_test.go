@@ -3,6 +3,7 @@ package bitgraph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,6 +39,21 @@ func randomPool(n, cuts int, rng *rand.Rand) []Set {
 		pool = append(pool, m)
 	}
 	return pool
+}
+
+// randomDemands puts a demand from draw on about a fraction p of the
+// ordered pairs.
+func randomDemands(n int, p float64, rng *rand.Rand, draw func() float64) [][]float64 {
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+		for j := range w[i] {
+			if i != j && rng.Float64() < p {
+				w[i][j] = draw()
+			}
+		}
+	}
+	return w
 }
 
 func TestEvalMatchesHopStats(t *testing.T) {
@@ -79,15 +95,7 @@ func TestEvalIncrementalMatchesRecompute(t *testing.T) {
 		g := randomConnected(n, 0.08, rng)
 		var w [][]float64
 		if c.weighted {
-			w = make([][]float64, n)
-			for i := range w {
-				w[i] = make([]float64, n)
-				for j := range w[i] {
-					if i != j && rng.Float64() < 0.3 {
-						w[i][j] = rng.Float64() * 4
-					}
-				}
-			}
+			w = randomDemands(n, 0.3, rng, func() float64 { return rng.Float64() * 4 })
 		}
 		e := NewEval(g, w)
 		if c.diameter {
@@ -242,27 +250,95 @@ func TestWeightedHopsMultiWord(t *testing.T) {
 	}
 }
 
+// A removal leaves every row it dirtied at reweighRow's ordered sum, as
+// a full re-sum would, even when it changed none of the row's weighted
+// targets: a row that repairAddFast last moved by deltas must be
+// re-summed, since the two can round apart under demands like these.
+// CheckConsistency holds every other row to the ordered sum bit for
+// bit.
+func TestEvalRemovalResumsWeightedRows(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(5))
+	g := randomConnected(n, 0.1, rng)
+	e := NewEval(g, randomDemands(n, 0.3, rng, func() float64 { return rng.Float64() * 4 }))
+	resummed := 0
+	for step := 0; step < 3000; step++ {
+		if rng.Intn(2) == 0 || g.NumLinks() < 3*n {
+			e.Add(rng.Intn(n), rng.Intn(n))
+			continue
+		}
+		l := g.LinkAt(rng.Intn(g.NumLinks()))
+		e.Remove(l.A, l.B)
+		dirty := e.pendMask
+		if e.wDelta&dirty != 0 {
+			resummed++
+		}
+		e.flush()
+		if left := e.wDelta & dirty; left != 0 {
+			t.Fatalf("step %d: removing %d->%d left rows %b on repairAddFast's deltas", step, l.A, l.B, left)
+		}
+		if step%100 == 0 {
+			if err := e.CheckConsistency(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if resummed == 0 {
+		t.Error("no removal dirtied a row carrying repairAddFast's deltas")
+	}
+}
+
 // The removal peeks must agree exactly with the mutation they predict:
-// PeekRemovePoolMin with PoolMin after a real Remove (bit for bit), and
-// Requeue with the link order a Remove+Rollback leaves behind, which is
-// what LinkAt-sampling callers observe.
+// PeekRemovePoolMin with PoolMin after a real Remove (bit for bit),
+// PeekRemoveWeighted's count with PeekRemove's and its bound with the
+// demand whose distance a real Remove changes (never above the rise
+// that Remove causes), and Requeue with the link order a
+// Remove+Rollback leaves behind, which is what LinkAt-sampling callers
+// observe. The weighted peek mutates nothing: rows, level masks and
+// aggregates stay as they were.
 func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
+	// Small integer demands keep weighted sums exact. A lost pair priced
+	// low against demands of 1 to 3 makes the weighted peek's
+	// disconnection guard fire on far targets and pass on near ones.
+	const lostPair = 8
 	for _, n := range []int{12, 20, 70} {
 		rng := rand.New(rand.NewSource(int64(n) * 7))
 		g := randomConnected(n, 0.12, rng)
 		twin := g.Clone()
 		pool := randomPool(n, 10, rng)
-		e := NewEval(g, nil)
+		e := NewEval(g, randomDemands(n, 0.3, rng, func() float64 { return float64(1 + rng.Intn(3)) }))
 		et := NewEval(twin, nil)
 		for _, m := range pool {
 			e.AddCut(m)
 			et.AddCut(m)
 		}
+		var bounded, guarded int
 		for step := 0; step < 200; step++ {
 			l := g.LinkAt(rng.Intn(g.NumLinks()))
 			now, after := e.PeekRemovePoolMin(l.A, l.B)
 			if got := e.PoolMin(); math.Float64bits(got) != math.Float64bits(now) {
 				t.Fatalf("n=%d step %d: PeekRemovePoolMin now = %v, PoolMin = %v", n, step, now, got)
+			}
+			w0, lost0 := e.WeightedTotal()
+			dist, levels, reach := slices.Clone(e.dist), slices.Clone(e.T), slices.Clone(e.reach)
+			dirty, bound, ok := e.PeekRemoveWeighted(l.A, l.B, lostPair)
+			if want := e.PeekRemove(l.A, l.B); dirty != want {
+				t.Fatalf("n=%d step %d: PeekRemoveWeighted(%d,%d) counts %d dirty sources, PeekRemove %d",
+					n, step, l.A, l.B, dirty, want)
+			}
+			if !slices.Equal(dist, e.dist) || !slices.Equal(levels, e.T) || !slices.Equal(reach, e.reach) {
+				t.Fatalf("n=%d step %d: PeekRemoveWeighted changed the rows or level masks", n, step)
+			}
+			if err := e.CheckConsistency(); err != nil {
+				t.Fatalf("n=%d step %d: after PeekRemoveWeighted: %v", n, step, err)
+			}
+			switch {
+			case ok && n > MaxFastNodes:
+				t.Fatalf("n=%d step %d: a multi-word peek gave a bound", n, step)
+			case ok && bound > 0:
+				bounded++
+			case !ok && n <= MaxFastNodes:
+				guarded++
 			}
 			e.Begin()
 			e.Remove(l.A, l.B)
@@ -270,7 +346,22 @@ func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 				t.Fatalf("n=%d step %d: PeekRemovePoolMin(%d,%d) after = %v, PoolMin after Remove = %v",
 					n, step, l.A, l.B, after, got)
 			}
-			_ = e.Total() // settle the rows, as a scored rejection does
+			// Settle the rows, as a scored rejection does.
+			w1, lost1 := e.WeightedTotal()
+			if rise := w1 - w0 + lostPair*float64(lost1-lost0); ok && bound > rise {
+				t.Fatalf("n=%d step %d: removing %d->%d: weighted bound %v exceeds the rise %v",
+					n, step, l.A, l.B, bound, rise)
+			}
+			var moved float64
+			for i, d := range e.dist {
+				if w := e.w[i/n][i%n]; w > 0 && d != dist[i] {
+					moved += w
+				}
+			}
+			if ok && bound != moved {
+				t.Fatalf("n=%d step %d: removing %d->%d: weighted bound %v, demand whose distance changed %v",
+					n, step, l.A, l.B, bound, moved)
+			}
 			e.Rollback()
 			et.Requeue(l.A, l.B)
 			for i, want := range g.Links() {
@@ -292,6 +383,10 @@ func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 		}
 		if err := et.CheckConsistency(); err != nil {
 			t.Errorf("n=%d: Requeue left the evaluator inconsistent: %v", n, err)
+		}
+		if n <= MaxFastNodes && (bounded == 0 || guarded == 0) {
+			t.Errorf("n=%d: %d weighted peeks gave a positive bound and %d hit the guard; both must occur",
+				n, bounded, guarded)
 		}
 	}
 }

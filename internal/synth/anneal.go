@@ -457,8 +457,26 @@ func (c *searchCtx) poolInScore() bool {
 // minimum and the pool is non-empty.
 func (c *searchCtx) removalBound(a, b, pending int, curScore float64) float64 {
 	now, after := c.ev.PeekRemovePoolMin(a, b)
-	lb := float64(pending) + c.cutTerms(after) - c.cutTerms(now)
+	return lessSlack(float64(pending)+c.cutTerms(after)-c.cutTerms(now), curScore)
+}
+
+// lessSlack lowers lb, a lower bound on a removal's score increase from
+// a state scoring curScore, by a relative slack that covers the
+// rounding of score's own summation, so that a Metropolis draw the
+// exact delta accepts is never rejected by the bound.
+func lessSlack(lb, curScore float64) float64 {
 	return lb - 1e-9*(1+math.Abs(curScore)+lb)
+}
+
+// weightedRemovalBound is a lower bound on the score increase of
+// removing link a->b under the Weighted objective (no pool, diameter
+// or energy term), with ok false when the peek gives none, plus the
+// number of sources the removal dirties. A weighted pair the removal
+// disconnects pays penaltyDisconnected twice, once as an unreachable
+// pair and once as a weighted one, so it is priced at twice that.
+func (c *searchCtx) weightedRemovalBound(a, b int, curScore float64) (pending int, lb float64, ok bool) {
+	pending, lb, ok = c.ev.PeekRemoveWeighted(a, b, 2*penaltyDisconnected)
+	return pending, lessSlack(lb, curScore), ok
 }
 
 // incumbentObjective extracts the raw objective (not the penalized
@@ -511,6 +529,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	curScore := ctx.score()
 	curValid := true
 	localBest := curScore
+	// One snapshot buffer per run; local-best improvements copy into it.
 	snapshot := state.Clone()
 	var local []localPoint
 	// step is the index of the move being processed; after the loop it
@@ -538,7 +557,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 		curValid = true
 		if curScore < localBest-1e-12 {
 			localBest = curScore
-			snapshot = ctx.ev.Graph().Clone()
+			snapshot.CopyFrom(ctx.ev.Graph())
 			note(curScore)
 		}
 	}
@@ -554,7 +573,7 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 		curScore = newScore
 		if curScore < localBest-1e-12 {
 			localBest = curScore
-			snapshot = ctx.ev.Graph().Clone()
+			snapshot.CopyFrom(ctx.ev.Graph())
 			note(curScore)
 		}
 	}
@@ -564,6 +583,15 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	tEnd := math.Max(1e-6, 1e-4*t0)
 	cooling := math.Pow(tEnd/t0, 1/float64(max(1, iters)))
 	temp := t0
+
+	// removeAndSettle applies a plain removal whose uniform u is already
+	// drawn, and settles its exact delta against the same draw.
+	removeAndSettle := func(mv move, u float64) {
+		ctx.begin()
+		ctx.doRemove(mv.rf, mv.rt)
+		newScore := ctx.score()
+		settle(metropolisAccept(u, (newScore-curScore)/temp), newScore)
+	}
 
 	// The monotonicity fast paths below assume additions never worsen and
 	// removals never improve any score component. A positive EnergyWeight
@@ -578,6 +606,11 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	// MinCutBW). A C7-only config pays nothing while its bound holds,
 	// so it skips the peek.
 	cutScored := cfg.Objective == SCOp && ctx.ev.NumCuts() > 0
+	// weightedPeek: a Weighted score with no term beyond the weighted
+	// hops and the unreachable-pair penalties, so a plain removal can be
+	// bounded from its peeked affected targets before it is applied.
+	weightedPeek := mono && cfg.Objective == Weighted && !cfg.Symmetric &&
+		cfg.MaxDiameter == 0 && !ctx.poolInScore()
 
 	for ; step < iters; step++ {
 		mv, ok := ctx.propose(rng)
@@ -626,11 +659,33 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 			}
 			// Plausible accept: now apply for real and settle the exact
 			// delta against the same draw.
-			ctx.begin()
-			ctx.doRemove(mv.rf, mv.rt)
-			newScore := ctx.score()
-			settle(metropolisAccept(u, (newScore-curScore)/temp), newScore)
+			removeAndSettle(mv, u)
 			continue
+		}
+		if weightedPeek && mv.kind == moveRemove {
+			// The transactional path below commits a removal that
+			// dirties nothing without a draw, and draws a uniform only
+			// for a positive delta. So the peek may settle both cases
+			// ahead of it without moving the RNG: a removal that dirties
+			// nothing is applied outside any transaction, and one whose
+			// bound is positive draws its uniform now, since its delta
+			// is at least the bound. A draw the bound rejects rejects
+			// the exact delta too, and only the link order, which the
+			// rollback would have left, needs restoring.
+			pending, lb, ok := ctx.weightedRemovalBound(mv.rf, mv.rt, curScore)
+			if pending == 0 {
+				ctx.doRemove(mv.rf, mv.rt)
+				continue
+			}
+			if ok && lb > 0 {
+				u := rng.Float64()
+				if !metropolisAccept(u, lb/temp) {
+					ctx.ev.Requeue(mv.rf, mv.rt)
+					continue
+				}
+				removeAndSettle(mv, u)
+				continue
+			}
 		}
 		ctx.begin()
 		if mv.kind == moveSwap || mv.kind == moveAdd {

@@ -2,12 +2,14 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"netsmith/internal/bitgraph"
 	"netsmith/internal/layout"
 	"netsmith/internal/store"
+	"netsmith/internal/traffic"
 )
 
 // traceValues renders a progress trace, step counts included.
@@ -264,12 +266,23 @@ func TestIncrementalScoreMatchesRecompute(t *testing.T) {
 	}
 }
 
-// The cut-first rejection is exact only if removalBound never exceeds
-// the score delta the transactional path computes for the same removal,
-// floats included. Walk random states of the SCOp configs that take the
-// rejection, C7 bounds included, and check each removal against its
-// real delta.
+// The peek-first rejections are exact only if their bounds never
+// exceed the score delta the transactional path computes for the same
+// removal, floats included. Walk random states of the SCOp configs
+// that take the cut-first rejection, C7 bounds included, and of the
+// Weighted (ShufOpt) configs that take the weighted bound, and check
+// each removal against its real delta. In the heavy ShufOpt row every
+// fourth source's demand is ten disconnection penalties, so losing that
+// pair costs less than one more hop: its peeks must hit the
+// disconnection guard, and bounded removals must lose light pairs.
 func TestRemovalBoundBelowExactDelta(t *testing.T) {
+	shuffle := func(g *layout.Grid) [][]float64 { return traffic.Shuffle{N: g.N()}.WeightMatrix() }
+	heavy := shuffle(layout.Grid4x5)
+	for s := 1; s < len(heavy); s += 4 {
+		for d := range heavy[s] {
+			heavy[s][d] *= 10 * penaltyDisconnected
+		}
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -283,6 +296,9 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 		// active on every state.
 		{"scop-mincut-violated", Config{Grid: layout.Grid4x5, Class: layout.Small, Objective: SCOp, MinCutBW: 0.5}},
 		{"scop-multiword", Config{Grid: layout.NewGrid(9, 8), Class: layout.Medium, Objective: SCOp}},
+		{"shufopt", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: Weighted, Weights: shuffle(layout.Grid4x5)}},
+		{"shufopt-8x6", Config{Grid: layout.Grid8x6, Class: layout.Medium, Objective: Weighted, Weights: shuffle(layout.Grid8x6)}},
+		{"shufopt-heavy", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: Weighted, Radix: 2, Weights: heavy}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,7 +311,8 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 			state := stateFromTopology(seedTopology(cfg))
 			a.fillRandom(state, rng)
 			ctx := a.newSearchCtx(state)
-			moved := 0
+			weighted := cfg.Objective == Weighted
+			moved, guarded, lost := 0, 0, 0
 			for i := 0; i < 600; i++ {
 				mv, ok := ctx.propose(rng)
 				if !ok {
@@ -306,8 +323,19 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 					continue
 				}
 				cur := ctx.score()
-				var lb float64
-				if mv.kind == moveRemove {
+				_, lost0 := ctx.ev.WeightedTotal()
+				lb := math.Inf(-1)
+				switch {
+				case mv.kind == moveRemove && weighted:
+					pending, wlb, ok := ctx.weightedRemovalBound(mv.rf, mv.rt, cur)
+					switch {
+					case ok && wlb > 0:
+						moved++
+						lb = wlb
+					case !ok && pending > 0:
+						guarded++
+					}
+				case mv.kind == moveRemove:
 					if now, after := ctx.ev.PeekRemovePoolMin(mv.rf, mv.rt); after < now {
 						moved++
 					}
@@ -321,6 +349,9 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 				if delta := ctx.score() - cur; mv.kind == moveRemove && lb > delta {
 					t.Fatalf("step %d: removing %d->%d: bound %v exceeds exact delta %v", i, mv.rf, mv.rt, lb, delta)
 				}
+				if _, lost1 := ctx.ev.WeightedTotal(); weighted && lb > 0 && lost1 > lost0 {
+					lost++
+				}
 				if rng.Float64() < 0.3 {
 					ctx.commit()
 				} else {
@@ -328,7 +359,11 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 				}
 			}
 			if moved == 0 {
-				t.Error("no removal lowered the pool minimum; the bound went untested")
+				t.Error("no removal lowered the pool minimum or had a positive weighted bound; the bound went untested")
+			}
+			if tc.name == "shufopt-heavy" && (guarded == 0 || lost == 0) {
+				t.Errorf("%d weighted peeks hit the disconnection guard and %d bounded removals lost a pair; both must occur",
+					guarded, lost)
 			}
 		})
 	}

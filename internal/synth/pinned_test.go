@@ -26,10 +26,14 @@ func outputDigest(res *Result) string {
 // TestGenerateOutputPinned pins Generate's exact output for one config
 // of every search path: SCOp with its separation rounds (4x5 and 6x5),
 // SCOp with the fragility oracle, LatOp under a C7 minimum-cut bound,
-// weighted (ShufOpt) synthesis, plain LatOp and population mode.
-// Performance work on the annealer and its evaluator must leave every
-// trajectory, and so every digest, unchanged; an intended change to
-// the search updates the table.
+// weighted (ShufOpt) synthesis, plain LatOp and population mode. The
+// weighted rows cover each way a ShufOpt removal is evaluated: the
+// peek-first bound on single-word grids (4x5, 8x6), no bound and a
+// full re-sum on a multi-word grid (10x10), and the transactional path
+// under a diameter bound or symmetric links; population mode runs it
+// inside crossover bursts. Performance work on the annealer and its
+// evaluator must leave every trajectory, and so every digest,
+// unchanged; an intended change to the search updates the table.
 func TestGenerateOutputPinned(t *testing.T) {
 	base := func(g *layout.Grid, obj Objective) Config {
 		return Config{Grid: g, Class: layout.Medium, Objective: obj, Seed: 1, Iterations: 5000, Restarts: 2}
@@ -38,8 +42,20 @@ func TestGenerateOutputPinned(t *testing.T) {
 	scopRobust.RobustWeight = 1
 	mincut := base(layout.Grid4x5, LatOp)
 	mincut.MinCutBW = 0.06
-	shuf := base(layout.Grid4x5, Weighted)
-	shuf.Weights = traffic.Shuffle{N: layout.Grid4x5.N()}.WeightMatrix()
+	shufOn := func(g *layout.Grid) Config {
+		c := base(g, Weighted)
+		c.Weights = traffic.Shuffle{N: g.N()}.WeightMatrix()
+		return c
+	}
+	shuf := shufOn(layout.Grid4x5)
+	shuf10 := shufOn(layout.Grid10x10)
+	shuf10.Iterations = 2000
+	shufDiam := shufOn(layout.Grid4x5)
+	shufDiam.MaxDiameter = 4
+	shufSym := shufOn(layout.Grid4x5)
+	shufSym.Symmetric = true
+	shufPop := shufOn(layout.Grid4x5)
+	shufPop.Iterations, shufPop.Population, shufPop.Generations = 1200, 4, 2
 	pop := base(layout.Grid4x5, LatOp)
 	pop.Iterations, pop.Population, pop.Generations = 1200, 4, 2
 	cases := []struct {
@@ -52,6 +68,11 @@ func TestGenerateOutputPinned(t *testing.T) {
 		{"scop-robust", scopRobust, "2cc7c56efe00eec8c88b3c82d30ba36914048f223fa8c97980eb861ea27bb174"},
 		{"latop-mincut", mincut, "925e85de15b75edbd19fd408d9c7a06a93cecbf0a77611ba0ff7f8e0be5e5a51"},
 		{"shufopt", shuf, "6b681eb01d26fc0e9f705bfc53bc8e628a9b3810b8bf3e9aeb26778dfaba949a"},
+		{"shufopt-8x6", shufOn(layout.Grid8x6), "22e475561dd66d703704ac62580bd672dbe8ea2dbcfc80425774ecc13285b385"},
+		{"shufopt-10x10", shuf10, "479da2428ff57a1bfa087aefe188285f7580166bc4fb0033e4587e213b016a29"},
+		{"shufopt-diameter", shufDiam, "4bcb7ba37e3c1ab9bfe5c4312a0ccd9a4cf1a774f7779d26fca3901bde4874ae"},
+		{"shufopt-symmetric", shufSym, "41c7732b027e3a373cbee53ca280ed1e71eabd5d28602c57423e002b2c4d32f1"},
+		{"shufopt-population", shufPop, "d26c4febf0b615d2de51976e2bd96a1f5e48c0a616347cdf7ab0b34a2ed13d7a"},
 		{"latop", base(layout.Grid4x5, LatOp), "1685baedad78ca0d8c1bc3bb198307caadf9a2c483acf28c3b3afa8fbd9b4f45"},
 		{"population", pop, "7ba14dc6881a7c0fa8afc75375bc1b81dafebccd8771577da095b3c009260695"},
 	}

@@ -251,9 +251,14 @@ func (c *Config) withDefaults() (Config, error) {
 		if len(cfg.Weights) != n {
 			return cfg, fmt.Errorf("synth: Weighted objective needs %dx%d weight matrix", n, n)
 		}
-		for _, row := range cfg.Weights {
+		for s, row := range cfg.Weights {
 			if len(row) != n {
 				return cfg, fmt.Errorf("synth: Weighted objective needs %dx%d weight matrix", n, n)
+			}
+			for d, w := range row {
+				if !(w >= 0) || math.IsInf(w, 0) {
+					return cfg, fmt.Errorf("synth: demand weight [%d][%d] = %v must be finite and non-negative", s, d, w)
+				}
 			}
 		}
 	}

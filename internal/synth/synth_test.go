@@ -9,6 +9,7 @@ import (
 	"netsmith/internal/layout"
 	"netsmith/internal/store"
 	"netsmith/internal/topo"
+	"netsmith/internal/traffic"
 )
 
 func quickCfg(g *layout.Grid, c layout.Class, obj Objective) Config {
@@ -390,11 +391,21 @@ func TestProgressTraceMonotone(t *testing.T) {
 // Negative budgets are rejected, through the cache as well, instead of
 // panicking (negative Restarts) or silently searching nothing (negative
 // Iterations); so are weights that are not finite and non-negative,
-// which a plain "< 0" check lets through as NaN.
+// which a plain "< 0" check lets through as NaN. Demand weights count
+// too: a NaN or infinite one poisons the objective, and a negative one
+// breaks the annealer's removal bound and the rule that additions are
+// always accepted.
 func TestNegativeBudgetRejected(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	demand := func(w float64) func(*Config) {
+		return func(c *Config) {
+			c.Objective = Weighted
+			c.Weights = traffic.Shuffle{N: c.Grid.N()}.WeightMatrix()
+			c.Weights[1][3] = w
+		}
 	}
 	for name, mutate := range map[string]func(*Config){
 		"iterations":            func(c *Config) { c.Iterations = -5 },
@@ -404,6 +415,9 @@ func TestNegativeBudgetRejected(t *testing.T) {
 		"energy weight +Inf":    func(c *Config) { c.EnergyWeight = math.Inf(1) },
 		"robust weight NaN":     func(c *Config) { c.RobustWeight = math.NaN() },
 		"robust weight -Inf":    func(c *Config) { c.RobustWeight = math.Inf(-1) },
+		"demand weight -1":      demand(-1),
+		"demand weight NaN":     demand(math.NaN()),
+		"demand weight +Inf":    demand(math.Inf(1)),
 	} {
 		cfg := quickCfg(layout.Grid4x5, layout.Medium, LatOp)
 		mutate(&cfg)
