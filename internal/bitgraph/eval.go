@@ -98,6 +98,19 @@ type Eval struct {
 	remB      int
 	wave      []int32
 
+	// Kept walks (PeekRemovePairs): walks[s] is the affected set of
+	// dirty source s (s in walkDirty) for the peeked removal
+	// walkA->walkB, and walkOver the sources whose walk overflowed
+	// maxAffectedRepair. They describe the rows the peek saw, so every
+	// Add, Rollback, PeekRemove and PeekRemoveWeighted drops them
+	// (walkDirty = 0), and so does any Remove but the one of exactly
+	// that link with nothing else pending, whose flush re-levels from
+	// them instead of walking again.
+	walks        [MaxFastNodes]uint64
+	walkA, walkB int
+	walkDirty    uint64
+	walkOver     uint64
+
 	// journal
 	inTxn    bool
 	ops      []linkOp
@@ -247,14 +260,26 @@ func (e *Eval) flush() {
 			return
 		}
 		e.pendMask = 0
+		// Remove keeps the walks only for the peeked link settled
+		// alone, so walks that match the pending sources are its.
+		walked := e.walkDirty == m
 		if e.singleRem && !e.trackDiameter {
 			// All pending sources come from one removal: patch each by
 			// re-leveling just the affected region behind the removed
 			// link's head, falling back to a BFS when it grows large.
 			for ; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
-				changed, ok := e.repairRemoveFast(s, e.remB)
-				if !ok {
+				var aff uint64
+				var ok bool
+				if walked {
+					aff, ok = e.walks[s], e.walkOver&(1<<uint(s)) == 0
+				} else {
+					aff, ok = e.affectedFast(s, e.remB, maxAffectedRepair, math.MaxInt16)
+				}
+				var changed uint64
+				if ok {
+					changed = e.repairRemoveFast(s, e.remB, aff)
+				} else {
 					changed = e.recomputeFast(s)
 				}
 				e.reweighChanged(s, changed)
@@ -522,6 +547,7 @@ func (e *Eval) Rollback() {
 	e.pending = e.pending[:0]
 	e.pendCur++
 	e.pendMask = 0
+	e.walkDirty = 0
 	for i := len(e.ops) - 1; i >= 0; i-- {
 		op := e.ops[i]
 		if op.added {
@@ -610,6 +636,7 @@ func (e *Eval) Add(a, b int) {
 		if e.pendMask != 0 {
 			e.flush()
 		}
+		e.walkDirty = 0
 		// Level-mask form of the dirty rule: a source at distance d from
 		// a is dirtied iff its distance to b exceeds d+1 (or b is
 		// unreachable), i.e. it is outside the cumulative <=d+1 mask.
@@ -682,7 +709,14 @@ func (e *Eval) Remove(a, b int) {
 	}
 	n := e.n
 	if e.fastT {
-		dirty := e.removeDirtyFast(a, b)
+		// The removal PeekRemovePairs peeked last, with nothing else
+		// pending, reuses its dirty sources and keeps its walks for the
+		// flush; any other removal detects afresh and drops them.
+		dirty := e.walkDirty
+		if dirty == 0 || a != e.walkA || b != e.walkB || e.pendMask != 0 {
+			dirty = e.removeDirtyFast(a, b)
+			e.walkDirty = 0
+		}
 		e.singleRem = e.pendMask == 0
 		e.remB = b
 		e.pendMask |= dirty
@@ -728,8 +762,8 @@ func (e *Eval) Remove(a, b int) {
 // removeDirtyFast is Remove's dirty rule in level-mask form, for
 // single-word graphs: candidates at level d are the sources with
 // dist(.,a)==d and dist(.,b)==d+1, and each alternative predecessor of
-// b clears the candidates it covers at level d. Remove, PeekRemove and
-// PeekRemoveWeighted all detect through it.
+// b clears the candidates it covers at level d. Remove and every
+// removal peek detect through it.
 func (e *Eval) removeDirtyFast(a, b int) uint64 {
 	stride := e.n + 1
 	ta := e.T[a*stride : a*stride+stride]
@@ -855,7 +889,8 @@ const maxAffectedRepair = 10
 // equal-level predecessor; exactly their distances from s grow. The
 // walk visits levels in order, so every affected predecessor of a
 // vertex is marked before the vertex is tested. It gives up, returning
-// ok false, once more than limit vertices are affected. The removed
+// ok false, once more than limit vertices are affected; the vertices
+// marked by then are affected all the same. The removed
 // link itself is never examined, so the walk gives the same set before
 // the removal as after it. Fast mode only; s's row must be exact for
 // the pre-removal graph.
@@ -907,17 +942,12 @@ func (e *Eval) affectedFast(s, b, limit int, depth int16) (aff uint64, ok bool) 
 
 // repairRemoveFast patches source s's row after a removal whose head is
 // b, for a source whose only shortest support of b was the removed
-// link: phase 1 (affectedFast) collects the affected vertices and phase
-// 2 re-levels exactly that set. It returns the changed-vertex mask, or
-// ok false when the affected region exceeds maxAffectedRepair. Fast
-// mode without diameter tracking only (callers re-sum weighted rows
-// through reweighChanged); rows must be exact for the pre-removal
-// graph.
-func (e *Eval) repairRemoveFast(s, b int) (changed uint64, ok bool) {
-	aff, ok := e.affectedFast(s, b, maxAffectedRepair, math.MaxInt16)
-	if !ok {
-		return 0, false
-	}
+// link: it re-levels exactly aff, the complete affected set that phase
+// 1 (affectedFast) collected, at the flush or at the peek, and returns
+// the changed-vertex mask. Fast mode without diameter tracking only
+// (callers re-sum weighted rows through reweighChanged); rows must be
+// exact for the pre-removal graph.
+func (e *Eval) repairRemoveFast(s, b int, aff uint64) (changed uint64) {
 	n := e.n
 	row := e.dist[s*n : (s+1)*n]
 	in := e.g.in
@@ -991,7 +1021,7 @@ func (e *Eval) repairRemoveFast(s, b int) (changed uint64, ok bool) {
 	e.srcUnreach[s] += dUnreach
 	e.total += dTot
 	e.unreachable += int(dUnreach)
-	return changed, true
+	return changed
 }
 
 // PeekRemove returns the number of sources whose distance rows would
@@ -999,6 +1029,7 @@ func (e *Eval) repairRemoveFast(s, b int) (changed uint64, ok bool) {
 // can veto a removal (e.g. an annealer rejecting on a delta lower
 // bound) without ever paying for the mutation and its rollback.
 func (e *Eval) PeekRemove(a, b int) int {
+	e.walkDirty = 0
 	if a == b || !e.g.Has(a, b) {
 		return 0
 	}
@@ -1047,6 +1078,7 @@ func (e *Eval) PeekRemove(a, b int) int {
 // passes that limit, and on graphs of more than MaxFastNodes nodes or
 // without weights. Weights must be non-negative.
 func (e *Eval) PeekRemoveWeighted(a, b int, lostPair float64) (dirty int, bound float64, ok bool) {
+	e.walkDirty = 0
 	if a == b || !e.g.Has(a, b) {
 		return 0, 0, true
 	}
@@ -1080,6 +1112,37 @@ func (e *Eval) PeekRemoveWeighted(a, b int, lostPair float64) (dirty int, bound 
 		}
 	}
 	return dirty, bound, true
+}
+
+// PeekRemovePairs returns PeekRemove's count for link a->b together
+// with the number of ordered pairs (s, v) whose distance the removal
+// lengthens or loses, without mutating any distance state. It walks
+// each dirty source's affected set (affectedFast) up to
+// maxAffectedRepair vertices. A walk that overflows has marked only
+// vertices whose distance grows, so pairs is then a lower bound. The
+// walks are kept for the flush that settles the Remove of exactly this
+// link, which re-levels from them instead of walking again (see walks).
+// With more than MaxFastNodes nodes or diameter tracking, which repair
+// by BFS, pairs is the dirty count: each dirty source at least
+// lengthens its distance to b.
+func (e *Eval) PeekRemovePairs(a, b int) (dirty, pairs int) {
+	if !e.fastT || e.trackDiameter || a == b || !e.g.Has(a, b) {
+		dirty = e.PeekRemove(a, b)
+		return dirty, dirty
+	}
+	e.flush()
+	m := e.removeDirtyFast(a, b)
+	e.walkA, e.walkB, e.walkDirty, e.walkOver = a, b, m, 0
+	for ; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		aff, ok := e.affectedFast(s, b, maxAffectedRepair, math.MaxInt16)
+		if !ok {
+			e.walkOver |= 1 << uint(s)
+		}
+		e.walks[s] = aff
+		pairs += bits.OnesCount64(aff)
+	}
+	return bits.OnesCount64(e.walkDirty), pairs
 }
 
 // retuneT moves source s's transposed level-mask bits from the old row

@@ -292,10 +292,12 @@ func TestEvalRemovalResumsWeightedRows(t *testing.T) {
 // PeekRemovePoolMin with PoolMin after a real Remove (bit for bit),
 // PeekRemoveWeighted's count with PeekRemove's and its bound with the
 // demand whose distance a real Remove changes (never above the rise
-// that Remove causes), and Requeue with the link order a
-// Remove+Rollback leaves behind, which is what LinkAt-sampling callers
-// observe. The weighted peek mutates nothing: rows, level masks and
-// aggregates stay as they were.
+// that Remove causes), PeekRemovePairs' count with PeekRemove's and its
+// pairs with the pairs whose distance a real Remove changes (never
+// more, and exactly those when no walk overflowed), and Requeue with
+// the link order a Remove+Rollback leaves behind, which is what
+// LinkAt-sampling callers observe. The weighted and pair peeks mutate
+// nothing: rows, level masks and aggregates stay as they were.
 func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 	// Small integer demands keep weighted sums exact. A lost pair priced
 	// low against demands of 1 to 3 makes the weighted peek's
@@ -312,7 +314,7 @@ func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 			e.AddCut(m)
 			et.AddCut(m)
 		}
-		var bounded, guarded int
+		var bounded, guarded, exact, overflowed int
 		for step := 0; step < 200; step++ {
 			l := g.LinkAt(rng.Intn(g.NumLinks()))
 			now, after := e.PeekRemovePoolMin(l.A, l.B)
@@ -332,6 +334,21 @@ func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 			if err := e.CheckConsistency(); err != nil {
 				t.Fatalf("n=%d step %d: after PeekRemoveWeighted: %v", n, step, err)
 			}
+			// The unweighted twin has the same rows; peek its pairs.
+			tWant := et.PeekRemove(l.A, l.B)
+			tdist, tlevels, treach := slices.Clone(et.dist), slices.Clone(et.T), slices.Clone(et.reach)
+			tDirty, pairs := et.PeekRemovePairs(l.A, l.B)
+			if tDirty != tWant {
+				t.Fatalf("n=%d step %d: PeekRemovePairs(%d,%d) counts %d dirty sources, PeekRemove %d",
+					n, step, l.A, l.B, tDirty, tWant)
+			}
+			if !slices.Equal(tdist, et.dist) || !slices.Equal(tlevels, et.T) || !slices.Equal(treach, et.reach) {
+				t.Fatalf("n=%d step %d: PeekRemovePairs changed the rows or level masks", n, step)
+			}
+			if err := et.CheckConsistency(); err != nil {
+				t.Fatalf("n=%d step %d: after PeekRemovePairs: %v", n, step, err)
+			}
+			walkedAll := n <= MaxFastNodes && et.walkOver == 0
 			switch {
 			case ok && n > MaxFastNodes:
 				t.Fatalf("n=%d step %d: a multi-word peek gave a bound", n, step)
@@ -362,6 +379,21 @@ func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 				t.Fatalf("n=%d step %d: removing %d->%d: weighted bound %v, demand whose distance changed %v",
 					n, step, l.A, l.B, bound, moved)
 			}
+			lengthened := 0
+			for i, d := range e.dist {
+				if d != dist[i] {
+					lengthened++
+				}
+			}
+			switch {
+			case pairs > lengthened || walkedAll && pairs != lengthened:
+				t.Fatalf("n=%d step %d: removing %d->%d: PeekRemovePairs counts %d pairs (every walk complete: %v), the removal lengthens %d",
+					n, step, l.A, l.B, pairs, walkedAll, lengthened)
+			case walkedAll && pairs > tDirty:
+				exact++
+			case n <= MaxFastNodes && !walkedAll:
+				overflowed++
+			}
 			e.Rollback()
 			et.Requeue(l.A, l.B)
 			for i, want := range g.Links() {
@@ -387,6 +419,73 @@ func TestEvalRemovalPeeksMatchRollback(t *testing.T) {
 		if n <= MaxFastNodes && (bounded == 0 || guarded == 0) {
 			t.Errorf("n=%d: %d weighted peeks gave a positive bound and %d hit the guard; both must occur",
 				n, bounded, guarded)
+		}
+		if n <= MaxFastNodes && (exact == 0 || overflowed == 0) {
+			t.Errorf("n=%d: %d complete pair peeks counted more pairs than dirty sources and %d walks overflowed; both must occur",
+				n, exact, overflowed)
+		}
+	}
+}
+
+// PeekRemovePairs keeps its walks for the Remove of the peeked link,
+// whose flush re-levels from them instead of walking again. Walks taken
+// before an Add, a Remove of another link or a Rollback describe rows
+// that are gone, so the Remove of the peeked link must walk afresh; a
+// flush from stale walks leaves wrong rows, which CheckConsistency
+// catches. The other removal leaves the peeked link's tail when it can:
+// both removals then often dirty that router alone, so only the link
+// tells the two sets of walks apart.
+func TestEvalPeekedWalksGoStale(t *testing.T) {
+	for _, n := range []int{12, 24, 40} {
+		rng := rand.New(rand.NewSource(int64(n) * 3))
+		g := randomConnected(n, 0.1, rng)
+		e := NewEval(g, nil)
+		kept := 0
+		for step := 0; step < 600; step++ {
+			l := g.LinkAt(rng.Intn(g.NumLinks()))
+			x, y := rng.Intn(n), rng.Intn(n)
+			added := x != y && !g.Has(x, y)
+			var other *Link
+			switch step % 4 {
+			case 0: // nothing in between: the Remove keeps the walks
+				e.PeekRemovePairs(l.A, l.B)
+			case 1:
+				e.PeekRemovePairs(l.A, l.B)
+				e.Add(x, y)
+			case 2:
+				for _, c := range g.Links() {
+					if c != l && (other == nil || c.A == l.A) {
+						other = &c
+					}
+				}
+				e.PeekRemovePairs(l.A, l.B)
+				e.Remove(other.A, other.B)
+				e.Total()
+			case 3:
+				e.Begin()
+				e.Add(x, y)
+				e.PeekRemovePairs(l.A, l.B)
+				e.Rollback()
+			}
+			e.Remove(l.A, l.B)
+			if step%4 == 0 && e.pendMask != 0 && e.walkDirty == e.pendMask {
+				kept++
+			}
+			e.Total()
+			if err := e.CheckConsistency(); err != nil {
+				t.Fatalf("n=%d step %d (case %d): removing %d->%d: %v", n, step, step%4, l.A, l.B, err)
+			}
+			// Restore the link set so the graph keeps its density.
+			e.Add(l.A, l.B)
+			if other != nil {
+				e.Add(other.A, other.B)
+			}
+			if step%4 == 1 && added {
+				e.Remove(x, y)
+			}
+		}
+		if kept == 0 {
+			t.Errorf("n=%d: no Remove kept its peek's walks", n)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package layout
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+)
 
 func TestClassAllows(t *testing.T) {
 	cases := []struct {
@@ -64,25 +68,58 @@ func TestClassStringParse(t *testing.T) {
 	}
 }
 
+// TestParseGrid's rows, which also seed FuzzParseGrid.
+// 4294967296x4294967296 overflows N to 0 and 3037000500x3037000500
+// overflows it to a negative count, so a cap on N alone would let both
+// through.
+var (
+	parseGridGood = map[string][2]int{"4x5": {4, 5}, "1x1": {1, 1}, "32x32": {32, 32}}
+	parseGridBad  = []string{
+		"", "0x5", "5x0", "4x", "x5", "4x5x6", "-1x5", "4 x 5", "4X5", "axb",
+		"4294967296x4294967296", "3037000500x3037000500",
+	}
+)
+
 // TestParseGrid: the "RxC" parser accepts positive sizes whose router
-// count fits an int. 4294967296x4294967296 overflows N to 0 and
-// 3037000500x3037000500 overflows it to a negative count, so a cap on N
-// alone would let both through.
+// count fits an int.
 func TestParseGrid(t *testing.T) {
-	for in, want := range map[string][2]int{"4x5": {4, 5}, "1x1": {1, 1}, "32x32": {32, 32}} {
+	for in, want := range parseGridGood {
 		g, err := ParseGrid(in)
 		if err != nil || g.Rows != want[0] || g.Cols != want[1] {
 			t.Errorf("ParseGrid(%q) = %v, %v; want %dx%d", in, g, err, want[0], want[1])
 		}
 	}
-	for _, in := range []string{
-		"", "0x5", "5x0", "4x", "x5", "4x5x6", "-1x5", "4 x 5", "4X5", "axb",
-		"4294967296x4294967296", "3037000500x3037000500",
-	} {
+	for _, in := range parseGridBad {
 		if g, err := ParseGrid(in); err == nil {
 			t.Errorf("ParseGrid(%q) accepted: %v", in, g)
 		}
 	}
+}
+
+// FuzzParseGrid: no input panics, and an accepted grid has positive
+// rows and columns whose product fits an int, and parses back to
+// itself from its "RxC" form.
+func FuzzParseGrid(f *testing.F) {
+	for in := range parseGridGood {
+		f.Add(in)
+	}
+	for _, in := range parseGridBad {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := ParseGrid(in)
+		if err != nil {
+			return
+		}
+		if g.Rows <= 0 || g.Cols <= 0 || g.Rows > math.MaxInt/g.Cols {
+			t.Fatalf("ParseGrid(%q) accepted %dx%d", in, g.Rows, g.Cols)
+		}
+		printed := fmt.Sprintf("%dx%d", g.Rows, g.Cols)
+		back, err := ParseGrid(printed)
+		if err != nil || *back != *g {
+			t.Fatalf("ParseGrid(%q) = %+v, but its form %q parses to %+v, %v", in, *g, printed, back, err)
+		}
+	})
 }
 
 func TestClockOrdering(t *testing.T) {

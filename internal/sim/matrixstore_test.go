@@ -393,24 +393,60 @@ func TestShardValidation(t *testing.T) {
 	}
 }
 
-func TestParseShard(t *testing.T) {
-	good := map[string]Shard{
+// TestParseShard's rows, which also seed FuzzParseShard.
+var (
+	parseShardGood = map[string]Shard{
 		"":    {},
 		"0/2": {Index: 0, Count: 2},
 		"3/4": {Index: 3, Count: 4},
 		"0/1": {Index: 0, Count: 1},
 	}
-	for in, want := range good {
+	parseShardBad = []string{"2/2", "-1/2", "1", "a/b", "1/0"}
+)
+
+func TestParseShard(t *testing.T) {
+	for in, want := range parseShardGood {
 		got, err := ParseShard(in)
 		if err != nil || got != want {
 			t.Errorf("ParseShard(%q) = %+v, %v; want %+v", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"2/2", "-1/2", "1", "a/b", "1/0"} {
+	for _, in := range parseShardBad {
 		if _, err := ParseShard(in); err == nil {
 			t.Errorf("ParseShard(%q) accepted", in)
 		}
 	}
+}
+
+// FuzzParseShard: no input panics, and an accepted shard is unsharded
+// for "" and has 0 <= Index < Count otherwise, passes RunMatrix's own
+// check, and parses back from its printed form to a shard that prints
+// the same and owns the same cells (a one-way "0/1" prints as "",
+// which is unsharded too).
+func FuzzParseShard(f *testing.F) {
+	for in := range parseShardGood {
+		f.Add(in)
+	}
+	for _, in := range parseShardBad {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseShard(in)
+		if err != nil {
+			return
+		}
+		inBounds := s.Index >= 0 && s.Index < s.Count
+		if in == "" {
+			inBounds = s == Shard{}
+		}
+		if err := s.validate(); err != nil || !inBounds {
+			t.Fatalf("ParseShard(%q) accepted %+v: %v", in, s, err)
+		}
+		back, err := ParseShard(s.String())
+		if err != nil || back.String() != s.String() || (s.enabled() && back != s) {
+			t.Fatalf("ParseShard(%q) = %+v, but its form %q parses to %+v, %v", in, s, s.String(), back, err)
+		}
+	})
 }
 
 // TestSetupFingerprint: equal pipelines agree, any ingredient change

@@ -479,6 +479,19 @@ func (c *searchCtx) weightedRemovalBound(a, b int, curScore float64) (pending in
 	return pending, lessSlack(lb, curScore), ok
 }
 
+// pairBound is a lower bound on the score increase of removing link
+// a->b under a LatOp score with no energy term, measured from curScore
+// for a removal whose state already scores base above it (0 for a plain
+// removal, the add half's delta for a swap). Every pair the removal
+// lengthens adds at least one hop, or, lost, a disconnection penalty in
+// place of fewer than n hops, and the pool and fragility terms only
+// grow under a removal. The peek keeps its walks for the removal's
+// repair.
+func (c *searchCtx) pairBound(a, b int, base, curScore float64) float64 {
+	_, pairs := c.ev.PeekRemovePairs(a, b)
+	return lessSlack(base+float64(pairs), curScore)
+}
+
 // incumbentObjective extracts the raw objective (not the penalized
 // score) and whether the state is feasible, from the maintained
 // aggregates.
@@ -611,6 +624,14 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	// bounded from its peeked affected targets before it is applied.
 	weightedPeek := mono && cfg.Objective == Weighted && !cfg.Symmetric &&
 		cfg.MaxDiameter == 0 && !ctx.poolInScore()
+	// pairPeek: a LatOp score with no diameter term on a single-word
+	// graph, whose additions repair eagerly and whose removals repair
+	// from the walks PeekRemovePairs keeps. Plain removals, and the
+	// removal half of swaps, are then bounded by the pairs they
+	// lengthen (pairBound) at no extra walk. Symmetric moves drop two
+	// links, which one peek does not bound.
+	pairPeek := mono && cfg.Objective == LatOp && !cfg.Symmetric &&
+		cfg.MaxDiameter == 0 && cfg.Grid.N() <= bitgraph.MaxFastNodes
 
 	for ; step < iters; step++ {
 		mv, ok := ctx.propose(rng)
@@ -657,6 +678,12 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 				ctx.ev.Requeue(mv.rf, mv.rt)
 				continue
 			}
+			if pairPeek && !metropolisAccept(u, ctx.pairBound(mv.rf, mv.rt, 0, curScore)/temp) {
+				// The pairs the removal lengthens already reject this
+				// draw.
+				ctx.ev.Requeue(mv.rf, mv.rt)
+				continue
+			}
 			// Plausible accept: now apply for real and settle the exact
 			// delta against the same draw.
 			removeAndSettle(mv, u)
@@ -689,12 +716,32 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 		}
 		ctx.begin()
 		if mv.kind == moveSwap || mv.kind == moveAdd {
-			// A swap keeps the union semantics: the add and remove halves
-			// often dirty the same sources near the touched endpoints,
-			// and the lazy queue recomputes each exactly once against
-			// the final graph. (A bare add only reaches this path in
-			// energy mode, where it needs the exact test.)
+			// On multi-word graphs a swap keeps the union semantics: the
+			// add and remove halves often dirty the same sources near
+			// the touched endpoints, and the lazy queue recomputes each
+			// exactly once against the final graph. Single-word graphs
+			// repair the add half eagerly. (A bare add only reaches
+			// this path in energy mode, where it needs the exact test.)
 			ctx.doAdd(mv.af, mv.at)
+		}
+		if pairPeek && mv.kind == moveSwap {
+			// The add half repaired eagerly, so its score is exact, and
+			// the removal half raises it by at least the pairs it
+			// lengthens. A positive bound means a positive exact delta,
+			// for which the path below draws a uniform too: draw it now.
+			// A draw the bound rejects rolls back the lone add, which
+			// leaves the link list as the full rollback would.
+			if lb := ctx.pairBound(mv.rf, mv.rt, ctx.score()-curScore, curScore); lb > 0 {
+				u := rng.Float64()
+				if !metropolisAccept(u, lb/temp) {
+					ctx.rollback()
+					continue
+				}
+				ctx.doRemove(mv.rf, mv.rt)
+				newScore := ctx.score()
+				settle(metropolisAccept(u, (newScore-curScore)/temp), newScore)
+				continue
+			}
 		}
 		if mv.kind != moveAdd {
 			ctx.doRemove(mv.rf, mv.rt)

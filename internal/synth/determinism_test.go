@@ -269,12 +269,15 @@ func TestIncrementalScoreMatchesRecompute(t *testing.T) {
 // The peek-first rejections are exact only if their bounds never
 // exceed the score delta the transactional path computes for the same
 // removal, floats included. Walk random states of the SCOp configs
-// that take the cut-first rejection, C7 bounds included, and of the
-// Weighted (ShufOpt) configs that take the weighted bound, and check
-// each removal against its real delta. In the heavy ShufOpt row every
-// fourth source's demand is ten disconnection penalties, so losing that
-// pair costs less than one more hop: its peeks must hit the
-// disconnection guard, and bounded removals must lose light pairs.
+// that take the cut-first rejection, C7 bounds included, of the
+// Weighted (ShufOpt) configs that take the weighted bound, and of the
+// LatOp configs that take the pair bound on removals and on the
+// removal half of swaps (fragility and C7 terms included; on a
+// multi-word grid the bound is the dirty count), and check each move
+// against its real delta. In the heavy ShufOpt row every fourth
+// source's demand is ten disconnection penalties, so losing that pair
+// costs less than one more hop: its peeks must hit the disconnection
+// guard, and bounded removals must lose light pairs.
 func TestRemovalBoundBelowExactDelta(t *testing.T) {
 	shuffle := func(g *layout.Grid) [][]float64 { return traffic.Shuffle{N: g.N()}.WeightMatrix() }
 	heavy := shuffle(layout.Grid4x5)
@@ -299,6 +302,11 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 		{"shufopt", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: Weighted, Weights: shuffle(layout.Grid4x5)}},
 		{"shufopt-8x6", Config{Grid: layout.Grid8x6, Class: layout.Medium, Objective: Weighted, Weights: shuffle(layout.Grid8x6)}},
 		{"shufopt-heavy", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: Weighted, Radix: 2, Weights: heavy}},
+		{"latop", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp}},
+		{"latop-8x6", Config{Grid: layout.Grid8x6, Class: layout.Medium, Objective: LatOp}},
+		{"latop-robust", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, RobustWeight: 1}},
+		{"latop-mincut", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, MinCutBW: 0.06}},
+		{"latop-10x10", Config{Grid: layout.Grid10x10, Class: layout.Medium, Objective: LatOp}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,7 +320,8 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 			a.fillRandom(state, rng)
 			ctx := a.newSearchCtx(state)
 			weighted := cfg.Objective == Weighted
-			moved, guarded, lost := 0, 0, 0
+			latop := cfg.Objective == LatOp
+			moved, guarded, lost, swapped := 0, 0, 0, 0
 			for i := 0; i < 600; i++ {
 				mv, ok := ctx.propose(rng)
 				if !ok {
@@ -335,6 +344,10 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 					case !ok && pending > 0:
 						guarded++
 					}
+				case mv.kind == moveRemove && latop:
+					if lb = ctx.pairBound(mv.rf, mv.rt, 0, cur); lb > 0 {
+						moved++
+					}
 				case mv.kind == moveRemove:
 					if now, after := ctx.ev.PeekRemovePoolMin(mv.rf, mv.rt); after < now {
 						moved++
@@ -344,10 +357,15 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 				ctx.begin()
 				if mv.kind == moveSwap {
 					ctx.doAdd(mv.af, mv.at)
+					if latop {
+						if lb = ctx.pairBound(mv.rf, mv.rt, ctx.score()-cur, cur); lb > 0 {
+							swapped++
+						}
+					}
 				}
 				ctx.doRemove(mv.rf, mv.rt)
-				if delta := ctx.score() - cur; mv.kind == moveRemove && lb > delta {
-					t.Fatalf("step %d: removing %d->%d: bound %v exceeds exact delta %v", i, mv.rf, mv.rt, lb, delta)
+				if delta := ctx.score() - cur; lb > delta {
+					t.Fatalf("step %d: move %+v: bound %v exceeds exact delta %v", i, mv, lb, delta)
 				}
 				if _, lost1 := ctx.ev.WeightedTotal(); weighted && lb > 0 && lost1 > lost0 {
 					lost++
@@ -359,7 +377,10 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 				}
 			}
 			if moved == 0 {
-				t.Error("no removal lowered the pool minimum or had a positive weighted bound; the bound went untested")
+				t.Error("no removal lowered the pool minimum or had a positive weighted or pair bound; the bound went untested")
+			}
+			if latop && swapped == 0 {
+				t.Error("no swap had a positive pair bound; the swap bound went untested")
 			}
 			if tc.name == "shufopt-heavy" && (guarded == 0 || lost == 0) {
 				t.Errorf("%d weighted peeks hit the disconnection guard and %d bounded removals lost a pair; both must occur",

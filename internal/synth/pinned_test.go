@@ -31,9 +31,13 @@ func outputDigest(res *Result) string {
 // peek-first bound on single-word grids (4x5, 8x6), no bound and a
 // full re-sum on a multi-word grid (10x10), and the transactional path
 // under a diameter bound or symmetric links; population mode runs it
-// inside crossover bursts. Performance work on the annealer and its
-// evaluator must leave every trajectory, and so every digest,
-// unchanged; an intended change to the search updates the table.
+// inside crossover bursts. The LatOp rows do the same for the pair
+// bound on removals and swaps: it runs on 4x5 and 8x6 and under C7 and
+// fragility terms, and not on 10x10 (no walk, union swaps), under a
+// diameter bound, with an energy term or with symmetric links.
+// Performance work on the annealer and its evaluator must leave every
+// trajectory, and so every digest, unchanged; an intended change to
+// the search updates the table.
 func TestGenerateOutputPinned(t *testing.T) {
 	base := func(g *layout.Grid, obj Objective) Config {
 		return Config{Grid: g, Class: layout.Medium, Objective: obj, Seed: 1, Iterations: 5000, Restarts: 2}
@@ -58,6 +62,14 @@ func TestGenerateOutputPinned(t *testing.T) {
 	shufPop.Iterations, shufPop.Population, shufPop.Generations = 1200, 4, 2
 	pop := base(layout.Grid4x5, LatOp)
 	pop.Iterations, pop.Population, pop.Generations = 1200, 4, 2
+	latDiam := base(layout.Grid4x5, LatOp)
+	latDiam.MaxDiameter = 4
+	latRobust := base(layout.Grid4x5, LatOp)
+	latRobust.RobustWeight = 1
+	latEnergy := base(layout.Grid4x5, LatOp)
+	latEnergy.EnergyWeight = 1
+	latSym := base(layout.Grid4x5, LatOp)
+	latSym.Symmetric = true
 	cases := []struct {
 		name string
 		cfg  Config
@@ -75,6 +87,12 @@ func TestGenerateOutputPinned(t *testing.T) {
 		{"shufopt-population", shufPop, "d26c4febf0b615d2de51976e2bd96a1f5e48c0a616347cdf7ab0b34a2ed13d7a"},
 		{"latop", base(layout.Grid4x5, LatOp), "1685baedad78ca0d8c1bc3bb198307caadf9a2c483acf28c3b3afa8fbd9b4f45"},
 		{"population", pop, "7ba14dc6881a7c0fa8afc75375bc1b81dafebccd8771577da095b3c009260695"},
+		{"latop-8x6", base(layout.Grid8x6, LatOp), "da446b758fd5fb4e2eac544ec760d4d53a3c5aaf36ba7d63f65b0ea54c283692"},
+		{"latop-10x10", base(layout.Grid10x10, LatOp), "e83f1cfe7e911aae2058a471b62e447d728c2295ef690176e92afe0932a271b9"},
+		{"latop-diameter", latDiam, "4a191adcc295803e5e3b06d50b6b84e5af8e31eb6b96bb556addc9cca4acc98e"},
+		{"latop-robust", latRobust, "7ed82345582f6582ab6cdc0fc3c62aec5594faa94ba5de6afcd4308664edf7a7"},
+		{"latop-energy", latEnergy, "f0b5caf90eeea596563c1f31ab86e7c9b6622d03c927c5937bdcf2c8a0eb8a49"},
+		{"latop-symmetric", latSym, "0f7c8a328dc853b2857af25cf32b0454fece1adc3ef4cdc9171a48fea9a4a2f2"},
 	}
 	for _, c := range cases {
 		res, err := Generate(c.cfg)
