@@ -75,14 +75,18 @@ type Eval struct {
 	oldRow  []int16
 	preds   []int32
 
-	// Transposed level masks, maintained for graphs of at most 64
-	// nodes (source sets then fit one word): T[v*(n+1)+d] is the bitmask
-	// of sources whose distance to vertex v is exactly d, and reach[v]
-	// the sources that reach v at all. They turn the per-op dirty-source
+	// Level masks, maintained for graphs of at most 64 nodes (vertex
+	// sets then fit one word): T[v*(n+1)+d] is the bitmask of sources
+	// whose distance to vertex v is exactly d, reach[v] the sources that
+	// reach v at all, and L[s*(n+1)+d], T's transpose, the vertices at
+	// distance exactly d from source s. T turns the per-op dirty-source
 	// detection from an O(n) scalar scan into a handful of word
-	// operations over distance levels.
+	// operations over distance levels; L does the same for the
+	// decremental repair's affected-set walk and re-leveling. Every site
+	// that moves a T bit moves the matching L bit.
 	fastT bool
 	T     []uint64
+	L     []uint64
 	reach []uint64
 
 	// Deferred invalidation queue (see type comment). In fast mode the
@@ -96,7 +100,6 @@ type Eval struct {
 	pendMask  uint64 // fast-mode mirror of the pending set
 	singleRem bool
 	remB      int
-	wave      []int32
 
 	// Kept walks (PeekRemovePairs): walks[s] is the affected set of
 	// dirty source s (s in walkDirty) for the peeked removal
@@ -186,7 +189,8 @@ func NewEval(g *Graph, weights [][]float64) *Eval {
 	}
 	if n <= MaxFastNodes {
 		e.fastT = true
-		e.T = make([]uint64, n*(n+1))
+		levels := make([]uint64, 2*n*(n+1))
+		e.T, e.L = levels[:n*(n+1):n*(n+1)], levels[n*(n+1):]
 		e.reach = make([]uint64, n)
 		if weights != nil {
 			e.wSupport = make([]uint64, n)
@@ -203,6 +207,7 @@ func NewEval(g *Graph, weights [][]float64) *Eval {
 			for v := 0; v < n; v++ {
 				if d := e.dist[s*n+v]; d >= 0 {
 					e.T[v*(n+1)+int(d)] |= bit
+					e.L[s*(n+1)+int(d)] |= 1 << uint(v)
 					e.reach[v] |= bit
 				}
 			}
@@ -565,10 +570,11 @@ func (e *Eval) Rollback() {
 		r := &e.rows[i]
 		if e.fastT {
 			// Only the journaled changed vertices can differ; restore
-			// their transposed bits without a full row diff.
+			// their level-mask bits without a full row diff.
 			cur := e.dist[r.src*e.n : (r.src+1)*e.n]
 			bit := uint64(1) << uint(r.src)
 			stride := e.n + 1
+			lv := e.L[r.src*stride : r.src*stride+stride]
 			for m := r.changed; m != 0; m &= m - 1 {
 				v := bits.TrailingZeros64(m)
 				od, nd := cur[v], r.row[v]
@@ -577,9 +583,11 @@ func (e *Eval) Rollback() {
 				}
 				if od >= 0 {
 					e.T[v*stride+int(od)] &^= bit
+					lv[od] &^= 1 << uint(v)
 				}
 				if nd >= 0 {
 					e.T[v*stride+int(nd)] |= bit
+					lv[nd] |= 1 << uint(v)
 					if od < 0 {
 						e.reach[v] |= bit
 					}
@@ -799,6 +807,7 @@ func (e *Eval) repairAddFast(s, a, b int) {
 	row := e.dist[s*n : (s+1)*n]
 	bit := uint64(1) << uint(s)
 	stride := n + 1
+	lv := e.L[s*stride : s*stride+stride]
 	out := e.g.out
 	var dTot int64
 	var dUnreach int32
@@ -810,6 +819,7 @@ func (e *Eval) repairAddFast(s, a, b int) {
 		od := row[v]
 		if od >= 0 {
 			e.T[v*stride+int(od)] &^= bit
+			lv[od] &^= 1 << uint(v)
 			dTot += int64(d - od)
 		} else {
 			e.reach[v] |= bit
@@ -817,6 +827,7 @@ func (e *Eval) repairAddFast(s, a, b int) {
 			dTot += int64(d)
 		}
 		e.T[v*stride+int(d)] |= bit
+		lv[d] |= 1 << uint(v)
 		if e.trackDiameter {
 			if od > 0 {
 				e.histo[od]--
@@ -887,56 +898,40 @@ const maxAffectedRepair = 10
 // shortest-path DAG forward from b and returns the affected vertices
 // at distance at most depth from s, those left with no unaffected
 // equal-level predecessor; exactly their distances from s grow. The
-// walk visits levels in order, so every affected predecessor of a
-// vertex is marked before the vertex is tested. It gives up, returning
-// ok false, once more than limit vertices are affected; the vertices
-// marked by then are affected all the same. The removed
-// link itself is never examined, so the walk gives the same set before
-// the removal as after it. Fast mode only; s's row must be exact for
-// the pre-removal graph.
+// walk is level-synchronous over s's level masks: a level's candidates
+// are the successors of the previous level's affected vertices, and a
+// candidate u is affected iff in[u] misses every unaffected vertex one
+// level up, so every affected predecessor is marked before the test.
+// It gives up, returning ok false, once a level leaves more than limit
+// vertices affected; the vertices marked by then, that whole level
+// included, are affected all the same. The removed link itself is
+// never examined, so the walk gives the same set before the removal as
+// after it. Fast mode only; s's row must be exact for the pre-removal
+// graph.
 func (e *Eval) affectedFast(s, b, limit int, depth int16) (aff uint64, ok bool) {
-	row := e.dist[s*e.n : (s+1)*e.n]
+	stride := e.n + 1
+	lv := e.L[s*stride : s*stride+stride]
 	out, in := e.g.out, e.g.in
 	aff = uint64(1) << uint(b)
 	count := 1
-	wave := append(e.wave[:0], int32(b))
-	for head := 0; head < len(wave); head++ {
-		v := int(wave[head])
-		dv1 := row[v] + 1
-		if dv1 > depth {
-			break
+	for d, front := e.dist[s*e.n+b], aff; front != 0 && d < depth; d++ {
+		var cand uint64
+		for f := front; f != 0; f &= f - 1 {
+			cand |= out[bits.TrailingZeros64(f)]
 		}
-		m := out[v]
-		for m != 0 {
-			u := bits.TrailingZeros64(m)
-			m &= m - 1
-			if aff&(1<<uint(u)) != 0 || row[u] != dv1 {
-				continue
+		// Level d is complete, so its unaffected vertices are final.
+		keep := lv[d] &^ aff
+		front = 0
+		for cand &= lv[d+1]; cand != 0; cand &= cand - 1 {
+			if u := bits.TrailingZeros64(cand); in[u]&keep == 0 {
+				front |= 1 << uint(u)
 			}
-			// u loses v as a shortest predecessor; it stays exact only
-			// if an unaffected predecessor at the same level remains.
-			alt := false
-			pm := in[u] &^ aff
-			for pm != 0 {
-				p := bits.TrailingZeros64(pm)
-				pm &= pm - 1
-				if row[p] == dv1-1 {
-					alt = true
-					break
-				}
-			}
-			if !alt {
-				aff |= 1 << uint(u)
-				count++
-				if count > limit {
-					e.wave = wave[:0]
-					return aff, false
-				}
-				wave = append(wave, int32(u))
-			}
+		}
+		aff |= front
+		if count += bits.OnesCount64(front); count > limit {
+			return aff, false
 		}
 	}
-	e.wave = wave[:0]
 	return aff, true
 }
 
@@ -955,42 +950,34 @@ func (e *Eval) repairRemoveFast(s, b int, aff uint64) (changed uint64) {
 	e.journalRow(s)
 	// Phase 2: distances of affected vertices strictly grow, so
 	// re-level upward from b's old distance; a vertex settles at d once
-	// a settled or never-affected predecessor sits at d-1.
+	// a settled or never-affected predecessor sits at d-1, which is one
+	// AND against s's level mask for d-1 less the unsettled vertices.
 	bit := uint64(1) << uint(s)
 	stride := n + 1
+	lv := e.L[s*stride : s*stride+stride]
 	var dTot int64
 	var dUnreach int32
 	rem := aff
 	for d := db + 1; rem != 0 && int(d) <= n; d++ {
+		keep := lv[d-1] &^ rem
 		var newly uint64
-		rm := rem
-		for rm != 0 {
-			u := bits.TrailingZeros64(rm)
-			rm &= rm - 1
-			pm := in[u] &^ rem
-			for pm != 0 {
-				p := bits.TrailingZeros64(pm)
-				pm &= pm - 1
-				if row[p] == d-1 {
-					newly |= 1 << uint(u)
-					break
-				}
+		for rm := rem; rm != 0; rm &= rm - 1 {
+			if u := bits.TrailingZeros64(rm); in[u]&keep != 0 {
+				newly |= 1 << uint(u)
 			}
 		}
 		if newly == 0 {
 			// Stagnation: when no remaining vertex has any reachable
 			// outside predecessor, the rest are unreachable.
-			anyExternal := false
-			for rm := rem; rm != 0 && !anyExternal; rm &= rm - 1 {
-				u := bits.TrailingZeros64(rm)
-				for pm := in[u] &^ rem; pm != 0; pm &= pm - 1 {
-					if row[bits.TrailingZeros64(pm)] >= 0 {
-						anyExternal = true
-						break
-					}
-				}
+			var ext uint64
+			for rm := rem; rm != 0; rm &= rm - 1 {
+				ext |= in[bits.TrailingZeros64(rm)]
 			}
-			if !anyExternal {
+			ext &^= rem
+			for ext != 0 && row[bits.TrailingZeros64(ext)] < 0 {
+				ext &= ext - 1
+			}
+			if ext == 0 {
 				break
 			}
 			continue
@@ -998,12 +985,14 @@ func (e *Eval) repairRemoveFast(s, b int, aff uint64) (changed uint64) {
 		for nm := newly; nm != 0; nm &= nm - 1 {
 			u := bits.TrailingZeros64(nm)
 			od := row[u]
-			changed |= 1 << uint(u)
 			e.T[u*stride+int(od)] &^= bit
 			e.T[u*stride+int(d)] |= bit
+			lv[od] &^= 1 << uint(u)
 			dTot += int64(d - od)
 			row[u] = d
 		}
+		lv[d] |= newly
+		changed |= newly
 		rem &^= newly
 	}
 	for ; rem != 0; rem &= rem - 1 {
@@ -1011,6 +1000,7 @@ func (e *Eval) repairRemoveFast(s, b int, aff uint64) (changed uint64) {
 		od := row[u]
 		changed |= 1 << uint(u)
 		e.T[u*stride+int(od)] &^= bit
+		lv[od] &^= 1 << uint(u)
 		e.reach[u] &^= bit
 		dTot -= int64(od)
 		dUnreach++
@@ -1145,12 +1135,12 @@ func (e *Eval) PeekRemovePairs(a, b int) (dirty, pairs int) {
 	return bits.OnesCount64(e.walkDirty), pairs
 }
 
-// retuneT moves source s's transposed level-mask bits from the old row
-// to the new row and returns the mask of vertices whose distance
-// changed.
+// retuneT moves source s's level-mask bits from the old row to the new
+// row and returns the mask of vertices whose distance changed.
 func (e *Eval) retuneT(s int, old, new []int16) uint64 {
 	bit := uint64(1) << uint(s)
 	stride := e.n + 1
+	lv := e.L[s*stride : s*stride+stride]
 	var changed uint64
 	for v := 0; v < e.n; v++ {
 		od, nd := old[v], new[v]
@@ -1160,9 +1150,11 @@ func (e *Eval) retuneT(s int, old, new []int16) uint64 {
 		changed |= 1 << uint(v)
 		if od >= 0 {
 			e.T[v*stride+int(od)] &^= bit
+			lv[od] &^= 1 << uint(v)
 		}
 		if nd >= 0 {
 			e.T[v*stride+int(nd)] |= bit
+			lv[nd] |= 1 << uint(v)
 			if od < 0 {
 				e.reach[v] |= bit
 			}
@@ -1325,15 +1317,16 @@ func (e *Eval) reweighChanged(s int, changed uint64) {
 
 // recomputeFast is recompute for single-word graphs without diameter
 // tracking: one fused BFS pass rewrites only the distances that changed,
-// moving their transposed level-mask bits and journaling the
-// changed-vertex set as it goes, and returns that set. Weighted sums
-// are left to the caller (reweighChanged).
+// moving their level-mask bits and journaling the changed-vertex set as
+// it goes, and returns that set. Weighted sums are left to the caller
+// (reweighChanged).
 func (e *Eval) recomputeFast(s int) uint64 {
 	n := e.n
 	e.journalRow(s)
 	row := e.dist[s*n : (s+1)*n]
 	bit := uint64(1) << uint(s)
 	stride := n + 1
+	lv := e.L[s*stride : s*stride+stride]
 	out := e.g.out
 	var changed uint64
 	var total int64
@@ -1362,10 +1355,12 @@ func (e *Eval) recomputeFast(s int) uint64 {
 				changed |= 1 << uint(v)
 				if od >= 0 {
 					e.T[v*stride+int(od)] &^= bit
+					lv[od] &^= 1 << uint(v)
 				} else {
 					e.reach[v] |= bit
 				}
 				e.T[v*stride+int(d)] |= bit
+				lv[d] |= 1 << uint(v)
 				row[v] = d
 			}
 		}
@@ -1380,6 +1375,7 @@ func (e *Eval) recomputeFast(s int) uint64 {
 		if od := row[v]; od >= 0 {
 			changed |= 1 << uint(v)
 			e.T[v*stride+int(od)] &^= bit
+			lv[od] &^= 1 << uint(v)
 			e.reach[v] &^= bit
 			row[v] = -1
 		}
@@ -1432,6 +1428,10 @@ func (e *Eval) CheckConsistency() error {
 		}
 	}
 	if e.fastT {
+		// Every level-mask word, T and L alike, must equal the one the
+		// rows imply.
+		stride := n + 1
+		trans, levels := make([]uint64, len(e.T)), make([]uint64, len(e.L))
 		for s := 0; s < n; s++ {
 			bit := uint64(1) << uint(s)
 			for v := 0; v < n; v++ {
@@ -1439,9 +1439,18 @@ func (e *Eval) CheckConsistency() error {
 				if (d >= 0) != (e.reach[v]&bit != 0) {
 					return fmt.Errorf("bitgraph: eval reach[%d] bit %d inconsistent with dist %d", v, s, d)
 				}
-				if d >= 0 && e.T[v*(n+1)+int(d)]&bit == 0 {
-					return fmt.Errorf("bitgraph: eval T[%d][%d] missing source %d", v, d, s)
+				if d >= 0 {
+					trans[v*stride+int(d)] |= bit
+					levels[s*stride+int(d)] |= 1 << uint(v)
 				}
+			}
+		}
+		for i := range trans {
+			if e.T[i] != trans[i] {
+				return fmt.Errorf("bitgraph: eval T[%d][%d] = %#x, recomputed %#x", i/stride, i%stride, e.T[i], trans[i])
+			}
+			if e.L[i] != levels[i] {
+				return fmt.Errorf("bitgraph: eval L[%d][%d] = %#x, recomputed %#x", i/stride, i%stride, e.L[i], levels[i])
 			}
 		}
 	}

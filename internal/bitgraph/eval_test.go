@@ -2,6 +2,7 @@ package bitgraph
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -486,6 +487,225 @@ func TestEvalPeekedWalksGoStale(t *testing.T) {
 		}
 		if kept == 0 {
 			t.Errorf("n=%d: no Remove kept its peek's walks", n)
+		}
+	}
+}
+
+// affectedScalar is the scalar affected-set walk that affectedFast's
+// level-synchronous one replaced, kept as its oracle: a breadth-first
+// wave from b that tests a successor's predecessors one row read at a
+// time, and gives up as soon as more than limit vertices are affected.
+func affectedScalar(e *Eval, s, b, limit int, depth int16) (aff uint64, ok bool) {
+	row := e.dist[s*e.n : (s+1)*e.n]
+	out, in := e.g.out, e.g.in
+	aff = uint64(1) << uint(b)
+	count := 1
+	wave := []int32{int32(b)}
+	for head := 0; head < len(wave); head++ {
+		v := int(wave[head])
+		dv1 := row[v] + 1
+		if dv1 > depth {
+			break
+		}
+		m := out[v]
+		for m != 0 {
+			u := bits.TrailingZeros64(m)
+			m &= m - 1
+			if aff&(1<<uint(u)) != 0 || row[u] != dv1 {
+				continue
+			}
+			// u loses v as a shortest predecessor; it stays exact only
+			// if an unaffected predecessor at the same level remains.
+			alt := false
+			pm := in[u] &^ aff
+			for pm != 0 {
+				p := bits.TrailingZeros64(pm)
+				pm &= pm - 1
+				if row[p] == dv1-1 {
+					alt = true
+					break
+				}
+			}
+			if !alt {
+				aff |= 1 << uint(u)
+				count++
+				if count > limit {
+					return aff, false
+				}
+				wave = append(wave, int32(u))
+			}
+		}
+	}
+	return aff, true
+}
+
+// relevelScalar is the scalar phase 2 that repairRemoveFast's
+// level-mask one replaced, kept as its oracle: it re-levels the
+// affected set aff of row, a source's pre-removal row, in place
+// against g (the link already removed), upward from db, the old
+// distance of the removed link's head, testing predecessors one row
+// read at a time.
+func relevelScalar(g *Graph, row []int16, db int16, aff uint64) {
+	n := g.n
+	in := g.in
+	rem := aff
+	for d := db + 1; rem != 0 && int(d) <= n; d++ {
+		var newly uint64
+		rm := rem
+		for rm != 0 {
+			u := bits.TrailingZeros64(rm)
+			rm &= rm - 1
+			pm := in[u] &^ rem
+			for pm != 0 {
+				p := bits.TrailingZeros64(pm)
+				pm &= pm - 1
+				if row[p] == d-1 {
+					newly |= 1 << uint(u)
+					break
+				}
+			}
+		}
+		if newly == 0 {
+			// Stagnation: when no remaining vertex has any reachable
+			// outside predecessor, the rest are unreachable.
+			anyExternal := false
+			for rm := rem; rm != 0 && !anyExternal; rm &= rm - 1 {
+				u := bits.TrailingZeros64(rm)
+				for pm := in[u] &^ rem; pm != 0; pm &= pm - 1 {
+					if row[bits.TrailingZeros64(pm)] >= 0 {
+						anyExternal = true
+						break
+					}
+				}
+			}
+			if !anyExternal {
+				break
+			}
+			continue
+		}
+		for nm := newly; nm != 0; nm &= nm - 1 {
+			row[bits.TrailingZeros64(nm)] = d
+		}
+		rem &^= newly
+	}
+	for ; rem != 0; rem &= rem - 1 {
+		row[bits.TrailingZeros64(rem)] = -1
+	}
+}
+
+// The level-mask walks must agree with their scalar oracles on
+// single-word graphs up to 64 nodes, sparse ones with unreachable
+// vertices included. affectedFast must give up exactly when the
+// oracle does and return the same set when it does not; a walk that
+// gives up has marked a whole level, so its set must lie inside the
+// oracle's complete set and exceed the limit. repairRemoveFast must
+// re-level every dirty source of a real removal to the oracle's row
+// from the complete affected set, however large, and every level-mask
+// word must stay exact (CheckConsistency) through the removals, the
+// additions that refill the graph, and transactions of several
+// removals, which recompute by BFS, committed or rolled back.
+func TestEvalLevelWalksMatchScalar(t *testing.T) {
+	for _, n := range []int{2, 7, 20, 48, 63, 64} {
+		rng := rand.New(rand.NewSource(int64(n) * 13))
+		limits := []int{1, 3, maxAffectedRepair, n}
+		var overflowed, releveled, lost int
+		for trial := 0; trial < 6; trial++ {
+			var g *Graph
+			if trial%2 == 0 {
+				g = randomConnected(n, 3/float64(n), rng)
+			} else {
+				// No ring: some vertices have no in-link, or sit behind
+				// links a removal cuts.
+				g = New(n)
+				for g.NumLinks() == 0 {
+					for i := 0; i < 2*n; i++ {
+						g.Add(rng.Intn(n), rng.Intn(n))
+					}
+				}
+			}
+			e := NewEval(g, nil)
+			for step := 0; step < 40 && g.NumLinks() > 0; step++ {
+				l := g.LinkAt(rng.Intn(g.NumLinks()))
+				a, b := l.A, l.B
+				for s := 0; s < n; s++ {
+					db := e.dist[s*n+b]
+					if db < 0 {
+						continue
+					}
+					for _, depth := range []int16{db - 1, db, db + 1, db + 2, math.MaxInt16} {
+						full, _ := affectedScalar(e, s, b, n, depth)
+						for _, limit := range limits {
+							got, ok := e.affectedFast(s, b, limit, depth)
+							want, wantOK := affectedScalar(e, s, b, limit, depth)
+							switch {
+							case ok != wantOK:
+								t.Fatalf("n=%d trial %d step %d: walk from %d at %d (limit %d, depth %d) ok %v, scalar %v",
+									n, trial, step, s, b, limit, depth, ok, wantOK)
+							case ok && got != want:
+								t.Fatalf("n=%d trial %d step %d: walk from %d at %d (limit %d, depth %d) = %#x, scalar %#x",
+									n, trial, step, s, b, limit, depth, got, want)
+							case !ok && (got&^full != 0 || bits.OnesCount64(got) <= limit):
+								t.Fatalf("n=%d trial %d step %d: overflowed walk from %d at %d (limit %d, depth %d) = %#x, complete set %#x",
+									n, trial, step, s, b, limit, depth, got, full)
+							case !ok:
+								overflowed++
+							}
+						}
+					}
+				}
+				// Remove the link and re-level each dirty source from its
+				// complete affected set, as the flush does for small ones.
+				dirty := e.removeDirtyFast(a, b)
+				var affs [MaxFastNodes]uint64
+				for m := dirty; m != 0; m &= m - 1 {
+					s := bits.TrailingZeros64(m)
+					affs[s], _ = e.affectedFast(s, b, n, math.MaxInt16)
+				}
+				e.Remove(a, b)
+				for m := dirty; m != 0; m &= m - 1 {
+					s := bits.TrailingZeros64(m)
+					want := slices.Clone(e.dist[s*n : (s+1)*n])
+					relevelScalar(g, want, want[b], affs[s])
+					e.repairRemoveFast(s, b, affs[s])
+					if got := e.dist[s*n : (s+1)*n]; !slices.Equal(got, want) {
+						t.Fatalf("n=%d trial %d step %d: re-leveling source %d after removing %d->%d gave %v, scalar %v",
+							n, trial, step, s, a, b, got, want)
+					}
+					for m := affs[s]; m != 0; m &= m - 1 {
+						if want[bits.TrailingZeros64(m)] < 0 {
+							lost++
+							break
+						}
+					}
+					releveled++
+				}
+				e.pendMask = 0
+				if err := e.CheckConsistency(); err != nil {
+					t.Fatalf("n=%d trial %d step %d: after re-leveling: %v", n, trial, step, err)
+				}
+				// Refill, then run a transaction of two removals.
+				for i := 0; i < 2; i++ {
+					e.Add(rng.Intn(n), rng.Intn(n))
+				}
+				e.Begin()
+				for i := 0; i < 2 && g.NumLinks() > 0; i++ {
+					l := g.LinkAt(rng.Intn(g.NumLinks()))
+					e.Remove(l.A, l.B)
+				}
+				e.Total()
+				if rng.Intn(2) == 0 {
+					e.Commit()
+				} else {
+					e.Rollback()
+				}
+				if err := e.CheckConsistency(); err != nil {
+					t.Fatalf("n=%d trial %d step %d: after a transaction: %v", n, trial, step, err)
+				}
+			}
+		}
+		if overflowed == 0 || releveled == 0 || lost == 0 {
+			t.Errorf("n=%d: %d walks overflowed, %d rows re-leveled, %d of them losing vertices; all must occur",
+				n, overflowed, releveled, lost)
 		}
 	}
 }

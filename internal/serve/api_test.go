@@ -483,6 +483,41 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsBusyTimeCountsOverlapOnce: netsmith_cells_per_second
+// divides by the wall time during which at least one matrix or pareto
+// job ran. Jobs over [0, 10] s and [2, 5] s count 10 s, not the 13 s of
+// their summed run times, and a scrape while a job runs counts the
+// open interval up to the scrape.
+func TestMetricsBusyTimeCountsOverlapOnce(t *testing.T) {
+	at := func(sec int) time.Time { return time.Unix(1000, 0).Add(time.Duration(sec) * time.Second) }
+	var st serverStats
+	for _, step := range []struct {
+		start, end bool
+		sec        int
+		want       time.Duration
+	}{
+		{start: true, sec: 0},
+		{start: true, sec: 2, want: 2 * time.Second},
+		{sec: 4, want: 4 * time.Second},
+		{end: true, sec: 5, want: 5 * time.Second},
+		{sec: 7, want: 7 * time.Second},
+		{end: true, sec: 10, want: 10 * time.Second},
+		{sec: 30, want: 10 * time.Second},
+		{start: true, sec: 40, want: 10 * time.Second},
+		{end: true, sec: 41, want: 11 * time.Second},
+	} {
+		switch {
+		case step.start:
+			st.busyStart(at(step.sec))
+		case step.end:
+			st.busyEnd(at(step.sec))
+		}
+		if got := st.busyAt(at(step.sec)); got != step.want {
+			t.Errorf("at %d s: busy %v, want %v", step.sec, got, step.want)
+		}
+	}
+}
+
 // TestSSEJobEvents: the events stream emits the job envelope on every
 // change and terminates with the terminal event.
 func TestSSEJobEvents(t *testing.T) {

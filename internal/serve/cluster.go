@@ -284,7 +284,6 @@ func (s *Server) completeLease(req CompleteRequest) bool {
 	// Cache-hit cell accounting happens once at merge time (shard
 	// CacheHits overlap across shards); computed cells are exact.
 	s.stats.cellsComputed += int64(req.Stats.Computed)
-	s.stats.busy += time.Duration(req.ElapsedMS) * time.Millisecond
 	s.clusterProgressLocked(cr)
 	if cr.doneN == len(cr.shards) {
 		cr.closeLocked()

@@ -17,9 +17,15 @@ type serverStats struct {
 
 	cellsComputed int64 // matrix cells simulated (local + cluster shards)
 	cellsCached   int64 // matrix cells served from the store
-	busy          time.Duration
 	synthRuns     int64
 	synthCached   int64
+
+	// busy is the wall time during which at least one matrix or pareto
+	// job ran, over closed intervals; while active > 0 the open one
+	// began at busySince (see busyAt).
+	busy      time.Duration
+	active    int
+	busySince time.Time
 
 	// Fleet-level energy accounting, accumulated over served frontiers.
 	// The power/energy sums divide out at scrape time into the exported
@@ -31,6 +37,29 @@ type serverStats struct {
 	fleetIdleMW   float64
 	fleetActiveMW float64
 	fleetFlitPJ   float64 // Σ per-frontier mean energy per flit
+}
+
+// busyStart and busyEnd bracket one running matrix or pareto job, so
+// concurrent jobs count their shared wall time once.
+func (st *serverStats) busyStart(now time.Time) {
+	if st.active == 0 {
+		st.busySince = now
+	}
+	st.active++
+}
+
+func (st *serverStats) busyEnd(now time.Time) {
+	if st.active--; st.active == 0 {
+		st.busy += now.Sub(st.busySince)
+	}
+}
+
+// busyAt is the busy wall time as of now, the open interval included.
+func (st *serverStats) busyAt(now time.Time) time.Duration {
+	if st.active > 0 {
+		return st.busy + now.Sub(st.busySince)
+	}
+	return st.busy
 }
 
 // handleMetrics is GET /metrics: Prometheus text exposition, hand
@@ -45,6 +74,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	queued := len(s.pending)
 	st := s.stats
+	busy := st.busyAt(now)
 	accepted := make(map[string]int64, len(st.accepted))
 	for k, v := range st.accepted {
 		accepted[k] = v
@@ -101,10 +131,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP netsmith_cache_hit_ratio Fraction of matrix cells served from the store.\n# TYPE netsmith_cache_hit_ratio gauge\n")
 	fmt.Fprintf(w, "netsmith_cache_hit_ratio %g\n", ratio)
 	cellsPerSec := 0.0
-	if st.busy > 0 {
-		cellsPerSec = float64(total) / st.busy.Seconds()
+	if busy > 0 {
+		cellsPerSec = float64(total) / busy.Seconds()
 	}
-	fmt.Fprintf(w, "# HELP netsmith_cells_per_second Matrix cells resolved per busy second.\n# TYPE netsmith_cells_per_second gauge\n")
+	fmt.Fprintf(w, "# HELP netsmith_cells_per_second Matrix cells resolved per second of wall time with a matrix or pareto job running.\n# TYPE netsmith_cells_per_second gauge\n")
 	fmt.Fprintf(w, "netsmith_cells_per_second %g\n", cellsPerSec)
 
 	fmt.Fprintf(w, "# HELP netsmith_synth_runs_total Synthesis executions (cached or searched).\n# TYPE netsmith_synth_runs_total counter\n")

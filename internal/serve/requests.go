@@ -600,7 +600,6 @@ func (p *matrixPlan) shard(ctx context.Context, st *store.Store, sh sim.Shard, p
 }
 
 func (p *matrixPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
-	start := time.Now()
 	res, synthCached, err := p.run(ctx, st, sh, progress)
 	if err != nil {
 		return nil, false, nil, err
@@ -614,12 +613,10 @@ func (p *matrixPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, 
 		StoreErrors: tally.storeErrs + res.Stats.StoreErrors,
 	}
 	synthHit := synthCached && !tally.synthSearched
-	elapsed := time.Since(start)
 	note := func(ss *serverStats) {
 		// Shard completions already charged the cells they computed.
 		ss.cellsComputed += int64(res.Stats.Computed)
 		ss.cellsCached += int64(stats.CacheHits)
-		ss.busy += elapsed
 	}
 	out := &MatrixJobResult{Matrix: res, Stats: stats, SynthCacheHit: synthHit, Shards: tally.shards}
 	return out, computed == 0 && synthHit, note, nil
@@ -770,7 +767,6 @@ func (p *paretoPlan) shard(ctx context.Context, st *store.Store, sh sim.Shard, p
 }
 
 func (p *paretoPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, progress func(done, total int), tally shardTally) (any, bool, func(*serverStats), error) {
-	start := time.Now()
 	fr, err := p.run(ctx, st, sh, progress)
 	if err != nil {
 		return nil, false, nil, err
@@ -785,7 +781,6 @@ func (p *paretoPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, 
 		stats.CellsCached = stats.Cells - stats.CellsComputed
 		stats.StoreErrors += tally.storeErrs
 	}
-	elapsed := time.Since(start)
 	note := func(ss *serverStats) {
 		ss.paretoSweeps++
 		ss.paretoKept += int64(len(fr.Points))
@@ -797,7 +792,6 @@ func (p *paretoPlan) finish(ctx context.Context, st *store.Store, sh sim.Shard, 
 		// Shard completions already charged the cells they computed.
 		ss.cellsComputed += int64(fr.Stats.CellsComputed)
 		ss.cellsCached += int64(stats.CellsCached)
-		ss.busy += elapsed
 	}
 	hit := stats.FrontierCached || (stats.Synthesized == 0 && stats.CellsComputed == 0)
 	return &ParetoJobResult{Frontier: fr, Stats: stats, Shards: tally.shards}, hit, note, nil
@@ -906,10 +900,23 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 // plan's finish runs unsharded and cache-first over the store, folding
 // in the shard tally — a local job is a merge with an empty tally.
 // body is the kind-specific request the shard leases carry: workers
-// decode these exact bytes through the same kind-table entry.
+// decode these exact bytes through the same kind-table entry. A job
+// whose plan has units (matrix, pareto) resolves cells, and its run,
+// shard waits included, counts toward /metrics' busy time.
 func (s *Server) submit(kind string, body []byte, p plan, priority int) (*job, *apiError) {
 	shards := p.shards(s.cfg.ClusterShards)
+	busy := p.units() > 0
 	j, qerr := s.enqueue(kind, priority, func(ctx context.Context, j *job) (any, bool, error) {
+		if busy {
+			s.mu.Lock()
+			s.stats.busyStart(time.Now())
+			s.mu.Unlock()
+			defer func() {
+				s.mu.Lock()
+				s.stats.busyEnd(time.Now())
+				s.mu.Unlock()
+			}()
+		}
 		var tally shardTally
 		if shards > 1 {
 			var err error

@@ -34,7 +34,9 @@ func outputDigest(res *Result) string {
 // inside crossover bursts. The LatOp rows do the same for the pair
 // bound on removals and swaps: it runs on 4x5 and 8x6 and under C7 and
 // fragility terms, and not on 10x10 (no walk, union swaps), under a
-// diameter bound, with an energy term or with symmetric links.
+// diameter bound, with an energy term or with symmetric links. The 8x8
+// rows run both bounds at n = MaxFastNodes, where vertex 63 takes the
+// top bit of every level-mask word and rows span 65 levels.
 // Performance work on the annealer and its evaluator must leave every
 // trajectory, and so every digest, unchanged; an intended change to
 // the search updates the table.
@@ -70,6 +72,7 @@ func TestGenerateOutputPinned(t *testing.T) {
 	latEnergy.EnergyWeight = 1
 	latSym := base(layout.Grid4x5, LatOp)
 	latSym.Symmetric = true
+	grid8x8 := layout.NewGrid(8, 8)
 	cases := []struct {
 		name string
 		cfg  Config
@@ -93,6 +96,8 @@ func TestGenerateOutputPinned(t *testing.T) {
 		{"latop-robust", latRobust, "7ed82345582f6582ab6cdc0fc3c62aec5594faa94ba5de6afcd4308664edf7a7"},
 		{"latop-energy", latEnergy, "f0b5caf90eeea596563c1f31ab86e7c9b6622d03c927c5937bdcf2c8a0eb8a49"},
 		{"latop-symmetric", latSym, "0f7c8a328dc853b2857af25cf32b0454fece1adc3ef4cdc9171a48fea9a4a2f2"},
+		{"latop-8x8", base(grid8x8, LatOp), "1daa09f7620158423b03e0f5f2d9f5700d3ba12e6a8b6b2abbff83d18d23a8fb"},
+		{"shufopt-8x8", shufOn(grid8x8), "142199d8eaed322d01765757c418fd9d66adfd4a5013197cfc4bd2066f0ae17b"},
 	}
 	for _, c := range cases {
 		res, err := Generate(c.cfg)
