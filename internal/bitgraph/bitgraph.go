@@ -295,9 +295,10 @@ func (g *Graph) bfsRow(src int, dist []int16, s *bfsScratch) {
 }
 
 // bfsRowStats is bfsRow plus aggregates the BFS produces for free: the
-// sum of finite distances from src and the number of reached nodes
-// (including src itself).
-func (g *Graph) bfsRowStats(src int, dist []int16, s *bfsScratch) (total int64, reached int) {
+// sum of finite distances from src, the number of reached nodes
+// (including src itself) and src's eccentricity, its largest finite
+// distance.
+func (g *Graph) bfsRowStats(src int, dist []int16, s *bfsScratch) (total int64, reached int, ecc int16) {
 	n := g.n
 	for i := 0; i < n; i++ {
 		dist[i] = -1
@@ -330,7 +331,7 @@ func (g *Graph) bfsRowStats(src int, dist []int16, s *bfsScratch) (total int64, 
 			visited |= next
 			frontier = next
 		}
-		return total, bits.OnesCount64(visited)
+		return total, bits.OnesCount64(visited), d
 	}
 	visited, frontier, next := s.visited, s.frontier, s.next
 	visited.Clear()
@@ -360,7 +361,7 @@ func (g *Graph) bfsRowStats(src int, dist []int16, s *bfsScratch) (total int64, 
 		frontier, next = next, frontier
 	}
 	s.frontier, s.next = frontier, next
-	return total, reached
+	return total, reached, d
 }
 
 // WeightedHops returns sum(w[s][d] * dist(s,d)) over reachable pairs plus

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Eval is a stateful incremental evaluator over a Graph. It maintains,
 // under Add/Remove link mutations:
 //
-//   - per-source shortest-path distance vectors (one BFS row per source),
-//   - the total hop count, unreachable-pair count and (optionally)
-//     diameter aggregates,
+//   - per-source shortest-path distance vectors (one BFS row per source)
+//     and eccentricities (each row's largest finite distance),
+//   - the total hop count and unreachable-pair count aggregates,
 //   - optional traffic-weighted hop aggregates, and
 //   - per-cut crossing counters for a pool of partition sets.
 //
@@ -36,17 +37,12 @@ type Eval struct {
 	n int
 
 	dist       []int16 // n x n row-major: dist[s*n+d], -1 unreachable
+	ecc        []int16 // ecc[s]: the largest finite distance in s's row
 	srcTotal   []int64
 	srcUnreach []int32
 
 	total       int64
 	unreachable int
-
-	// Diameter tracking is opt-in (TrackDiameter): the histogram retire/
-	// apply work is pure overhead for configs that never read Diameter().
-	trackDiameter bool
-	histo         []int64 // histo[d] = reachable ordered pairs at distance d
-	maxDist       int     // diameter over reachable pairs (tracked mode)
 
 	w           [][]float64 // optional demand matrix
 	srcWTotal   []float64
@@ -72,8 +68,8 @@ type Eval struct {
 	snapCost  int64
 
 	scratch *bfsScratch
-	oldRow  []int16
 	preds   []int32
+	dirty   []int32 // removeDirty's result: capacity n, in savedIdx's allocation
 
 	// Level masks, maintained for graphs of at most 64 nodes (vertex
 	// sets then fit one word): T[v*(n+1)+d] is the bitmask of sources
@@ -127,8 +123,6 @@ type Eval struct {
 	snapUnreach  int
 	snapWTotal   float64
 	snapWUnreach int
-	snapHisto    []int64
-	snapMaxDist  int
 }
 
 type evalCut struct {
@@ -148,6 +142,7 @@ type rowSave struct {
 	changed  uint64 // fast mode: vertices whose distance changed since the save
 	total    int64
 	unreach  int32
+	ecc      int16
 	wTotal   float64
 	wUnreach int32
 	wDelta   bool
@@ -159,17 +154,20 @@ type rowSave struct {
 // returned Eval from this point on.
 func NewEval(g *Graph, weights [][]float64) *Eval {
 	n := g.n
+	rows := make([]int16, n*n+n)
+	idx := make([]int32, 2*n)
 	e := &Eval{
 		g:          g,
 		n:          n,
-		dist:       make([]int16, n*n),
+		dist:       rows[: n*n : n*n],
+		ecc:        rows[n*n:],
 		srcTotal:   make([]int64, n),
 		srcUnreach: make([]int32, n),
 		w:          weights,
 		scratch:    newBFSScratch(n),
-		oldRow:     make([]int16, n),
 		savedGen:   make([]uint32, n),
-		savedIdx:   make([]int32, n),
+		savedIdx:   idx[:n:n],
+		dirty:      idx[n:n],
 		pendGen:    make([]uint32, n),
 		pendCur:    1,
 	}
@@ -179,8 +177,9 @@ func NewEval(g *Graph, weights [][]float64) *Eval {
 	}
 	for s := 0; s < n; s++ {
 		row := e.dist[s*n : (s+1)*n]
-		total, reached := g.bfsRowStats(s, row, e.scratch)
+		total, reached, ecc := g.bfsRowStats(s, row, e.scratch)
 		unreach := int32(n - reached)
+		e.ecc[s] = ecc
 		e.srcTotal[s] = total
 		e.srcUnreach[s] = unreach
 		e.total += total
@@ -216,36 +215,6 @@ func NewEval(g *Graph, weights [][]float64) *Eval {
 	return e
 }
 
-// TrackDiameter enables incremental diameter maintenance (a per-distance
-// pair histogram updated on every dirty-source recompute). Callers that
-// never read Diameter() in the hot path should leave it off; Diameter()
-// then falls back to an O(n^2) scan of the maintained distance matrix.
-// Must be called outside transactions.
-func (e *Eval) TrackDiameter() {
-	if e.inTxn {
-		panic("bitgraph: TrackDiameter inside transaction")
-	}
-	if e.trackDiameter {
-		return
-	}
-	e.flush()
-	e.trackDiameter = true
-	e.histo = make([]int64, e.n+1)
-	e.snapHisto = make([]int64, e.n+1)
-	e.maxDist = 0
-	n := e.n
-	for s := 0; s < n; s++ {
-		for v := 0; v < n; v++ {
-			if d := e.dist[s*n+v]; d > 0 {
-				e.histo[d]++
-				if int(d) > e.maxDist {
-					e.maxDist = int(d)
-				}
-			}
-		}
-	}
-}
-
 // Graph returns the underlying graph. Callers may read it but must
 // mutate only through the Eval.
 func (e *Eval) Graph() *Graph { return e.g }
@@ -268,7 +237,7 @@ func (e *Eval) flush() {
 		// Remove keeps the walks only for the peeked link settled
 		// alone, so walks that match the pending sources are its.
 		walked := e.walkDirty == m
-		if e.singleRem && !e.trackDiameter {
+		if e.singleRem {
 			// All pending sources come from one removal: patch each by
 			// re-leveling just the affected region behind the removed
 			// link's head, falling back to a BFS when it grows large.
@@ -331,19 +300,10 @@ func (e *Eval) Unreachable() int {
 }
 
 // Diameter returns the maximum shortest-path distance over reachable
-// pairs. O(1) when TrackDiameter is enabled, O(n^2) otherwise.
+// pairs: the largest source eccentricity, in O(n).
 func (e *Eval) Diameter() int {
 	e.flush()
-	if e.trackDiameter {
-		return e.maxDist
-	}
-	max := int16(0)
-	for _, d := range e.dist {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
+	return int(slices.Max(e.ecc))
 }
 
 // WeightedTotal returns the demand-weighted hop total and the number of
@@ -517,10 +477,6 @@ func (e *Eval) Begin() {
 	e.snapWTotal = e.wTotal
 	e.snapWUnreach = e.wUnreach
 	e.snapCost = e.costTotal
-	if e.trackDiameter {
-		copy(e.snapHisto, e.histo)
-		e.snapMaxDist = e.maxDist
-	}
 }
 
 // Commit accepts the transaction's mutations (materializing any pending
@@ -597,6 +553,7 @@ func (e *Eval) Rollback() {
 			}
 		}
 		copy(e.dist[r.src*e.n:(r.src+1)*e.n], r.row)
+		e.ecc[r.src] = r.ecc
 		e.srcTotal[r.src] = r.total
 		e.srcUnreach[r.src] = r.unreach
 		if e.w != nil {
@@ -617,10 +574,6 @@ func (e *Eval) Rollback() {
 	e.wTotal = e.snapWTotal
 	e.wUnreach = e.snapWUnreach
 	e.costTotal = e.snapCost
-	if e.trackDiameter {
-		copy(e.histo, e.snapHisto)
-		e.maxDist = e.snapMaxDist
-	}
 }
 
 // Add inserts link a->b, updates cut counters eagerly and queues the
@@ -715,7 +668,6 @@ func (e *Eval) Remove(a, b int) {
 	if a == b || !e.g.Has(a, b) {
 		return
 	}
-	n := e.n
 	if e.fastT {
 		// The removal PeekRemovePairs peeked last, with nothing else
 		// pending, reuses its dirty sources and keeps its walks for the
@@ -729,32 +681,8 @@ func (e *Eval) Remove(a, b int) {
 		e.remB = b
 		e.pendMask |= dirty
 	} else {
-		e.preds = e.preds[:0]
-		e.g.InRow(b).ForEach(func(p int) {
-			if p != a {
-				e.preds = append(e.preds, int32(p))
-			}
-		})
-		dist, preds := e.dist, e.preds
-		pendGen, pendCur := e.pendGen, e.pendCur
-		for s, base := 0, 0; s < n; s, base = s+1, base+n {
-			if pendGen[s] == pendCur {
-				continue
-			}
-			da := dist[base+a]
-			if da < 0 || dist[base+b] != da+1 {
-				continue
-			}
-			alt := false
-			for _, p := range preds {
-				if dist[base+int(p)] == da {
-					alt = true
-					break
-				}
-			}
-			if !alt {
-				e.markDirty(s)
-			}
+		for _, s := range e.removeDirty(a, b) {
+			e.markDirty(int(s))
 		}
 	}
 	e.g.Remove(a, b)
@@ -765,6 +693,46 @@ func (e *Eval) Remove(a, b int) {
 	if e.inTxn {
 		e.ops = append(e.ops, linkOp{a, b, false})
 	}
+}
+
+// removeDirty is Remove's dirty rule for graphs of more than
+// MaxFastNodes nodes: it returns the sources, queued ones skipped, whose
+// rows the removal of a->b changes, in a buffer the next call reuses.
+// Remove and PeekRemove detect through it.
+func (e *Eval) removeDirty(a, b int) []int32 {
+	preds := e.preds[:0]
+	w := e.g.w
+	for wi, word := range e.g.in[b*w : (b+1)*w] {
+		for ; word != 0; word &= word - 1 {
+			if p := wi*wordBits + bits.TrailingZeros64(word); p != a {
+				preds = append(preds, int32(p))
+			}
+		}
+	}
+	e.preds = preds
+	dirty := e.dirty[:0]
+	n, dist, pendGen, pendCur := e.n, e.dist, e.pendGen, e.pendCur
+	for s, base := 0, 0; s < n; s, base = s+1, base+n {
+		if pendGen[s] == pendCur {
+			continue
+		}
+		da := dist[base+a]
+		if da < 0 || dist[base+b] != da+1 {
+			continue
+		}
+		alt := false
+		for _, p := range preds {
+			if dist[base+int(p)] == da {
+				alt = true
+				break
+			}
+		}
+		if !alt {
+			dirty = append(dirty, int32(s))
+		}
+	}
+	e.dirty = dirty
+	return dirty
 }
 
 // removeDirtyFast is Remove's dirty rule in level-mask form, for
@@ -828,16 +796,6 @@ func (e *Eval) repairAddFast(s, a, b int) {
 		}
 		e.T[v*stride+int(d)] |= bit
 		lv[d] |= 1 << uint(v)
-		if e.trackDiameter {
-			if od > 0 {
-				e.histo[od]--
-			}
-			e.histo[d]++
-			// A newly reachable pair can sit beyond the old diameter.
-			if int(d) > e.maxDist {
-				e.maxDist = int(d)
-			}
-		}
 		if e.w != nil {
 			if od >= 0 {
 				wTot += e.w[s][v] * float64(d-od)
@@ -868,6 +826,7 @@ func (e *Eval) repairAddFast(s, a, b int) {
 	}
 	e.preds = wave[:0]
 	e.noteChanged(s, changed)
+	e.settleEcc(s, lv)
 	e.srcTotal[s] += dTot
 	e.srcUnreach[s] += dUnreach
 	e.total += dTot
@@ -881,11 +840,20 @@ func (e *Eval) repairAddFast(s, a, b int) {
 			e.wDelta |= bit
 		}
 	}
-	if e.trackDiameter {
-		for e.maxDist > 0 && e.histo[e.maxDist] == 0 {
-			e.maxDist--
-		}
+}
+
+// settleEcc moves source s's eccentricity to the last non-empty level of
+// lv, s's level masks, after a repair. Levels are contiguous from 0 (and
+// lv[n] is always empty), so the walk is as long as the change.
+func (e *Eval) settleEcc(s int, lv []uint64) {
+	d := e.ecc[s]
+	for lv[d+1] != 0 {
+		d++
 	}
+	for lv[d] == 0 {
+		d--
+	}
+	e.ecc[s] = d
 }
 
 // maxAffectedRepair caps the affected-set size for decremental repair;
@@ -939,9 +907,8 @@ func (e *Eval) affectedFast(s, b, limit int, depth int16) (aff uint64, ok bool) 
 // b, for a source whose only shortest support of b was the removed
 // link: it re-levels exactly aff, the complete affected set that phase
 // 1 (affectedFast) collected, at the flush or at the peek, and returns
-// the changed-vertex mask. Fast mode without diameter tracking only
-// (callers re-sum weighted rows through reweighChanged); rows must be
-// exact for the pre-removal graph.
+// the changed-vertex mask. Fast mode only (callers re-sum weighted rows
+// through reweighChanged); rows must be exact for the pre-removal graph.
 func (e *Eval) repairRemoveFast(s, b int, aff uint64) (changed uint64) {
 	n := e.n
 	row := e.dist[s*n : (s+1)*n]
@@ -1007,6 +974,7 @@ func (e *Eval) repairRemoveFast(s, b int, aff uint64) (changed uint64) {
 		row[u] = -1
 	}
 	e.noteChanged(s, changed)
+	e.settleEcc(s, lv)
 	e.srcTotal[s] += dTot
 	e.srcUnreach[s] += dUnreach
 	e.total += dTot
@@ -1027,32 +995,7 @@ func (e *Eval) PeekRemove(a, b int) int {
 	if e.fastT {
 		return bits.OnesCount64(e.removeDirtyFast(a, b))
 	}
-	n := e.n
-	e.preds = e.preds[:0]
-	e.g.InRow(b).ForEach(func(p int) {
-		if p != a {
-			e.preds = append(e.preds, int32(p))
-		}
-	})
-	dist, preds := e.dist, e.preds
-	count := 0
-	for s, base := 0, 0; s < n; s, base = s+1, base+n {
-		da := dist[base+a]
-		if da < 0 || dist[base+b] != da+1 {
-			continue
-		}
-		alt := false
-		for _, p := range preds {
-			if dist[base+int(p)] == da {
-				alt = true
-				break
-			}
-		}
-		if !alt {
-			count++
-		}
-	}
-	return count
+	return len(e.removeDirty(a, b))
 }
 
 // PeekRemoveWeighted returns PeekRemove's count for link a->b together
@@ -1112,11 +1055,10 @@ func (e *Eval) PeekRemoveWeighted(a, b int, lostPair float64) (dirty int, bound 
 // vertices whose distance grows, so pairs is then a lower bound. The
 // walks are kept for the flush that settles the Remove of exactly this
 // link, which re-levels from them instead of walking again (see walks).
-// With more than MaxFastNodes nodes or diameter tracking, which repair
-// by BFS, pairs is the dirty count: each dirty source at least
-// lengthens its distance to b.
+// With more than MaxFastNodes nodes, which repair by BFS, pairs is the
+// dirty count: each dirty source at least lengthens its distance to b.
 func (e *Eval) PeekRemovePairs(a, b int) (dirty, pairs int) {
-	if !e.fastT || e.trackDiameter || a == b || !e.g.Has(a, b) {
+	if !e.fastT || a == b || !e.g.Has(a, b) {
 		dirty = e.PeekRemove(a, b)
 		return dirty, dirty
 	}
@@ -1133,36 +1075,6 @@ func (e *Eval) PeekRemovePairs(a, b int) (dirty, pairs int) {
 		pairs += bits.OnesCount64(aff)
 	}
 	return bits.OnesCount64(e.walkDirty), pairs
-}
-
-// retuneT moves source s's level-mask bits from the old row to the new
-// row and returns the mask of vertices whose distance changed.
-func (e *Eval) retuneT(s int, old, new []int16) uint64 {
-	bit := uint64(1) << uint(s)
-	stride := e.n + 1
-	lv := e.L[s*stride : s*stride+stride]
-	var changed uint64
-	for v := 0; v < e.n; v++ {
-		od, nd := old[v], new[v]
-		if od == nd {
-			continue
-		}
-		changed |= 1 << uint(v)
-		if od >= 0 {
-			e.T[v*stride+int(od)] &^= bit
-			lv[od] &^= 1 << uint(v)
-		}
-		if nd >= 0 {
-			e.T[v*stride+int(nd)] |= bit
-			lv[nd] |= 1 << uint(v)
-			if od < 0 {
-				e.reach[v] |= bit
-			}
-		} else {
-			e.reach[v] &^= bit
-		}
-	}
-	return changed
 }
 
 // cutCounters applies a link delta to every cut's crossing counters.
@@ -1197,7 +1109,7 @@ func (e *Eval) journalRow(s int) {
 		buf = make([]int16, n)
 	}
 	copy(buf, e.dist[s*n:(s+1)*n])
-	save := rowSave{src: s, row: buf, total: e.srcTotal[s], unreach: e.srcUnreach[s]}
+	save := rowSave{src: s, row: buf, total: e.srcTotal[s], unreach: e.srcUnreach[s], ecc: e.ecc[s]}
 	if e.w != nil {
 		save.wTotal = e.srcWTotal[s]
 		save.wUnreach = e.srcWUnreach[s]
@@ -1219,55 +1131,20 @@ func (e *Eval) noteChanged(s int, mask uint64) {
 // recompute re-runs the BFS for one dirty source and folds the row
 // delta into the aggregates, journaling the old row inside transactions.
 func (e *Eval) recompute(s int) {
-	n := e.n
-	if e.fastT && !e.trackDiameter {
+	if e.fastT {
 		e.reweighChanged(s, e.recomputeFast(s))
 		return
 	}
+	n := e.n
 	e.journalRow(s)
-	row := e.dist[s*n : (s+1)*n]
-	if !e.trackDiameter {
-		// Multi-word fast path: the BFS itself produces the per-source
-		// aggregates.
-		total, reached := e.g.bfsRowStats(s, row, e.scratch)
-		unreach := int32(n - reached)
-		e.total += total - e.srcTotal[s]
-		e.unreachable += int(unreach - e.srcUnreach[s])
-		e.srcTotal[s] = total
-		e.srcUnreach[s] = unreach
-		e.reweighRow(s)
-		return
-	}
-	copy(e.oldRow, row)
-	total, reached := e.g.bfsRowStats(s, row, e.scratch)
+	total, reached, ecc := e.g.bfsRowStats(s, e.dist[s*n:(s+1)*n], e.scratch)
 	unreach := int32(n - reached)
-	for v := 0; v < n; v++ {
-		if v == s {
-			continue
-		}
-		// Retire the old distance's histogram contribution in the same
-		// pass that applies the new one.
-		if od := e.oldRow[v]; od > 0 {
-			e.histo[od]--
-		}
-		if d := row[v]; d >= 0 {
-			e.histo[d]++
-			if int(d) > e.maxDist {
-				e.maxDist = int(d)
-			}
-		}
-	}
 	e.total += total - e.srcTotal[s]
 	e.unreachable += int(unreach - e.srcUnreach[s])
 	e.srcTotal[s] = total
 	e.srcUnreach[s] = unreach
+	e.ecc[s] = ecc
 	e.reweighRow(s)
-	for e.maxDist > 0 && e.histo[e.maxDist] == 0 {
-		e.maxDist--
-	}
-	if e.fastT {
-		e.noteChanged(s, e.retuneT(s, e.oldRow, row))
-	}
 }
 
 // reweighRow re-sums source s's demand-weighted row from its settled
@@ -1315,11 +1192,10 @@ func (e *Eval) reweighChanged(s int, changed uint64) {
 	}
 }
 
-// recomputeFast is recompute for single-word graphs without diameter
-// tracking: one fused BFS pass rewrites only the distances that changed,
-// moving their level-mask bits and journaling the changed-vertex set as
-// it goes, and returns that set. Weighted sums are left to the caller
-// (reweighChanged).
+// recomputeFast is recompute for single-word graphs: one fused BFS pass
+// rewrites only the distances that changed, moving their level-mask bits
+// and journaling the changed-vertex set as it goes, and returns that
+// set. Weighted sums are left to the caller (reweighChanged).
 func (e *Eval) recomputeFast(s int) uint64 {
 	n := e.n
 	e.journalRow(s)
@@ -1386,6 +1262,7 @@ func (e *Eval) recomputeFast(s int) uint64 {
 	e.unreachable += int(unreach - e.srcUnreach[s])
 	e.srcTotal[s] = total
 	e.srcUnreach[s] = unreach
+	e.ecc[s] = d
 	return changed
 }
 
@@ -1403,28 +1280,15 @@ func (e *Eval) CheckConsistency() error {
 	row := make([]int16, n)
 	scratch := newBFSScratch(n)
 	for s := 0; s < n; s++ {
-		e.g.bfsRow(s, row, scratch)
+		_, _, ecc := e.g.bfsRowStats(s, row, scratch)
 		for v := 0; v < n; v++ {
 			if row[v] != e.dist[s*n+v] {
 				return fmt.Errorf("bitgraph: eval dist[%d][%d] = %d, recomputed %d",
 					s, v, e.dist[s*n+v], row[v])
 			}
 		}
-	}
-	if e.trackDiameter {
-		histo := make([]int64, n+1)
-		for s := 0; s < n; s++ {
-			for v := 0; v < n; v++ {
-				if d := e.dist[s*n+v]; d > 0 {
-					histo[d]++
-				}
-			}
-		}
-		for d := range histo {
-			if histo[d] != e.histo[d] {
-				return fmt.Errorf("bitgraph: eval histo[%d] = %d, recomputed %d",
-					d, e.histo[d], histo[d])
-			}
+		if ecc != e.ecc[s] {
+			return fmt.Errorf("bitgraph: eval ecc[%d] = %d, recomputed %d", s, e.ecc[s], ecc)
 		}
 	}
 	if e.fastT {

@@ -74,21 +74,21 @@ func TestEvalMatchesHopStats(t *testing.T) {
 // Commit/Rollback decisions must keep every incremental aggregate
 // bit-identical to a from-scratch recomputation.
 func TestEvalIncrementalMatchesRecompute(t *testing.T) {
-	// Without diameter tracking, single-word graphs (n <= 64) settle
-	// rows through the decremental repair and fused BFS, weighted or
-	// not; diameter tracking and multi-word graphs take the full-BFS
-	// recompute. Every combination must stay exact.
+	// Single-word graphs (n <= 64) settle rows through the decremental
+	// repair and fused BFS, weighted or not; multi-word graphs take the
+	// full-BFS recompute. Every row, its eccentricity included, must
+	// stay exact.
 	cases := []struct {
-		n                  int
-		weighted, diameter bool
+		n        int
+		weighted bool
 	}{
-		{9, false, false},
-		{25, false, false},
-		{21, true, false},
-		{20, true, true},
-		{66, true, true},
-		{70, true, false},
-		{90, true, true},
+		{9, false},
+		{25, false},
+		{21, true},
+		{20, true},
+		{66, true},
+		{70, true},
+		{90, true},
 	}
 	for _, c := range cases {
 		n := c.n
@@ -99,9 +99,6 @@ func TestEvalIncrementalMatchesRecompute(t *testing.T) {
 			w = randomDemands(n, 0.3, rng, func() float64 { return rng.Float64() * 4 })
 		}
 		e := NewEval(g, w)
-		if c.diameter {
-			e.TrackDiameter()
-		}
 		for _, m := range randomPool(n, 8, rng) {
 			e.AddCut(m)
 		}

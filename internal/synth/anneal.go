@@ -223,9 +223,6 @@ func (a *annealer) newSearchCtx(g *bitgraph.Graph) *searchCtx {
 		weights = a.cfg.Weights
 	}
 	ev := bitgraph.NewEval(g, weights)
-	if a.cfg.MaxDiameter > 0 {
-		ev.TrackDiameter()
-	}
 	if a.eval.linkCostMilli != nil {
 		ev.SetLinkCost(a.eval.linkCostMilli)
 	}
@@ -872,18 +869,4 @@ func metropolisAccept(u, x float64) bool {
 		return false
 	}
 	return u < math.Exp(-x)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -34,9 +34,12 @@ func outputDigest(res *Result) string {
 // inside crossover bursts. The LatOp rows do the same for the pair
 // bound on removals and swaps: it runs on 4x5 and 8x6 and under C7 and
 // fragility terms, and not on 10x10 (no walk, union swaps), under a
-// diameter bound, with an energy term or with symmetric links. The 8x8
-// rows run both bounds at n = MaxFastNodes, where vertex 63 takes the
-// top bit of every level-mask word and rows span 65 levels.
+// diameter bound, with an energy term or with symmetric links. The
+// diameter-bounded LatOp rows (4x5, 8x6 and 10x10) score every move
+// from the evaluator's per-source eccentricities, settled by the
+// single-word repairs and by the multi-word BFS. The 8x8 rows run both
+// bounds at n = MaxFastNodes, where vertex 63 takes the top bit of
+// every level-mask word and rows span 65 levels.
 // Performance work on the annealer and its evaluator must leave every
 // trajectory, and so every digest, unchanged; an intended change to
 // the search updates the table.
@@ -66,6 +69,10 @@ func TestGenerateOutputPinned(t *testing.T) {
 	pop.Iterations, pop.Population, pop.Generations = 1200, 4, 2
 	latDiam := base(layout.Grid4x5, LatOp)
 	latDiam.MaxDiameter = 4
+	latDiam8x6 := base(layout.Grid8x6, LatOp)
+	latDiam8x6.MaxDiameter = 5
+	latDiam10 := base(layout.Grid10x10, LatOp)
+	latDiam10.Iterations, latDiam10.MaxDiameter = 2000, 8
 	latRobust := base(layout.Grid4x5, LatOp)
 	latRobust.RobustWeight = 1
 	latEnergy := base(layout.Grid4x5, LatOp)
@@ -93,6 +100,8 @@ func TestGenerateOutputPinned(t *testing.T) {
 		{"latop-8x6", base(layout.Grid8x6, LatOp), "da446b758fd5fb4e2eac544ec760d4d53a3c5aaf36ba7d63f65b0ea54c283692"},
 		{"latop-10x10", base(layout.Grid10x10, LatOp), "e83f1cfe7e911aae2058a471b62e447d728c2295ef690176e92afe0932a271b9"},
 		{"latop-diameter", latDiam, "4a191adcc295803e5e3b06d50b6b84e5af8e31eb6b96bb556addc9cca4acc98e"},
+		{"latop-8x6-diameter", latDiam8x6, "c861f679953f8c1f3c24fa4a309cd044c69a21a4a8243607742b81274b21b7fc"},
+		{"latop-10x10-diameter", latDiam10, "21d88e6cbb99d60413032f9faf75b938c92e2601c9ee934b2b3debd24f386552"},
 		{"latop-robust", latRobust, "7ed82345582f6582ab6cdc0fc3c62aec5594faa94ba5de6afcd4308664edf7a7"},
 		{"latop-energy", latEnergy, "f0b5caf90eeea596563c1f31ab86e7c9b6622d03c927c5937bdcf2c8a0eb8a49"},
 		{"latop-symmetric", latSym, "0f7c8a328dc853b2857af25cf32b0454fece1adc3ef4cdc9171a48fea9a4a2f2"},

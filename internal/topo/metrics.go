@@ -40,35 +40,19 @@ func (t *Topology) ShortestPaths() [][]int {
 // IsConnected reports whether every router can reach every other router
 // (strong connectivity, since links are directed).
 func (t *Topology) IsConnected() bool {
-	dist := t.ShortestPaths()
-	for s := range dist {
-		for d, h := range dist[s] {
-			if s != d && h == Unreachable {
-				return false
-			}
-		}
-	}
-	return true
+	_, unreachable, _ := t.bitGraph().HopStats()
+	return unreachable == 0
 }
 
 // TotalHops returns the sum of shortest-path hop distances over all
 // ordered source/destination pairs (the paper's O1 objective, Dtotal), or
-// (sum, false) when the network is disconnected.
+// (0, false) when the network is disconnected.
 func (t *Topology) TotalHops() (int, bool) {
-	dist := t.ShortestPaths()
-	total := 0
-	for s := range dist {
-		for d, h := range dist[s] {
-			if s == d {
-				continue
-			}
-			if h == Unreachable {
-				return 0, false
-			}
-			total += h
-		}
+	total, unreachable, _ := t.bitGraph().HopStats()
+	if unreachable > 0 {
+		return 0, false
 	}
-	return total, true
+	return int(total), true
 }
 
 // AverageHops returns the mean shortest-path hop count over all ordered
@@ -110,20 +94,9 @@ func (t *Topology) WeightedAverageHops(w [][]float64) float64 {
 // Diameter returns the maximum shortest-path distance over all pairs, or
 // Unreachable when disconnected.
 func (t *Topology) Diameter() int {
-	dist := t.ShortestPaths()
-	max := 0
-	for s := range dist {
-		for d, h := range dist[s] {
-			if s == d {
-				continue
-			}
-			if h == Unreachable {
-				return Unreachable
-			}
-			if h > max {
-				max = h
-			}
-		}
+	_, unreachable, diameter := t.bitGraph().HopStats()
+	if unreachable > 0 {
+		return Unreachable
 	}
-	return max
+	return diameter
 }

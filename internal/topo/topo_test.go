@@ -72,22 +72,24 @@ func TestSelfLinkPanics(t *testing.T) {
 	New("t", layout.NewGrid(2, 2), layout.Small).AddLink(1, 1)
 }
 
+// The 70-router ring takes the multi-word bitset path.
 func TestRingMetrics(t *testing.T) {
-	n := 8
-	tp := ring(n)
-	if !tp.IsConnected() {
-		t.Fatal("ring must be strongly connected")
-	}
-	if d := tp.Diameter(); d != n-1 {
-		t.Errorf("unidirectional ring diameter = %d, want %d", d, n-1)
-	}
-	// Average hops of a unidirectional ring: mean of 1..n-1 = n/2.
-	want := float64(n) / 2
-	if got := tp.AverageHops(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("ring avg hops = %v, want %v", got, want)
-	}
-	if tp.IsSymmetric() {
-		t.Error("unidirectional ring must not be symmetric")
+	for _, n := range []int{8, 70} {
+		tp := ring(n)
+		if !tp.IsConnected() {
+			t.Fatalf("n=%d: ring must be strongly connected", n)
+		}
+		if d := tp.Diameter(); d != n-1 {
+			t.Errorf("n=%d: unidirectional ring diameter = %d, want %d", n, d, n-1)
+		}
+		// Average hops of a unidirectional ring: mean of 1..n-1 = n/2.
+		want := float64(n) / 2
+		if got := tp.AverageHops(); math.Abs(got-want) > 1e-12 {
+			t.Errorf("n=%d: ring avg hops = %v, want %v", n, got, want)
+		}
+		if tp.IsSymmetric() {
+			t.Errorf("n=%d: unidirectional ring must not be symmetric", n)
+		}
 	}
 }
 
@@ -130,23 +132,30 @@ func TestMeshMetrics(t *testing.T) {
 	}
 }
 
+// Two bidirectional rings with no link between them, on one word and
+// on several.
 func TestDisconnected(t *testing.T) {
-	tp := New("disc", layout.NewGrid(1, 4), layout.Large)
-	tp.AddLink(0, 1)
-	tp.AddLink(1, 0)
-	tp.AddLink(2, 3)
-	tp.AddLink(3, 2)
-	if tp.IsConnected() {
-		t.Fatal("should be disconnected")
-	}
-	if _, ok := tp.TotalHops(); ok {
-		t.Error("TotalHops must report disconnection")
-	}
-	if !math.IsInf(tp.AverageHops(), 1) {
-		t.Error("AverageHops must be +Inf when disconnected")
-	}
-	if tp.Diameter() != Unreachable {
-		t.Error("Diameter must be Unreachable when disconnected")
+	for _, n := range []int{4, 70} {
+		tp := New("disc", layout.NewGrid(1, n), layout.Large)
+		for i := 0; i < n/2; i++ {
+			for _, off := range []int{0, n / 2} {
+				a, b := off+i, off+(i+1)%(n/2)
+				tp.AddLink(a, b)
+				tp.AddLink(b, a)
+			}
+		}
+		if tp.IsConnected() {
+			t.Fatalf("n=%d: should be disconnected", n)
+		}
+		if _, ok := tp.TotalHops(); ok {
+			t.Errorf("n=%d: TotalHops must report disconnection", n)
+		}
+		if !math.IsInf(tp.AverageHops(), 1) {
+			t.Errorf("n=%d: AverageHops must be +Inf when disconnected", n)
+		}
+		if tp.Diameter() != Unreachable {
+			t.Errorf("n=%d: Diameter must be Unreachable when disconnected", n)
+		}
 	}
 }
 
