@@ -15,8 +15,8 @@
 // # Synthesis
 //
 // Generate searches the constrained topology space (simulated annealing
-// with exact incremental evaluation, gapped against LP and combinatorial
-// lower bounds; see DESIGN.md) for a router grid and objective:
+// with exact incremental evaluation, gapped against combinatorial
+// bounds; see DESIGN.md) for a router grid and objective:
 //
 //	res, err := netsmith.Generate(netsmith.Options{
 //		Grid:      netsmith.Grid4x5,

@@ -1008,15 +1008,12 @@ func (e *Eval) PeekRemove(a, b int) int {
 // hop, w, to the weighted total, or, if it is lost, lostPair minus the
 // w*dist(s,v) it leaves; that is at least w unless w*(dist(s,v)+1) >
 // lostPair. ok is false, and there is no bound, when some such target
-// passes that limit, and on graphs of more than MaxFastNodes nodes or
-// without weights. Weights must be non-negative.
+// passes that limit. Single-word graphs (at most MaxFastNodes nodes)
+// with weights only; weights must be non-negative.
 func (e *Eval) PeekRemoveWeighted(a, b int, lostPair float64) (dirty int, bound float64, ok bool) {
 	e.walkDirty = 0
 	if a == b || !e.g.Has(a, b) {
 		return 0, 0, true
-	}
-	if !e.fastT || e.w == nil {
-		return e.PeekRemove(a, b), 0, false
 	}
 	e.flush()
 	m := e.removeDirtyFast(a, b)
@@ -1055,12 +1052,11 @@ func (e *Eval) PeekRemoveWeighted(a, b int, lostPair float64) (dirty int, bound 
 // vertices whose distance grows, so pairs is then a lower bound. The
 // walks are kept for the flush that settles the Remove of exactly this
 // link, which re-levels from them instead of walking again (see walks).
-// With more than MaxFastNodes nodes, which repair by BFS, pairs is the
-// dirty count: each dirty source at least lengthens its distance to b.
+// Single-word graphs (at most MaxFastNodes nodes) only.
 func (e *Eval) PeekRemovePairs(a, b int) (dirty, pairs int) {
-	if !e.fastT || a == b || !e.g.Has(a, b) {
-		dirty = e.PeekRemove(a, b)
-		return dirty, dirty
+	if a == b || !e.g.Has(a, b) {
+		e.walkDirty = 0
+		return 0, 0
 	}
 	e.flush()
 	m := e.removeDirtyFast(a, b)

@@ -2,10 +2,9 @@
 // toolkit: a dense two-phase primal simplex for linear programs and a
 // best-first branch-and-bound for integer variables. It is the
 // hand-rolled substitute for the commercial MILP solver the paper uses
-// (Gurobi). In the product the simplex serves only DistanceLevelBound,
-// the LP lower bound synthesis gaps LatOp against; SolveMIP is test
-// support, the exact solve of the MCLB routing formulation (Table III)
-// that route's tests certify their heuristic against.
+// (Gurobi). No product package imports it: it is a test oracle, the
+// exact solve of the MCLB routing formulation (Table III) that route's
+// tests certify their heuristic against.
 //
 // The modelling surface is deliberately minimal: continuous or integer
 // variables with [lower, upper] bounds, linear constraints with <=, = or

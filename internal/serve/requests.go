@@ -562,15 +562,14 @@ func (req *MatrixRequest) plan() (*matrixPlan, error) {
 // synthAllCached reports whether every "ns" topology came from the
 // store.
 func (p *matrixPlan) run(ctx context.Context, st *store.Store, shard sim.Shard, progress func(done, total int)) (res *sim.MatrixResult, synthAllCached bool, err error) {
-	ns := p.ns
-	setups, synthAllCached, err := exp.MatrixSetups(p.topos, ns.Grid, ns.Class, st, ns.EnergyWeight, ns.RobustWeight, ns.Seed, ns.Iterations, ns.Population, ns.Generations)
+	setups, synthAllCached, err := exp.MatrixSetups(p.topos, p.ns, st)
 	if err != nil {
 		return nil, false, err
 	}
 	res, err = sim.RunMatrix(sim.MatrixConfig{
 		Setups: setups, Patterns: p.factories, Faults: p.faults,
 		Rates: p.rates,
-		Base:  p.base, Seed: ns.Seed, Store: st,
+		Base:  p.base, Seed: p.ns.Seed, Store: st,
 		Shard: shard, Ctx: ctx, Progress: progress,
 	})
 	return res, synthAllCached, err

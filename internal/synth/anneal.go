@@ -617,10 +617,12 @@ func (a *annealer) annealFrom(rng *fastRand, state *bitgraph.Graph, iters int, t
 	// so it skips the peek.
 	cutScored := cfg.Objective == SCOp && ctx.ev.NumCuts() > 0
 	// weightedPeek: a Weighted score with no term beyond the weighted
-	// hops and the unreachable-pair penalties, so a plain removal can be
-	// bounded from its peeked affected targets before it is applied.
+	// hops and the unreachable-pair penalties on a single-word graph, so
+	// a plain removal can be bounded from its peeked affected targets
+	// before it is applied. Multi-word removals take the transactional
+	// path, whose dirty scan the peek would only repeat.
 	weightedPeek := mono && cfg.Objective == Weighted && !cfg.Symmetric &&
-		cfg.MaxDiameter == 0 && !ctx.poolInScore()
+		cfg.MaxDiameter == 0 && !ctx.poolInScore() && cfg.Grid.N() <= bitgraph.MaxFastNodes
 	// pairPeek: a LatOp score with no diameter term on a single-word
 	// graph, whose additions repair eagerly and whose removals repair
 	// from the walks PeekRemovePairs keeps. Plain removals, and the

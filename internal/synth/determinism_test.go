@@ -272,9 +272,9 @@ func TestIncrementalScoreMatchesRecompute(t *testing.T) {
 // that take the cut-first rejection, C7 bounds included, of the
 // Weighted (ShufOpt) configs that take the weighted bound, and of the
 // LatOp configs that take the pair bound on removals and on the
-// removal half of swaps (fragility and C7 terms included; on a
-// multi-word grid the bound is the dirty count), and check each move
-// against its real delta. In the heavy ShufOpt row every fourth
+// removal half of swaps (fragility and C7 terms included; single-word
+// grids only, as in the annealer), and check each move against its
+// real delta. In the heavy ShufOpt row every fourth
 // source's demand is ten disconnection penalties, so losing that pair
 // costs less than one more hop: its peeks must hit the disconnection
 // guard, and bounded removals must lose light pairs.
@@ -306,7 +306,6 @@ func TestRemovalBoundBelowExactDelta(t *testing.T) {
 		{"latop-8x6", Config{Grid: layout.Grid8x6, Class: layout.Medium, Objective: LatOp}},
 		{"latop-robust", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, RobustWeight: 1}},
 		{"latop-mincut", Config{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, MinCutBW: 0.06}},
-		{"latop-10x10", Config{Grid: layout.Grid10x10, Class: layout.Medium, Objective: LatOp}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

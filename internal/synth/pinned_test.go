@@ -26,9 +26,10 @@ func outputDigest(res *Result) string {
 // TestGenerateOutputPinned pins Generate's exact output for one config
 // of every search path: SCOp with its separation rounds (4x5 and 6x5),
 // SCOp with the fragility oracle, LatOp under a C7 minimum-cut bound,
-// weighted (ShufOpt) synthesis, plain LatOp and population mode. The
+// weighted (ShufOpt) synthesis, plain LatOp and population mode (4x5
+// and 8x6, offspring pruned against the run's LatOp bound). The
 // weighted rows cover each way a ShufOpt removal is evaluated: the
-// peek-first bound on single-word grids (4x5, 8x6), no bound and a
+// peek-first bound on single-word grids (4x5, 8x6), no peek and a
 // full re-sum on a multi-word grid (10x10), and the transactional path
 // under a diameter bound or symmetric links; population mode runs it
 // inside crossover bursts. The LatOp rows do the same for the pair
@@ -67,6 +68,8 @@ func TestGenerateOutputPinned(t *testing.T) {
 	shufPop.Iterations, shufPop.Population, shufPop.Generations = 1200, 4, 2
 	pop := base(layout.Grid4x5, LatOp)
 	pop.Iterations, pop.Population, pop.Generations = 1200, 4, 2
+	pop8x6 := base(layout.Grid8x6, LatOp)
+	pop8x6.Iterations, pop8x6.Population, pop8x6.Generations = 1200, 4, 2
 	latDiam := base(layout.Grid4x5, LatOp)
 	latDiam.MaxDiameter = 4
 	latDiam8x6 := base(layout.Grid8x6, LatOp)
@@ -97,6 +100,7 @@ func TestGenerateOutputPinned(t *testing.T) {
 		{"shufopt-population", shufPop, "d26c4febf0b615d2de51976e2bd96a1f5e48c0a616347cdf7ab0b34a2ed13d7a"},
 		{"latop", base(layout.Grid4x5, LatOp), "1685baedad78ca0d8c1bc3bb198307caadf9a2c483acf28c3b3afa8fbd9b4f45"},
 		{"population", pop, "7ba14dc6881a7c0fa8afc75375bc1b81dafebccd8771577da095b3c009260695"},
+		{"population-8x6", pop8x6, "21bff9f55f61b2eb8d28d442eb517945d6d4cba1a1f4325769aef78fba0f50f9"},
 		{"latop-8x6", base(layout.Grid8x6, LatOp), "da446b758fd5fb4e2eac544ec760d4d53a3c5aaf36ba7d63f65b0ea54c283692"},
 		{"latop-10x10", base(layout.Grid10x10, LatOp), "e83f1cfe7e911aae2058a471b62e447d728c2295ef690176e92afe0932a271b9"},
 		{"latop-diameter", latDiam, "4a191adcc295803e5e3b06d50b6b84e5af8e31eb6b96bb556addc9cca4acc98e"},

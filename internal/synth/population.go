@@ -223,17 +223,14 @@ func (a *annealer) repairConnectivity(ev *bitgraph.Eval, rng *fastRand) bool {
 }
 
 // pruneBound is the bound offspring pruning measures against: the
-// LP-tightened MIP bound for LatOp, the combinatorial weighted bound
-// for Weighted, none for SCOp (a maximization; its upper bound cannot
+// run's lower bound (latOpLowerBound, set by run) for LatOp and
+// Weighted, none for SCOp (a maximization; its upper bound cannot
 // witness that a low score is hopeless).
 func (a *annealer) pruneBound() float64 {
-	switch a.cfg.Objective {
-	case LatOp:
-		return mipLatOpBound(a.cfg)
-	case Weighted:
-		return latOpLowerBound(a.cfg)
+	if a.cfg.Objective == SCOp {
+		return math.Inf(-1)
 	}
-	return math.Inf(-1)
+	return a.bound
 }
 
 // hopeless reports whether a child's pre-burst score is so far above

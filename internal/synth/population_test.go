@@ -195,33 +195,6 @@ func TestHopelessPruning(t *testing.T) {
 	}
 }
 
-// The LP-tightened bound must stay a bound (below every achievable
-// LatOp objective) while dominating the combinatorial one.
-func TestMipLatOpBoundDominatesAndValid(t *testing.T) {
-	for _, raw := range []Config{
-		{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, Radix: 4, Seed: 2, Iterations: 2500, Restarts: 2},
-		{Grid: layout.NewGrid(3, 4), Class: layout.Large, Objective: LatOp, Radix: 3, Seed: 2, Iterations: 2500, Restarts: 2},
-	} {
-		cfg, err := (&raw).withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		comb := latOpLowerBound(cfg)
-		mipB := mipLatOpBound(cfg)
-		if mipB < comb {
-			t.Errorf("%v: LP bound %v below combinatorial bound %v", cfg.Grid, mipB, comb)
-		}
-		res, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mipB > res.Objective+1e-9 {
-			t.Errorf("%v: LP bound %v exceeds achieved objective %v — not a lower bound",
-				cfg.Grid, mipB, res.Objective)
-		}
-	}
-}
-
 // shuffleWeights is the classic shuffle permutation (rotate-left of the
 // node index in log2(n) bits) as a traffic matrix.
 func shuffleWeights(n int) [][]float64 {

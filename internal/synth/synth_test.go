@@ -272,23 +272,36 @@ func TestGenerateWeightedShuffle(t *testing.T) {
 	}
 }
 
+// latOpLowerBound gaps every LatOp search and prunes population
+// offspring, so it must never exceed the total hops a search achieves:
+// 4x5 large and medium at radix 4 and 3x4 large at radix 3.
 func TestLowerBoundSanity(t *testing.T) {
 	cfg, _ := (&Config{Grid: layout.Grid4x5, Class: layout.Large, Radix: 4, Objective: LatOp}).withDefaults()
-	lb := latOpLowerBound(cfg)
 	// 20 routers, radix 4: per source the Moore bound gives
 	// 4*1 + 15*2 = 34, so total >= 680.
-	if lb < 680-1e-9 {
+	if lb := latOpLowerBound(cfg); lb < 680-1e-9 {
 		t.Errorf("lower bound %v below Moore floor 680", lb)
 	}
-	// Bound must not exceed what an actual topology achieves.
-	res, err := Generate(quickCfg(layout.Grid4x5, layout.Large, LatOp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := mustTotalHops(t, res.Topology)
-	if lb > float64(total)+1e-9 {
-		t.Errorf("lower bound %v exceeds achieved %d", lb, total)
-	}
+	t.Run("achieved", func(t *testing.T) {
+		for _, raw := range []Config{
+			quickCfg(layout.Grid4x5, layout.Large, LatOp),
+			{Grid: layout.Grid4x5, Class: layout.Medium, Objective: LatOp, Radix: 4, Seed: 2, Iterations: 2500, Restarts: 2},
+			{Grid: layout.NewGrid(3, 4), Class: layout.Large, Objective: LatOp, Radix: 3, Seed: 2, Iterations: 2500, Restarts: 2},
+		} {
+			cfg, err := (&raw).withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb := latOpLowerBound(cfg)
+			if total := mustTotalHops(t, res.Topology); lb > float64(total)+1e-9 {
+				t.Errorf("%v %v radix %d: lower bound %v exceeds achieved %d", cfg.Grid, cfg.Class, cfg.Radix, lb, total)
+			}
+		}
+	})
 }
 
 func TestMooreDistances(t *testing.T) {
