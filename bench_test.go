@@ -540,8 +540,8 @@ func BenchmarkEngineSubRate(b *testing.B) {
 // BenchmarkEngineIdleFastForward measures the hybrid stepper's win on
 // quiescent stretches: a trace that dries up early in the warmup window
 // leaves the engine with nothing to do until the measure-window end,
-// and the Never injection hint lets it jump there instead of idling
-// cycle by cycle. The benchdiff baseline pins the fast-forwarded cost;
+// and the dry replay lets it jump there instead of idling cycle by
+// cycle. The benchdiff baseline pins the fast-forwarded cost;
 // regressions here mean the skip gate stopped engaging.
 func BenchmarkEngineIdleFastForward(b *testing.B) {
 	s, err := sim.Prepare(expert.Mesh(layout.Grid4x5), sim.UseNDBT, 1)
@@ -591,7 +591,7 @@ func BenchmarkMatrixBatched(b *testing.B) {
 		Setups: []*sim.Setup{s},
 		Patterns: []sim.PatternFactory{
 			{Name: "uniform", New: func() (traffic.Pattern, error) { return traffic.Uniform{N: 16}, nil }},
-			{Name: "tornado", New: func() (traffic.Pattern, error) { return traffic.Tornado{Rows: 4, Cols: 4}, nil }},
+			{Name: "tornado", New: func() (traffic.Pattern, error) { return traffic.Tornado(4, 4), nil }},
 		},
 		Rates: []float64{0.02, 0.10},
 		Base:  base,

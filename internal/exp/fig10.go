@@ -24,7 +24,7 @@ type Fig10Curve struct {
 // topologies plus NS-ShufOpt per class.
 func (s *Suite) Fig10() ([]Fig10Curve, error) {
 	g := layout.Grid4x5
-	shuffle := traffic.Shuffle{N: g.N()}
+	shuffle := traffic.Shuffle(g.N())
 	var tops []*topo.Topology
 	for _, name := range []string{expert.NameKiteSmall, expert.NameFoldedTorus,
 		expert.NameKiteMedium, expert.NameButterDonut, expert.NameKiteLarge} {

@@ -60,7 +60,7 @@ func (s *Suite) NS(g *layout.Grid, c layout.Class, obj synth.Objective) (*topo.T
 
 // NSShufOpt returns the shuffle-pattern-optimized topology.
 func (s *Suite) NSShufOpt(g *layout.Grid, c layout.Class) (*topo.Topology, error) {
-	sh := traffic.Shuffle{N: g.N()}
+	sh := traffic.Shuffle(g.N())
 	return s.nsWeighted(g, c, synth.Weighted, sh.WeightMatrix(), "ShufOpt")
 }
 

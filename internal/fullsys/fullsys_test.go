@@ -12,7 +12,6 @@ import (
 	"netsmith/internal/layout"
 	"netsmith/internal/sim"
 	"netsmith/internal/synth"
-	"netsmith/internal/traffic"
 )
 
 var (
@@ -202,24 +201,20 @@ func TestWorkloadPattern(t *testing.T) {
 // Inject-contract fix: an originating core must inject on EVERY
 // opportunity (the old code randomly returned ok=false when the
 // coherence draw picked the source itself, which dropped offered load
-// and miscounted injecting nodes), and the static Originator answer
+// and miscounted injecting nodes), and the static Originates answer
 // must partition cores from MC/NoI routers exactly.
 func TestWorkloadInjectContract(t *testing.T) {
 	sys := buildMeshSystem(t)
 	b := Benchmarks()[5] // mid-range coherence fraction
 	w := sys.NewWorkload(b)
-	o, ok := w.(traffic.Originator)
-	if !ok {
-		t.Fatal("workload pattern must implement traffic.Originator")
-	}
 	isCore := map[int]bool{}
 	for _, c := range sys.CoreRouters {
 		isCore[c] = true
 	}
 	rng := rand.New(rand.NewSource(9))
 	for src := 0; src < sys.Net.N(); src++ {
-		if o.Originates(src) != isCore[src] {
-			t.Errorf("Originates(%d) = %v, want %v", src, o.Originates(src), isCore[src])
+		if w.Originates(src) != isCore[src] {
+			t.Errorf("Originates(%d) = %v, want %v", src, w.Originates(src), isCore[src])
 		}
 	}
 	for _, src := range sys.CoreRouters {

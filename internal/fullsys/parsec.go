@@ -94,7 +94,7 @@ func (w *workloadPattern) Inject(src int, rng *rand.Rand) (int, int, bool) {
 	return w.mcs[rng.Intn(len(w.mcs))], traffic.ControlFlits, true
 }
 
-// Originates implements traffic.Originator: cores originate, MC and NoI
+// Originates implements traffic.Pattern: cores originate, MC and NoI
 // routers only forward or reply.
 func (w *workloadPattern) Originates(src int) bool {
 	return src >= coreBase && !w.isMC[src] && len(w.cores) > 1 && len(w.mcs) > 0

@@ -186,7 +186,7 @@ func (req *SynthRequest) plan() (*synthPlan, error) {
 		cfg.Objective = synth.SCOp
 	case "shufopt":
 		cfg.Objective = synth.Weighted
-		cfg.Weights = traffic.Shuffle{N: g.N()}.WeightMatrix()
+		cfg.Weights = traffic.Shuffle(g.N()).WeightMatrix()
 	default:
 		return nil, fmt.Errorf("unknown objective %q (want latop, scop or shufopt)", req.Objective)
 	}

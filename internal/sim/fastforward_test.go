@@ -12,8 +12,8 @@ import (
 
 // ffTrace builds a short trace that dries up well inside the warmup
 // window: at injection rate 1.0 every source pops one record per cycle,
-// so after ~60 cycles the replay is permanently dry and the engine's
-// generation-phase fast-forward (the Never hint) carries the run to the
+// so after ~60 cycles the replay is permanently dry (Replay.Dry) and
+// the engine's generation-phase fast-forward carries the run to the
 // measure-window end.
 func ffTrace(t testing.TB) []traffic.TraceRecord {
 	t.Helper()
@@ -277,7 +277,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 	cfgB := Config{
 		Topo: s.Topo, Routing: s.Routing, VC: s.VC,
-		Pattern:       traffic.Tornado{Rows: 4, Cols: 5},
+		Pattern:       traffic.Tornado(4, 5),
 		InjectionRate: 0.05,
 		WarmupCycles:  400, MeasureCycles: 1500, DrainCycles: 3000,
 		Seed: 77,

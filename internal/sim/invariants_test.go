@@ -163,12 +163,6 @@ func (r *recordingPattern) Inject(src int, rng *rand.Rand) (int, int, bool) {
 	return dst, flits, ok
 }
 
-// Originates must answer statically: the probing fallback would log a
-// spurious injection through the recorder.
-func (r *recordingPattern) Originates(src int) bool {
-	return traffic.PatternOriginates(r.Pattern, src)
-}
-
 // TestEnergyConservation pins the activity-counter semantics after a
 // fully drained run:
 //

@@ -77,10 +77,14 @@ func FaultRegistryFactory(reg *fault.Registry, name string, params fault.Params)
 }
 
 // RegistryFactory adapts a traffic-registry pattern to a PatternFactory.
+// Like FaultRegistryFactory it labels the curves by the canonical
+// spec.Key, which is the bare name for a parameter-free pattern, so
+// differently parameterized instances of one pattern stay apart.
 func RegistryFactory(reg *traffic.Registry, name string, env traffic.Env, params traffic.Params) PatternFactory {
+	key := spec.Key(name, params)
 	return PatternFactory{
-		Name: name,
-		Key:  spec.Key(name, params),
+		Name: key,
+		Key:  key,
 		New:  func() (traffic.Pattern, error) { return reg.Build(name, env, params) },
 	}
 }

@@ -341,8 +341,8 @@ type engine struct {
 	lastEject    []int64
 	lastOut      []int64
 	queuedPkts   int
-	hinter       traffic.InjectionHinter
-	ffSkipped    int64 // cycles fast-forwarded (stats/tests only)
+	replay       *traffic.Replay // the pattern when it is a trace replay
+	ffSkipped    int64           // cycles fast-forwarded (stats/tests only)
 
 	pktFree []*packet // packet pool
 
@@ -612,7 +612,7 @@ func (e *engine) compatible(cfg Config) bool {
 func (e *engine) reset(cfg Config) {
 	e.cfg = cfg
 	e.rng = rand.New(rand.NewSource(cfg.Seed))
-	e.hinter, _ = cfg.Pattern.(traffic.InjectionHinter)
+	e.replay, _ = cfg.Pattern.(*traffic.Replay)
 	e.sizeSlotTables(cfg)
 
 	clear(e.bufHead)
@@ -756,7 +756,7 @@ func (e *engine) run() (*Result, error) {
 				// Nothing observable happens in [cycle, target): no flit
 				// can move (buffers and injection queues are empty; link
 				// pipelines next deliver at target or later), no injection
-				// can occur (drain phase, or the pattern promised Never),
+				// can occur (drain phase, or the trace replay ran dry),
 				// and no fault boundary lands inside the window. Jump the
 				// cycle counter: leakage energy integrates over the final
 				// e.cycle at report time, round-robin state catches up
@@ -868,14 +868,13 @@ func (e *engine) energyReport() (*EnergyReport, error) {
 	}, nil
 }
 
-// injectingNodes counts nodes that originate traffic under the pattern,
-// via the static Originator contract when the pattern provides it (all
-// internal patterns do; the probing fallback would both miscount and
-// perturb stateful patterns like bursty modulation).
+// injectingNodes counts nodes that originate traffic under the
+// pattern's static Originates answer, which draws no rng and reads no
+// mutable state.
 func (e *engine) injectingNodes() int {
 	count := 0
 	for r := 0; r < e.n; r++ {
-		if traffic.PatternOriginates(e.cfg.Pattern, r) {
+		if e.cfg.Pattern.Originates(r) {
 			count++
 		}
 	}
@@ -909,10 +908,10 @@ func (e *engine) skipTarget(measEnd, total int64) int64 {
 	if e.cycle < measEnd {
 		// Generation is live. The Bernoulli gate draws rng once per
 		// router per cycle whatever the pattern would answer, so
-		// skipping is only legal when the pattern promises those draws
-		// are unobservable: no future Inject returns ok and no future
-		// Inject/OnDeliver call consumes rng (the Never contract).
-		if e.hinter == nil || e.hinter.NextInjectionAfter(e.cycle) != traffic.Never {
+		// skipping is only legal when those draws are unobservable: a
+		// dry trace replay never again returns ok from Inject and never
+		// again consumes rng in Inject or OnDeliver.
+		if e.replay == nil || !e.replay.Dry() {
 			return e.cycle
 		}
 		if measEnd < target {

@@ -34,9 +34,9 @@ func TestKeyPinned(t *testing.T) {
 	} {
 		pf := sim.RegistryFactory(traffic.Default(), c.name, traffic.Env{}, traffic.Params(c.p))
 		ff := sim.FaultRegistryFactory(fault.Default(), c.name, fault.Params(c.p))
-		if pf.Key != c.want || ff.Key != c.want || ff.Name != c.want {
-			t.Errorf("%s %v: pattern key %q, fault key %q, fault name %q; want %q",
-				c.name, c.p, pf.Key, ff.Key, ff.Name, c.want)
+		if pf.Key != c.want || pf.Name != c.want || ff.Key != c.want || ff.Name != c.want {
+			t.Errorf("%s %v: pattern key %q, pattern name %q, fault key %q, fault name %q; want %q",
+				c.name, c.p, pf.Key, pf.Name, ff.Key, ff.Name, c.want)
 		}
 	}
 	if ff := sim.FaultRegistryFactory(fault.Default(), "none", nil); ff.Key != "" || ff.Name != "none" {

@@ -279,7 +279,7 @@ func TestIncrementalScoreMatchesRecompute(t *testing.T) {
 // costs less than one more hop: its peeks must hit the disconnection
 // guard, and bounded removals must lose light pairs.
 func TestRemovalBoundBelowExactDelta(t *testing.T) {
-	shuffle := func(g *layout.Grid) [][]float64 { return traffic.Shuffle{N: g.N()}.WeightMatrix() }
+	shuffle := func(g *layout.Grid) [][]float64 { return traffic.Shuffle(g.N()).WeightMatrix() }
 	heavy := shuffle(layout.Grid4x5)
 	for s := 1; s < len(heavy); s += 4 {
 		for d := range heavy[s] {

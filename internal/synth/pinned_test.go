@@ -54,7 +54,7 @@ func TestGenerateOutputPinned(t *testing.T) {
 	mincut.MinCutBW = 0.06
 	shufOn := func(g *layout.Grid) Config {
 		c := base(g, Weighted)
-		c.Weights = traffic.Shuffle{N: g.N()}.WeightMatrix()
+		c.Weights = traffic.Shuffle(g.N()).WeightMatrix()
 		return c
 	}
 	shuf := shufOn(layout.Grid4x5)

@@ -416,7 +416,7 @@ func TestNegativeBudgetRejected(t *testing.T) {
 	demand := func(w float64) func(*Config) {
 		return func(c *Config) {
 			c.Objective = Weighted
-			c.Weights = traffic.Shuffle{N: c.Grid.N()}.WeightMatrix()
+			c.Weights = traffic.Shuffle(c.Grid.N()).WeightMatrix()
 			c.Weights[1][3] = w
 		}
 	}

@@ -344,9 +344,17 @@ func (t *Topology) BisectionCut() (bitgraph.Set, int) {
 		}
 		return bitgraph.MaskSet(n, bestMask), best
 	}
-	// Heuristic: balanced KL restarts.
+	return t.heuristicBisection(200, rand.New(rand.NewSource(7)))
+}
+
+// heuristicBisection runs balanced Kernighan–Lin style restarts: a
+// Fiedler-order seed, then random balanced partitions, each improved by
+// the best crossing-reducing swap until no swap helps. Ties keep the
+// first swap in (a, b) order.
+func (t *Topology) heuristicBisection(restarts int, rng *rand.Rand) (bitgraph.Set, int) {
+	n := t.n
+	half := n / 2
 	bg := t.bitGraph()
-	rng := rand.New(rand.NewSource(7))
 	best := math.MaxInt32
 	var bestSet bitgraph.Set
 	evalBalanced := func(u bitgraph.Set) {
@@ -361,34 +369,55 @@ func (t *Topology) BisectionCut() (bitgraph.Set, int) {
 		m.Add(order[i])
 	}
 	evalBalanced(m)
-	for r := 0; r < 200; r++ {
+	// Per-router neighbour counts on each side of the current partition:
+	// out-neighbours in U and V (oU, oV) and in-neighbours (iU, iV).
+	oU, oV := make([]int, n), make([]int, n)
+	iU, iV := make([]int, n), make([]int, n)
+	for r := 0; r < restarts; r++ {
 		perm := rng.Perm(n)
 		cur := bitgraph.NewSet(n)
 		for i := 0; i < half; i++ {
 			cur.Add(perm[i])
 		}
-		// Greedy swap improvement preserving balance.
+		// Greedy swap improvement preserving balance. Swapping a in U
+		// with b in V moves only the links at a and b, so with
+		// ab = [a->b] + [b->a] the crossing counts become
+		//   uv' = uv - oV[a] + iU[a] + oV[b] - iU[b] + ab
+		//   vu' = vu - iV[a] + oU[a] + iV[b] - oU[b] + ab.
 		improved := true
 		for improved {
 			improved = false
-			curVal := bg.MinCross(cur)
-			bestVal := curVal
+			uv, vu := 0, 0
+			for x := 0; x < n; x++ {
+				out, in := bg.OutRow(x), bg.InRow(x)
+				oU[x], iU[x] = bitgraph.AndCount(out, cur), bitgraph.AndCount(in, cur)
+				oV[x], iV[x] = out.Count()-oU[x], in.Count()-iU[x]
+				if cur.Has(x) {
+					uv += oV[x]
+					vu += iV[x]
+				}
+			}
+			bestVal := min(uv, vu)
 			bestA, bestB := -1, -1
 			for a := 0; a < n; a++ {
 				if !cur.Has(a) {
 					continue
 				}
+				uvA, vuA := uv-oV[a]+iU[a], vu-iV[a]+oU[a]
 				for b := 0; b < n; b++ {
 					if cur.Has(b) {
 						continue
 					}
-					cur.Flip(a)
-					cur.Flip(b)
-					if v := bg.MinCross(cur); v < bestVal {
+					ab := 0
+					if bg.Has(a, b) {
+						ab++
+					}
+					if bg.Has(b, a) {
+						ab++
+					}
+					if v := min(uvA+oV[b]-iU[b]+ab, vuA+iV[b]-oU[b]+ab); v < bestVal {
 						bestVal, bestA, bestB = v, a, b
 					}
-					cur.Flip(a)
-					cur.Flip(b)
 				}
 			}
 			if bestA >= 0 {

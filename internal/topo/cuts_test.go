@@ -107,3 +107,94 @@ func TestExactSparsestCutMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// recountBisection is the reference heuristic bisection: the same
+// restarts and greedy swaps as heuristicBisection, but each candidate
+// swap is applied and its crossings recounted in full with
+// MinCross.
+func (t *Topology) recountBisection(restarts int, rng *rand.Rand) (bitgraph.Set, int) {
+	n := t.n
+	half := n / 2
+	bg := t.bitGraph()
+	best := math.MaxInt32
+	var bestSet bitgraph.Set
+	evalBalanced := func(u bitgraph.Set) {
+		if cr := bg.MinCross(u); cr < best {
+			best = cr
+			bestSet = u.Clone()
+		}
+	}
+	order := t.fiedlerOrder()
+	m := bitgraph.NewSet(n)
+	for i := 0; i < half; i++ {
+		m.Add(order[i])
+	}
+	evalBalanced(m)
+	for r := 0; r < restarts; r++ {
+		perm := rng.Perm(n)
+		cur := bitgraph.NewSet(n)
+		for i := 0; i < half; i++ {
+			cur.Add(perm[i])
+		}
+		// Greedy swap improvement preserving balance.
+		improved := true
+		for improved {
+			improved = false
+			curVal := bg.MinCross(cur)
+			bestVal := curVal
+			bestA, bestB := -1, -1
+			for a := 0; a < n; a++ {
+				if !cur.Has(a) {
+					continue
+				}
+				for b := 0; b < n; b++ {
+					if cur.Has(b) {
+						continue
+					}
+					cur.Flip(a)
+					cur.Flip(b)
+					if v := bg.MinCross(cur); v < bestVal {
+						bestVal, bestA, bestB = v, a, b
+					}
+					cur.Flip(a)
+					cur.Flip(b)
+				}
+			}
+			if bestA >= 0 {
+				cur.Flip(bestA)
+				cur.Flip(bestB)
+				improved = true
+			}
+		}
+		evalBalanced(cur)
+	}
+	return bestSet, best
+}
+
+// TestHeuristicBisectionMatchesRecount pins the swap-delta bisection
+// search to the full-recount reference on random graphs of 25 to 100
+// routers (beyond ExactCutLimit, multi-word bitsets included): the same
+// partition and the same crossing count. The 25-router graphs go
+// through BisectionCut itself; the larger ones run fewer restarts so
+// the reference's recounts stay cheap.
+func TestHeuristicBisectionMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	check := func(tp *Topology, gotSet bitgraph.Set, got, restarts int, seed int64) {
+		t.Helper()
+		wantSet, want := tp.recountBisection(restarts, rand.New(rand.NewSource(seed)))
+		if !gotSet.Equal(wantSet) || got != want {
+			t.Fatalf("n=%d %s: swap-delta bisection {%v %d} != recount {%v %d}",
+				tp.N(), tp.Name, gotSet, got, wantSet, want)
+		}
+	}
+	for _, tp := range cutTestGraphs(25, rng) {
+		gotSet, got := tp.BisectionCut() // 200 restarts from seed 7
+		check(tp, gotSet, got, 200, 7)
+	}
+	for _, c := range []struct{ n, restarts int }{{37, 24}, {66, 6}, {100, 2}} {
+		for i, tp := range cutTestGraphs(c.n, rng) {
+			gotSet, got := tp.heuristicBisection(c.restarts, rand.New(rand.NewSource(int64(i))))
+			check(tp, gotSet, got, c.restarts, int64(i))
+		}
+	}
+}

@@ -58,12 +58,6 @@ func (b *Bursty) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) {
 	return b.Base.OnDeliver(src, dst, rng)
 }
 
-// Originates implements Originator: burst gating is transient, so a
+// Originates implements Pattern: burst gating is transient, so a
 // source originates iff it does under the base pattern.
-func (b *Bursty) Originates(src int) bool { return PatternOriginates(b.Base, src) }
-
-// NextInjectionAfter implements InjectionHinter. Never is out of the
-// question regardless of the base pattern's answer: Inject advances the
-// on/off chain with an rng draw on every opportunity, so skipping
-// opportunities would perturb the shared rng stream.
-func (b *Bursty) NextInjectionAfter(cycle int64) int64 { return cycle + 1 }
+func (b *Bursty) Originates(src int) bool { return b.Base.Originates(src) }

@@ -6,55 +6,127 @@ import (
 	"math/rand"
 )
 
-// The patterns in this file extend the paper's three workloads with the
-// classic adversarial and structured patterns of the NoC literature
-// (Dally & Towles ch. 3): matrix transpose, bit-complement, bit-reverse,
-// tornado, and a configurable hotspot. All are stateless and safe to
-// share across concurrent simulations; the stateful patterns (bursty
-// MMPP modulation, trace replay) live in their own files and must be
-// constructed per run.
+// The patterns in this file are the paper's shuffle plus the classic
+// adversarial and structured patterns of the NoC literature (Dally &
+// Towles ch. 3): matrix transpose, bit-complement, bit-reverse, tornado,
+// and a configurable hotspot. All are stateless and safe to share across
+// concurrent simulations; the stateful patterns (bursty MMPP modulation,
+// trace replay) live in their own files and must be constructed per run.
 
-// injectFixed implements Inject for fixed-destination patterns whose
-// Dest returns -1 (or src itself) for non-originating sources.
-func injectFixed(dest func(int) int, src int, rng *rand.Rand) (int, int, bool) {
-	dst := dest(src)
+// fixedKind selects the destination formula of a Fixed pattern.
+type fixedKind uint8
+
+const (
+	kindShuffle fixedKind = iota
+	kindTranspose
+	kindBitComplement
+	kindBitReverse
+	kindTornado
+)
+
+var fixedNames = [...]string{"shuffle", "transpose", "bitcomp", "bitrev", "tornado"}
+
+// Fixed is a fixed-destination pattern: each source sends every packet
+// to one destination given by a formula over the rows x cols grid, 50/50
+// control/data. Sources whose destination is themselves or falls outside
+// the network are fixed points and never inject. Shuffle, Transpose,
+// BitComplement, BitReverse and Tornado build the five formulas.
+type Fixed struct {
+	kind       fixedKind
+	rows, cols int
+}
+
+// Shuffle is the gem5 shuffle permutation over n nodes: dst = 2*src for
+// the lower half, (2*src+1) mod n for the upper half (far
+// source-destination pairs).
+func Shuffle(n int) Fixed { return Fixed{kind: kindShuffle, rows: 1, cols: n} }
+
+// Transpose maps router (r, c) of a rows x cols grid to (c, r): the
+// row-major matrix-transpose permutation, well defined for any grid
+// shape. Diagonal routers (and all routers of a 1-row grid transposed
+// onto themselves) are fixed points.
+func Transpose(rows, cols int) Fixed { return Fixed{kind: kindTranspose, rows: rows, cols: cols} }
+
+// BitComplement sends src to the bitwise complement of its address
+// (dst = ^src over the minimal address width). On power-of-two node
+// counts this is the full complement permutation; otherwise sources
+// whose complement falls outside the network do not inject.
+func BitComplement(n int) Fixed { return Fixed{kind: kindBitComplement, rows: 1, cols: n} }
+
+// BitReverse sends src to the bit-reversal of its address (the FFT
+// communication pattern). As with BitComplement, non-power-of-two node
+// counts leave some sources without an in-range destination.
+func BitReverse(n int) Fixed { return Fixed{kind: kindBitReverse, rows: 1, cols: n} }
+
+// Tornado shifts each grid dimension by ceil(k/2)-1 hops with wraparound
+// (dst_i = src_i + ceil(k_i/2) - 1 mod k_i): the adversarial pattern
+// that defeats minimal routing on rings and tori by making every flow
+// travel almost half-way around each dimension.
+func Tornado(rows, cols int) Fixed { return Fixed{kind: kindTornado, rows: rows, cols: cols} }
+
+// Name implements Pattern.
+func (f Fixed) Name() string { return fixedNames[f.kind] }
+
+// Dest returns the destination of src, src itself at a fixed point of
+// the formula, or -1 when the destination is outside the network.
+func (f Fixed) Dest(src int) int {
+	n := f.rows * f.cols
+	var dst int
+	switch f.kind {
+	case kindShuffle:
+		if src < n/2 {
+			dst = 2 * src
+		} else {
+			dst = (2*src + 1) % n
+		}
+	case kindTranspose:
+		dst = src%f.cols*f.rows + src/f.cols
+	case kindBitComplement:
+		dst = src ^ (1<<addrBits(n) - 1)
+	case kindBitReverse:
+		dst = int(bits.Reverse64(uint64(src)) >> (64 - addrBits(n)))
+	case kindTornado:
+		r, c := src/f.cols, src%f.cols
+		dst = (r+tornadoShift(f.rows))%f.rows*f.cols + (c+tornadoShift(f.cols))%f.cols
+	}
+	if dst >= n {
+		return -1
+	}
+	return dst
+}
+
+// Inject implements Pattern. A fixed point returns before any rng
+// draw; an originating source draws once, for the packet size.
+func (f Fixed) Inject(src int, rng *rand.Rand) (int, int, bool) {
+	dst := f.Dest(src)
 	if dst < 0 || dst == src {
 		return 0, 0, false
 	}
 	return dst, mixedSize(rng), true
 }
 
-// originatesFixed is the matching Originator implementation.
-func originatesFixed(dest func(int) int, src int) bool {
-	dst := dest(src)
+// OnDeliver implements Pattern.
+func (f Fixed) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
+
+// Originates implements Pattern.
+func (f Fixed) Originates(src int) bool {
+	dst := f.Dest(src)
 	return dst >= 0 && dst != src
 }
 
-// Transpose maps router (r, c) of a Rows x Cols grid to (c, r): the
-// row-major matrix-transpose permutation, well defined for any grid
-// shape. Diagonal routers (and all routers of a 1-row grid transposed
-// onto themselves) are fixed points and do not inject.
-type Transpose struct{ Rows, Cols int }
-
-// Name implements Pattern.
-func (t Transpose) Name() string { return "transpose" }
-
-// Dest returns the transpose destination for src.
-func (t Transpose) Dest(src int) int {
-	r, c := src/t.Cols, src%t.Cols
-	return c*t.Rows + r
+// WeightMatrix returns the pattern's demand matrix for pattern-optimized
+// synthesis (NS-ShufOpt reads the shuffle's).
+func (f Fixed) WeightMatrix() [][]float64 {
+	n := f.rows * f.cols
+	w := make([][]float64, n)
+	for src := range w {
+		w[src] = make([]float64, n)
+		if f.Originates(src) {
+			w[src][f.Dest(src)] = 1
+		}
+	}
+	return w
 }
-
-// Inject implements Pattern.
-func (t Transpose) Inject(src int, rng *rand.Rand) (int, int, bool) {
-	return injectFixed(t.Dest, src, rng)
-}
-
-// OnDeliver implements Pattern.
-func (t Transpose) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
-
-// Originates implements Originator.
-func (t Transpose) Originates(src int) bool { return originatesFixed(t.Dest, src) }
 
 // addrBits returns the address width covering 0..n-1 (>= 1).
 func addrBits(n int) int {
@@ -64,93 +136,7 @@ func addrBits(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// BitComplement sends src to the bitwise complement of its address
-// (dst = ^src over the minimal address width). On power-of-two node
-// counts this is the full complement permutation; otherwise sources
-// whose complement falls outside the network do not inject.
-type BitComplement struct{ N int }
-
-// Name implements Pattern.
-func (b BitComplement) Name() string { return "bitcomp" }
-
-// Dest returns the complement destination, or -1 if it is out of range.
-func (b BitComplement) Dest(src int) int {
-	dst := src ^ (1<<addrBits(b.N) - 1)
-	if dst >= b.N {
-		return -1
-	}
-	return dst
-}
-
-// Inject implements Pattern.
-func (b BitComplement) Inject(src int, rng *rand.Rand) (int, int, bool) {
-	return injectFixed(b.Dest, src, rng)
-}
-
-// OnDeliver implements Pattern.
-func (b BitComplement) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
-
-// Originates implements Originator.
-func (b BitComplement) Originates(src int) bool { return originatesFixed(b.Dest, src) }
-
-// BitReverse sends src to the bit-reversal of its address (the FFT
-// communication pattern). As with BitComplement, non-power-of-two node
-// counts leave some sources without an in-range destination.
-type BitReverse struct{ N int }
-
-// Name implements Pattern.
-func (b BitReverse) Name() string { return "bitrev" }
-
-// Dest returns the bit-reversed destination, or -1 if it is out of range.
-func (b BitReverse) Dest(src int) int {
-	w := addrBits(b.N)
-	dst := int(bits.Reverse64(uint64(src)) >> (64 - w))
-	if dst >= b.N {
-		return -1
-	}
-	return dst
-}
-
-// Inject implements Pattern.
-func (b BitReverse) Inject(src int, rng *rand.Rand) (int, int, bool) {
-	return injectFixed(b.Dest, src, rng)
-}
-
-// OnDeliver implements Pattern.
-func (b BitReverse) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
-
-// Originates implements Originator.
-func (b BitReverse) Originates(src int) bool { return originatesFixed(b.Dest, src) }
-
-// Tornado shifts each grid dimension by ceil(k/2)-1 hops with wraparound
-// (dst_i = src_i + ceil(k_i/2) - 1 mod k_i): the adversarial pattern
-// that defeats minimal routing on rings and tori by making every flow
-// travel almost half-way around each dimension.
-type Tornado struct{ Rows, Cols int }
-
-// Name implements Pattern.
-func (t Tornado) Name() string { return "tornado" }
-
 func tornadoShift(k int) int { return (k+1)/2 - 1 }
-
-// Dest returns the tornado destination for src.
-func (t Tornado) Dest(src int) int {
-	r, c := src/t.Cols, src%t.Cols
-	r = (r + tornadoShift(t.Rows)) % t.Rows
-	c = (c + tornadoShift(t.Cols)) % t.Cols
-	return r*t.Cols + c
-}
-
-// Inject implements Pattern.
-func (t Tornado) Inject(src int, rng *rand.Rand) (int, int, bool) {
-	return injectFixed(t.Dest, src, rng)
-}
-
-// OnDeliver implements Pattern.
-func (t Tornado) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
-
-// Originates implements Originator.
-func (t Tornado) Originates(src int) bool { return originatesFixed(t.Dest, src) }
 
 // Hotspot sends a configurable fraction of traffic to a small set of hot
 // routers and the rest uniformly: with probability Weight the packet
@@ -227,47 +213,5 @@ func pickExcluding(set []int, excl int, rng *rand.Rand) (int, bool) {
 // OnDeliver implements Pattern.
 func (h *Hotspot) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
 
-// Originates implements Originator.
+// Originates implements Pattern.
 func (h *Hotspot) Originates(src int) bool { return h.N >= 2 }
-
-// NextInjectionAfter implements InjectionHinter for the fixed
-// permutation patterns: non-fixed sources are always eligible, and
-// a pattern with no originating source at all never injects (its
-// Inject is a permanent rng-free no-op).
-
-// NextInjectionAfter implements InjectionHinter.
-func (t Transpose) NextInjectionAfter(cycle int64) int64 {
-	return hintFixed(t.Dest, t.Rows*t.Cols, cycle)
-}
-
-// NextInjectionAfter implements InjectionHinter.
-func (b BitComplement) NextInjectionAfter(cycle int64) int64 {
-	return hintFixed(b.Dest, b.N, cycle)
-}
-
-// NextInjectionAfter implements InjectionHinter.
-func (b BitReverse) NextInjectionAfter(cycle int64) int64 {
-	return hintFixed(b.Dest, b.N, cycle)
-}
-
-// NextInjectionAfter implements InjectionHinter.
-func (t Tornado) NextInjectionAfter(cycle int64) int64 {
-	return hintFixed(t.Dest, t.Rows*t.Cols, cycle)
-}
-
-// NextInjectionAfter implements InjectionHinter: some node always
-// injects.
-func (h *Hotspot) NextInjectionAfter(cycle int64) int64 { return cycle + 1 }
-
-// hintFixed answers NextInjectionAfter for a fixed-destination pattern:
-// conservative cycle+1 while any source originates, Never when none do.
-// The O(n) scan only runs in the degenerate all-fixed-point case worth
-// Never; any real pattern exits on its first originating source.
-func hintFixed(dest func(int) int, n int, cycle int64) int64 {
-	for src := 0; src < n; src++ {
-		if originatesFixed(dest, src) {
-			return cycle + 1
-		}
-	}
-	return Never
-}

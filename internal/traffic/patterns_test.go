@@ -27,12 +27,12 @@ func checkPermutation(t *testing.T, n int, dest func(int) int, orig func(int) bo
 }
 
 func TestTransposePermutation(t *testing.T) {
-	tr := Transpose{Rows: 4, Cols: 5}
+	tr := Transpose(4, 5)
 	checkPermutation(t, 20, tr.Dest, tr.Originates)
 	// On a square grid transpose is an involution: twice returns the
 	// source (on non-square grids it is a permutation but not its own
 	// inverse, since the transposed geometry swaps Rows and Cols).
-	sq := Transpose{Rows: 4, Cols: 4}
+	sq := Transpose(4, 4)
 	checkPermutation(t, 16, sq.Dest, sq.Originates)
 	for src := 0; src < 16; src++ {
 		if got := sq.Dest(sq.Dest(src)); got != src {
@@ -60,7 +60,7 @@ func TestTransposePermutation(t *testing.T) {
 func TestBitComplementPermutation(t *testing.T) {
 	// Power-of-two node count: the full complement permutation, no fixed
 	// points, every source injects.
-	b := BitComplement{N: 16}
+	b := BitComplement(16)
 	checkPermutation(t, 16, b.Dest, b.Originates)
 	for src := 0; src < 16; src++ {
 		if !b.Originates(src) {
@@ -72,7 +72,7 @@ func TestBitComplementPermutation(t *testing.T) {
 	}
 	// Non-power-of-two: complements landing outside the network do not
 	// inject (e.g. ^0 = 31 >= 20), in-range ones still do.
-	b = BitComplement{N: 20}
+	b = BitComplement(20)
 	checkPermutation(t, 20, b.Dest, b.Originates)
 	rng := rand.New(rand.NewSource(2))
 	if _, _, ok := b.Inject(0, rng); ok {
@@ -84,7 +84,7 @@ func TestBitComplementPermutation(t *testing.T) {
 }
 
 func TestBitReversePermutation(t *testing.T) {
-	b := BitReverse{N: 16}
+	b := BitReverse(16)
 	checkPermutation(t, 16, b.Dest, b.Originates)
 	// 4-bit reversal: 0b0001 -> 0b1000, 0b0110 -> 0b0110 (fixed point).
 	if got := b.Dest(1); got != 8 {
@@ -93,13 +93,13 @@ func TestBitReversePermutation(t *testing.T) {
 	if b.Originates(6) {
 		t.Error("palindromic address 6 (0110) is a fixed point")
 	}
-	b = BitReverse{N: 20}
+	b = BitReverse(20)
 	checkPermutation(t, 20, b.Dest, b.Originates)
 }
 
 func TestTornadoFormula(t *testing.T) {
 	// 4x5 grid: rows shift by ceil(4/2)-1 = 1, cols by ceil(5/2)-1 = 2.
-	tor := Tornado{Rows: 4, Cols: 5}
+	tor := Tornado(4, 5)
 	checkPermutation(t, 20, tor.Dest, tor.Originates)
 	for src := 0; src < 20; src++ {
 		r, c := src/5, src%5
@@ -113,10 +113,45 @@ func TestTornadoFormula(t *testing.T) {
 	}
 	// Degenerate 1x2 grid: shifts are 0 in rows and 0 in cols -> all
 	// fixed points, nobody injects.
-	small := Tornado{Rows: 1, Cols: 2}
+	small := Tornado(1, 2)
 	for src := 0; src < 2; src++ {
 		if small.Originates(src) {
 			t.Errorf("1x2 tornado source %d must not originate", src)
+		}
+	}
+}
+
+// TestFixedRngUse pins the rng use that keeps matrix bytes fixed: Inject
+// at a fixed point draws nothing, Inject at an originating source draws
+// exactly one Intn(2) (the packet size), and Originates agrees with
+// Inject's ok without drawing. Each check compares the next draw with a
+// twin rng advanced by hand.
+func TestFixedRngUse(t *testing.T) {
+	for _, g := range [][2]int{{4, 5}, {4, 4}, {1, 8}} {
+		rows, cols := g[0], g[1]
+		n := rows * cols
+		for _, p := range []Fixed{Shuffle(n), Transpose(rows, cols), BitComplement(n), BitReverse(n), Tornado(rows, cols)} {
+			for src := 0; src < n; src++ {
+				rng := rand.New(rand.NewSource(int64(src) + 1))
+				twin := rand.New(rand.NewSource(int64(src) + 1))
+				orig := p.Originates(src)
+				dst, flits, ok := p.Inject(src, rng)
+				if ok != orig || p.Originates(src) != orig {
+					t.Fatalf("%s %dx%d: Inject(%d) ok=%v, Originates=%v", p.Name(), rows, cols, src, ok, orig)
+				}
+				if ok {
+					want := DataFlits
+					if twin.Intn(2) == 0 {
+						want = ControlFlits
+					}
+					if dst != p.Dest(src) || flits != want {
+						t.Fatalf("%s %dx%d: Inject(%d) = (%d, %d), want (%d, %d)", p.Name(), rows, cols, src, dst, flits, p.Dest(src), want)
+					}
+				}
+				if got, want := rng.Int63(), twin.Int63(); got != want {
+					t.Fatalf("%s %dx%d: Inject(%d) (originates=%v) drew the wrong number of values", p.Name(), rows, cols, src, orig)
+				}
+			}
 		}
 	}
 }

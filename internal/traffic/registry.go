@@ -74,7 +74,7 @@ func Default() *Registry {
 		Name: "shuffle",
 		Doc:  "gem5 shuffle permutation (far source-destination pairs)",
 		Build: func(env Env, _ spec.Args) (Pattern, error) {
-			return Shuffle{N: env.N}, nil
+			return Shuffle(env.N), nil
 		},
 	}, {
 		Name: "memory",
@@ -92,19 +92,19 @@ func Default() *Registry {
 			if env.Rows*env.Cols != env.N {
 				return nil, fmt.Errorf("traffic: transpose needs a grid environment (%dx%d != %d)", env.Rows, env.Cols, env.N)
 			}
-			return Transpose{Rows: env.Rows, Cols: env.Cols}, nil
+			return Transpose(env.Rows, env.Cols), nil
 		},
 	}, {
 		Name: "bitcomp",
 		Doc:  "bit-complement permutation: dst = ^src over the address width",
 		Build: func(env Env, _ spec.Args) (Pattern, error) {
-			return BitComplement{N: env.N}, nil
+			return BitComplement(env.N), nil
 		},
 	}, {
 		Name: "bitrev",
 		Doc:  "bit-reverse permutation (FFT communication)",
 		Build: func(env Env, _ spec.Args) (Pattern, error) {
-			return BitReverse{N: env.N}, nil
+			return BitReverse(env.N), nil
 		},
 	}, {
 		Name: "tornado",
@@ -113,7 +113,7 @@ func Default() *Registry {
 			if env.Rows*env.Cols != env.N {
 				return nil, fmt.Errorf("traffic: tornado needs a grid environment (%dx%d != %d)", env.Rows, env.Cols, env.N)
 			}
-			return Tornado{Rows: env.Rows, Cols: env.Cols}, nil
+			return Tornado(env.Rows, env.Cols), nil
 		},
 	}, {
 		Name: "hotspot",

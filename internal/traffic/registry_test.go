@@ -26,15 +26,11 @@ func TestRegistryBuildsAllParamFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", name, err)
 		}
-		// Every built pattern implements the static-originator contract
-		// and injects a valid packet from each originating source.
-		o, ok := p.(Originator)
-		if !ok {
-			t.Fatalf("%s does not implement Originator", name)
-		}
+		// Every built pattern injects a valid packet from each source
+		// its static Originates answer names.
 		originating := 0
 		for src := 0; src < env.N; src++ {
-			if !o.Originates(src) {
+			if !p.Originates(src) {
 				continue
 			}
 			originating++
@@ -55,7 +51,7 @@ func TestRegistryBuildsAllParamFree(t *testing.T) {
 // TestRegistryMemoryControllers is the regression test for the
 // Inject-contract bugfix: under the registry, memory-controller routers
 // must consistently report ok=false (they only reply) and the static
-// Originator answer must agree, so the simulator's injecting-node count
+// Originates answer must agree, so the simulator's injecting-node count
 // cannot be perturbed by rng draws.
 func TestRegistryMemoryControllers(t *testing.T) {
 	env := GridEnv(layout.Grid4x5)
@@ -69,7 +65,7 @@ func TestRegistryMemoryControllers(t *testing.T) {
 		isMC[mc] = true
 	}
 	for src := 0; src < env.N; src++ {
-		if got := PatternOriginates(p, src); got != !isMC[src] {
+		if got := p.Originates(src); got != !isMC[src] {
 			t.Errorf("Originates(%d) = %v, want %v", src, got, !isMC[src])
 		}
 		for i := 0; i < 200; i++ {

@@ -148,18 +148,12 @@ func (r *Replay) Inject(src int, rng *rand.Rand) (int, int, bool) {
 // records, so delivery never chains.
 func (r *Replay) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
 
-// Originates implements Originator: a source originates iff the trace
+// Originates implements Pattern: a source originates iff the trace
 // recorded at least one packet from it.
 func (r *Replay) Originates(src int) bool { return len(r.perSrc[src]) > 0 }
 
-// NextInjectionAfter implements InjectionHinter: once every source's
-// cursor is exhausted (non-loop traces only) the replay is permanently
-// dry — Inject returns ok=false without touching rng or state, and
-// OnDeliver never draws — so the simulator may fast-forward the rest of
-// the run. While records remain any opportunity may pop one.
-func (r *Replay) NextInjectionAfter(cycle int64) int64 {
-	if r.live == 0 {
-		return Never
-	}
-	return cycle + 1
-}
+// Dry reports that every source's cursor is used up (non-loop traces
+// only). A dry replay stays dry: Inject returns ok=false without
+// touching rng or state, and OnDeliver never draws, so the simulator
+// may fast-forward the rest of the generation phase.
+func (r *Replay) Dry() bool { return r.live == 0 }

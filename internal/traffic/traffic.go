@@ -5,10 +5,7 @@
 // Garnet standalone setup.
 package traffic
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Flit sizes: links are 8 bytes wide, so control packets are 1 flit and
 // data packets ceil(72/8) = 9 flits.
@@ -35,59 +32,17 @@ type Pattern interface {
 	// A source that does originate must return ok=true with a valid
 	// dst != src on every opportunity it injects; patterns must not
 	// randomly drop opportunities of an originating source (resample
-	// internally instead). The static property lives in Originator.
+	// internally instead).
 	Inject(src int, rng *rand.Rand) (dst, flits int, ok bool)
 	// OnDeliver is called when a packet reaches dst; a returned reply
 	// (ok=true) is injected at dst back toward src. Patterns without
 	// replies return ok=false.
 	OnDeliver(src, dst int, rng *rand.Rand) (replyDst, replyFlits int, ok bool)
-}
-
-// Never is the NextInjectionAfter answer meaning "no source will ever
-// inject again".
-const Never = int64(math.MaxInt64)
-
-// InjectionHinter is optionally implemented by patterns that can bound
-// when their next injection may occur, enabling the simulator's hybrid
-// event-driven stepping to fast-forward quiescent stretches. Given the
-// current cycle, NextInjectionAfter returns a lower bound on the next
-// cycle at which any source could inject: cycle+1 means "possibly
-// immediately" (always safe), and Never promises that no future Inject
-// call will return ok AND that no future Inject or OnDeliver call will
-// consume rng — only under that promise can the engine skip whole
-// injection opportunities without perturbing the shared rng stream.
-// The hint must be a pure function of the pattern's current state (no
-// rng draws, no mutation). Patterns that do not implement the
-// interface simply disable generation-phase fast-forward.
-//
-// Note the engine's Bernoulli injection gate draws rng once per
-// (router, cycle) opportunity regardless of what the pattern would
-// answer, so a finite bound > cycle+1 cannot be exploited today: the
-// engine only acts on Never, where the skipped draws are provably
-// unobservable. The general signature exists so patterns that own
-// their timing exactly (trace replay) keep expressing it.
-type InjectionHinter interface {
-	NextInjectionAfter(cycle int64) int64
-}
-
-// Originator is implemented by patterns that can statically report
-// whether a source ever originates traffic. Unlike Inject's ok result it
-// must not depend on rng draws or mutable state, so the simulator can
-// count injecting nodes (for per-node throughput normalization) without
-// perturbing the pattern. All patterns in this package implement it.
-type Originator interface {
+	// Originates reports whether src ever originates traffic. Unlike
+	// Inject's ok result it must not depend on rng draws or mutable
+	// state, so the simulator can count injecting nodes (for per-node
+	// throughput normalization) without perturbing the pattern.
 	Originates(src int) bool
-}
-
-// PatternOriginates reports whether src originates traffic under p,
-// using the static Originator answer when available and falling back to
-// a single probing Inject call (with a throwaway rng) otherwise.
-func PatternOriginates(p Pattern, src int) bool {
-	if o, ok := p.(Originator); ok {
-		return o.Originates(src)
-	}
-	_, _, ok := p.Inject(src, rand.New(rand.NewSource(1)))
-	return ok
 }
 
 // mixedSize returns control or data size with equal likelihood.
@@ -121,75 +76,8 @@ func (u Uniform) Inject(src int, rng *rand.Rand) (int, int, bool) {
 // OnDeliver implements Pattern.
 func (u Uniform) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
 
-// Originates implements Originator.
+// Originates implements Pattern.
 func (u Uniform) Originates(src int) bool { return u.N >= 2 }
-
-// NextInjectionAfter implements InjectionHinter: every node is always
-// eligible, except in the degenerate <2-node network where Inject is a
-// permanent rng-free no-op.
-func (u Uniform) NextInjectionAfter(cycle int64) int64 {
-	if u.N < 2 {
-		return Never
-	}
-	return cycle + 1
-}
-
-// Shuffle is the gem5 shuffle permutation: dst = 2*src for the lower
-// half, (2*src+1) mod n for the upper half (far source-destination
-// pairs). Nodes whose shuffle target is themselves do not inject.
-type Shuffle struct{ N int }
-
-// Name implements Pattern.
-func (s Shuffle) Name() string { return "shuffle" }
-
-// Dest returns the shuffle destination for src.
-func (s Shuffle) Dest(src int) int {
-	if src < s.N/2 {
-		return 2 * src
-	}
-	return (2*src + 1) % s.N
-}
-
-// Inject implements Pattern.
-func (s Shuffle) Inject(src int, rng *rand.Rand) (int, int, bool) {
-	dst := s.Dest(src)
-	if dst == src {
-		return 0, 0, false
-	}
-	return dst, mixedSize(rng), true
-}
-
-// OnDeliver implements Pattern.
-func (s Shuffle) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
-
-// Originates implements Originator.
-func (s Shuffle) Originates(src int) bool { return s.Dest(src) != src }
-
-// NextInjectionAfter implements InjectionHinter. Below three nodes the
-// shuffle is the identity permutation (every source is a fixed point
-// and Inject is a permanent rng-free no-op); otherwise some source is
-// always eligible.
-func (s Shuffle) NextInjectionAfter(cycle int64) int64 {
-	if s.N < 3 {
-		return Never
-	}
-	return cycle + 1
-}
-
-// WeightMatrix returns the demand matrix of the shuffle pattern for
-// pattern-optimized synthesis (NS-ShufOpt).
-func (s Shuffle) WeightMatrix() [][]float64 {
-	w := make([][]float64, s.N)
-	for i := range w {
-		w[i] = make([]float64, s.N)
-	}
-	for src := 0; src < s.N; src++ {
-		if d := s.Dest(src); d != src {
-			w[src][d] = 1
-		}
-	}
-	return w
-}
 
 // Memory models memory traffic: core-attached routers issue 1-flit read
 // requests to uniformly chosen memory-controller routers, which answer
@@ -231,49 +119,5 @@ func (m *Memory) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) {
 	return src, DataFlits, true
 }
 
-// Originates implements Originator: only cores issue requests.
+// Originates implements Pattern: only cores send requests.
 func (m *Memory) Originates(src int) bool { return m.core[src] }
-
-// NextInjectionAfter implements InjectionHinter: cores are always
-// eligible; with no cores at all nothing ever injects (and neither
-// Inject nor OnDeliver can draw rng again).
-func (m *Memory) NextInjectionAfter(cycle int64) int64 {
-	if len(m.Cores) == 0 {
-		return Never
-	}
-	return cycle + 1
-}
-
-// Permutation routes each source to a fixed destination given by perm.
-type Permutation struct {
-	Perm []int
-	Tag  string
-}
-
-// Name implements Pattern.
-func (p Permutation) Name() string {
-	if p.Tag != "" {
-		return p.Tag
-	}
-	return "permutation"
-}
-
-// Inject implements Pattern.
-func (p Permutation) Inject(src int, rng *rand.Rand) (int, int, bool) {
-	dst := p.Perm[src]
-	if dst == src {
-		return 0, 0, false
-	}
-	return dst, mixedSize(rng), true
-}
-
-// OnDeliver implements Pattern.
-func (p Permutation) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { return 0, 0, false }
-
-// Originates implements Originator.
-func (p Permutation) Originates(src int) bool { return p.Perm[src] != src }
-
-// NextInjectionAfter implements InjectionHinter. Conservative: an
-// all-fixed-point permutation would justify Never, but detecting it
-// costs an O(n) scan per call, so non-fixed sources are assumed.
-func (p Permutation) NextInjectionAfter(cycle int64) int64 { return cycle + 1 }

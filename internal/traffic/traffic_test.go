@@ -58,7 +58,7 @@ func TestUniformPacketMix(t *testing.T) {
 
 func TestShuffleFormula(t *testing.T) {
 	// Paper: dest = 2src for src < n/2; (2src+1) mod n otherwise.
-	s := Shuffle{N: 20}
+	s := Shuffle(20)
 	cases := map[int]int{0: 0, 1: 2, 5: 10, 9: 18, 10: 1, 15: 11, 19: 19}
 	for src, want := range cases {
 		if got := s.Dest(src); got != want {
@@ -76,7 +76,7 @@ func TestShuffleFormula(t *testing.T) {
 }
 
 func TestShuffleWeightMatrix(t *testing.T) {
-	s := Shuffle{N: 20}
+	s := Shuffle(20)
 	w := s.WeightMatrix()
 	nonzero := 0
 	for src := range w {
@@ -126,20 +126,6 @@ func TestMemoryPattern(t *testing.T) {
 	// Reply delivery at the core ends the chain.
 	if _, _, ok := m.OnDeliver(mc, core, rng); ok {
 		t.Error("reply delivery must not chain")
-	}
-}
-
-func TestPermutationPattern(t *testing.T) {
-	p := Permutation{Perm: []int{1, 0, 2}, Tag: "swap01"}
-	rng := rand.New(rand.NewSource(5))
-	if p.Name() != "swap01" {
-		t.Error("tag not used as name")
-	}
-	if dst, _, ok := p.Inject(0, rng); !ok || dst != 1 {
-		t.Error("perm inject broken")
-	}
-	if _, _, ok := p.Inject(2, rng); ok {
-		t.Error("fixed point must not inject")
 	}
 }
 

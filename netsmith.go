@@ -38,7 +38,9 @@ type (
 	Network = sim.Setup
 	// SweepResult is a latency-vs-injection curve with saturation.
 	SweepResult = sim.SweepResult
-	// Pattern is a synthetic traffic pattern.
+	// Pattern is a synthetic traffic pattern. Implementers supply
+	// Originates too: the static, rng-free answer to whether a source
+	// ever injects, which the simulator's per-node throughput reads.
 	Pattern = traffic.Pattern
 	// Objective selects what Generate optimizes.
 	Objective = synth.Objective
@@ -252,7 +254,7 @@ func PrepareNDBT(t *Topology) (*Network, error) { return sim.Prepare(t, sim.UseN
 func UniformTraffic(n int) Pattern { return traffic.Uniform{N: n} }
 
 // ShuffleTraffic returns the gem5 shuffle permutation over n nodes.
-func ShuffleTraffic(n int) Pattern { return traffic.Shuffle{N: n} }
+func ShuffleTraffic(n int) Pattern { return traffic.Shuffle(n) }
 
 // MemoryTraffic returns core-to-MC request/reply traffic for a grid.
 func MemoryTraffic(g *Grid) Pattern {
@@ -261,7 +263,7 @@ func MemoryTraffic(g *Grid) Pattern {
 
 // ShuffleWeights returns the shuffle demand matrix for PatternOp
 // synthesis.
-func ShuffleWeights(n int) [][]float64 { return traffic.Shuffle{N: n}.WeightMatrix() }
+func ShuffleWeights(n int) [][]float64 { return traffic.Shuffle(n).WeightMatrix() }
 
 // PatternNames lists the workload registry's built-in traffic patterns
 // (uniform, shuffle, memory, transpose, bitcomp, bitrev, tornado,
