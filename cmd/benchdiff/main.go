@@ -72,11 +72,13 @@ type Baseline struct {
 // first of each, for concatenated runs); the caller fills in the Go
 // version. The trailing -N GOMAXPROCS suffix is stripped so baselines
 // port across machines; extra ReportMetric pairs are ignored. Duplicate
-// lines for one benchmark (e.g. a baseline recorded from several
-// concatenated runs, for worst-case headroom against timing noise) are
-// aggregated by maximum.
+// lines for one benchmark (e.g. -count runs, or several concatenated
+// outputs) merge by the median ns/op, which one noisy run cannot move
+// far, and the minimum allocs/op: garbage collection only ever adds
+// allocations, so the minimum is the benchmark's own count.
 func parseBench(r io.Reader) (Baseline, error) {
 	out := Baseline{Machine: &Machine{}, Benchmarks: map[string]BaselineEntry{}}
+	ns := map[string][]float64{}
 	header := map[string]*string{"goos:": &out.Machine.GOOS, "goarch:": &out.Machine.GOARCH, "cpu:": &out.Machine.CPU}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -113,14 +115,12 @@ func parseBench(r io.Reader) (Baseline, error) {
 		if e.NsPerOp < 0 {
 			continue
 		}
-		if prev, ok := out.Benchmarks[name]; ok {
-			if prev.NsPerOp > e.NsPerOp {
-				e.NsPerOp = prev.NsPerOp
-			}
-			if prev.AllocsPerOp > e.AllocsPerOp {
-				e.AllocsPerOp = prev.AllocsPerOp
-			}
+		ns[name] = append(ns[name], e.NsPerOp)
+		// allocs/op: the minimum over the lines that report it.
+		if prev, ok := out.Benchmarks[name]; ok && prev.AllocsPerOp >= 0 && (e.AllocsPerOp < 0 || prev.AllocsPerOp < e.AllocsPerOp) {
+			e.AllocsPerOp = prev.AllocsPerOp
 		}
+		e.NsPerOp = median(ns[name])
 		out.Benchmarks[name] = e
 	}
 	if err := sc.Err(); err != nil {
@@ -130,6 +130,17 @@ func parseBench(r io.Reader) (Baseline, error) {
 		return Baseline{}, errors.New("no benchmark lines found")
 	}
 	return out, nil
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values for an even count. It sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[m-1] + xs[m]) / 2
+	}
+	return xs[m]
 }
 
 func writeBaseline(path string, b Baseline) error {

@@ -11,7 +11,8 @@ import (
 
 // benchOutput is two concatenated go test -bench runs, the second on
 // another CPU, with a ReportMetric pair, a benchmark without ns/op, a
-// name whose dash suffix is not a proc count, and noise lines.
+// name whose dash suffix is not a proc count, noise lines, and
+// benchmarks repeated an odd and an even number of times.
 const benchOutput = `goos: linux
 goarch: amd64
 pkg: netsmith
@@ -27,6 +28,10 @@ goarch: amd64
 cpu: AMD EPYC 7763 64-Core Processor
 BenchmarkVCAssign-4   	      10	  31000000 ns/op	 1546000 B/op	    9990 allocs/op
 BenchmarkVCAssign   	      10	  27000000 ns/op	 1546000 B/op	    9999 allocs/op
+BenchmarkFullSystemBuild-2   	      10	  80000000 ns/op	20450000 B/op	  226755 allocs/op
+BenchmarkFullSystemBuild-2   	      10	  70000000 ns/op	20450000 B/op	  226753 allocs/op
+BenchmarkFullSystemBuild-2   	      10	 140000000 ns/op	20450000 B/op	  226754 allocs/op
+BenchmarkFullSystemBuild-2   	      10	  76000000 ns/op	20450000 B/op	  226753 allocs/op
 `
 
 func TestParseBench(t *testing.T) {
@@ -37,9 +42,12 @@ func TestParseBench(t *testing.T) {
 	want := Baseline{
 		Machine: &Machine{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor"},
 		Benchmarks: map[string]BaselineEntry{
-			// Duplicates keep the maximum of each column; the -N suffix is
-			// stripped.
-			"BenchmarkVCAssign": {NsPerOp: 31000000, AllocsPerOp: 9999},
+			// Duplicates merge by the median ns/op and the minimum
+			// allocs/op; the -N suffix is stripped. Three lines: the
+			// middle ns/op.
+			"BenchmarkVCAssign": {NsPerOp: 29663214, AllocsPerOp: 9990},
+			// Four lines: the mean of the two middle ns/op.
+			"BenchmarkFullSystemBuild": {NsPerOp: 78000000, AllocsPerOp: 226753},
 			// Metric pairs other than ns/op and allocs/op are skipped.
 			"BenchmarkFig8": {NsPerOp: 123, AllocsPerOp: 7},
 			// No allocs/op column: -1, which the gate never fails on.

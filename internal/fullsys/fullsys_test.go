@@ -84,35 +84,47 @@ func TestBuildStructure(t *testing.T) {
 	}
 }
 
-// TestBuildGoldenLayering pins the VC layers of the two Figure 8
-// systems the parsec benchmark builds: the mesh NoI with expert routing
-// and the NS-LatOp-medium NoI (seed 42, 20000 iterations, 4 restarts)
-// with MCLB, both at seed 1. The digest is the SHA-256 of
-// (NumVCs, LayerOf).
+// TestBuildGoldenLayering pins the routing and the VC layers of the two
+// Figure 8 systems the parsec benchmark builds: the mesh NoI with expert
+// routing and the NS-LatOp-medium NoI (seed 42, 20000 iterations, 4
+// restarts) with MCLB, both at seed 1. The digests are the SHA-256 of
+// Routing.Table and of (NumVCs, LayerOf), each as JSON.
 func TestBuildGoldenLayering(t *testing.T) {
 	ns, err := synth.Generate(synth.MatrixNSConfig(layout.Grid4x5, layout.Medium, 0, 0, 42, 20000, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name  string
-		build func() (*System, error)
-		want  string
+		name            string
+		build           func() (*System, error)
+		routing, layers string
 	}{
-		{"mesh-expert", func() (*System, error) { return BuildExpert(expert.Mesh(layout.Grid4x5), 1) }, "f01b08d69c1d1ae10187f5c460c67125ece62943a36fb391bca15b0572b8189c"},
-		{"ns-latop-medium", func() (*System, error) { return Build(ns.Topology, 1) }, "b50dd2d38cf2dea17eda54e737682f0d900fde42fa91da028c9421124d1aa3c4"},
+		{"mesh-expert", func() (*System, error) { return BuildExpert(expert.Mesh(layout.Grid4x5), 1) },
+			"47c7012e8c0aeb96c4ec5c4e7fc98851f19e9f8397abf494c51d0f35076581e1",
+			"f01b08d69c1d1ae10187f5c460c67125ece62943a36fb391bca15b0572b8189c"},
+		{"ns-latop-medium", func() (*System, error) { return Build(ns.Topology, 1) },
+			"cccee3a16eafd69d40ba5b967ab85ac99b0d792cafd78437e202ab288fbba4d3",
+			"b50dd2d38cf2dea17eda54e737682f0d900fde42fa91da028c9421124d1aa3c4"},
 	} {
 		sys, err := c.build()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		b, err := json.Marshal([]any{sys.VC.NumVCs, sys.VC.LayerOf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(b)
-		if got := hex.EncodeToString(sum[:]); got != c.want {
-			t.Errorf("%s: layering digest %s, want %s", c.name, got, c.want)
+		for _, d := range []struct {
+			what, want string
+			v          any
+		}{
+			{"routing", c.routing, sys.Routing.Table},
+			{"layering", c.layers, []any{sys.VC.NumVCs, sys.VC.LayerOf}},
+		} {
+			b, err := json.Marshal(d.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != d.want {
+				t.Errorf("%s: %s digest %s, want %s", c.name, d.what, got, d.want)
+			}
 		}
 	}
 }

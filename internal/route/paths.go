@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"netsmith/internal/par"
 	"netsmith/internal/topo"
 )
 
@@ -29,11 +30,10 @@ func (p Path) Links() [][2]int {
 	return out
 }
 
-// clone deep-copies the path.
-func (p Path) clone() Path { return append(Path(nil), p...) }
-
 // PathSet holds, for every ordered flow (s, d), the candidate shortest
-// paths P[s][d] (the set P of the MCLB formulation).
+// paths P[s][d] (the set P of the MCLB formulation). Each source's
+// candidates share one router-ID arena and one []Path arena; a Routing
+// copies the paths it selects, so it never keeps these alive.
 type PathSet struct {
 	N     int
 	Paths [][][]Path // [src][dst] -> candidate shortest paths
@@ -46,7 +46,10 @@ const MaxPathsPerFlow = 24
 // AllShortestPaths enumerates all shortest paths for every ordered pair
 // by building each source's BFS DAG and walking it depth-first. Flows
 // with more than maxPerFlow shortest paths keep a deterministic subset
-// (maxPerFlow <= 0 selects MaxPathsPerFlow).
+// (maxPerFlow <= 0 selects MaxPathsPerFlow): the first ones in that
+// walk's order. Sources are enumerated in parallel; each reads only the
+// distance matrix and the topology, so the result does not depend on
+// scheduling.
 func AllShortestPaths(t *topo.Topology, maxPerFlow int) (*PathSet, error) {
 	if maxPerFlow <= 0 {
 		maxPerFlow = MaxPathsPerFlow
@@ -55,46 +58,99 @@ func AllShortestPaths(t *topo.Topology, maxPerFlow int) (*PathSet, error) {
 	if !t.IsConnected() {
 		return nil, fmt.Errorf("route: topology %s is not strongly connected", t.Name)
 	}
+	// ShortestPaths refreshes the topology's adjacency lists, so the
+	// workers below only read it.
 	dist := t.ShortestPaths()
-	ps := &PathSet{N: n, Paths: make([][][]Path, n)}
-	for s := 0; s < n; s++ {
-		ps.Paths[s] = make([][]Path, n)
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			ps.Paths[s][d] = enumerate(t, dist, s, d, maxPerFlow)
+	ps := &PathSet{N: n, Paths: flowRows(n)}
+	scratch := make([]*enumerator, par.Workers(n))
+	par.For(n, func(w, s int) {
+		e := scratch[w]
+		if e == nil {
+			e = &enumerator{t: t, dist: dist, cap: maxPerFlow}
+			scratch[w] = e
 		}
-	}
+		e.source(s, ps.Paths[s])
+	})
 	return ps, nil
 }
 
-// enumerate walks the shortest-path DAG from s to d: a hop u->v is on a
-// shortest path iff dist[s][u] + 1 + dist[v][d] == dist[s][d].
-func enumerate(t *topo.Topology, dist [][]int, s, d, cap int) []Path {
-	total := dist[s][d]
-	var out []Path
-	cur := Path{s}
-	var dfs func(u int)
-	dfs = func(u int) {
-		if len(out) >= cap {
-			return
+// flowRows returns n rows of n flows each, carved from one backing
+// slice.
+func flowRows(n int) [][][]Path {
+	flat := make([][]Path, n*n)
+	rows := make([][][]Path, n)
+	for s := range rows {
+		rows[s] = flat[s*n : (s+1)*n : (s+1)*n]
+	}
+	return rows
+}
+
+// enumerator is one worker's scratch for enumerating a source's
+// candidates: every candidate's routers back to back in ids, with
+// each candidate's end offset in ends.
+type enumerator struct {
+	t     *topo.Topology
+	dist  [][]int
+	cap   int
+	ids   []int
+	ends  []int
+	count []int // candidates per destination
+	cur   Path  // the walk's current prefix
+	s, d  int
+	first int // index in ends of the current flow's first candidate
+}
+
+// source fills row with source s's candidates for every destination,
+// in one router-ID arena and one []Path arena sized to fit exactly.
+func (e *enumerator) source(s int, row [][]Path) {
+	n := len(row)
+	e.ids, e.ends = e.ids[:0], e.ends[:0]
+	e.count = append(e.count[:0], make([]int, n)...)
+	e.s = s
+	for d := 0; d < n; d++ {
+		if d == s {
+			continue
 		}
-		if u == d {
-			out = append(out, cur.clone())
-			return
-		}
-		du := dist[s][u]
-		for _, v := range t.Out(u) {
-			if du+1+dist[v][d] == total {
-				cur = append(cur, v)
-				dfs(v)
-				cur = cur[:len(cur)-1]
-			}
+		e.d, e.first = d, len(e.ends)
+		e.cur = append(e.cur[:0], s)
+		e.walk(s)
+		e.count[d] = len(e.ends) - e.first
+	}
+	ids := append([]int(nil), e.ids...)
+	paths := make([]Path, len(e.ends))
+	start := 0
+	for i, end := range e.ends {
+		paths[i] = ids[start:end:end]
+		start = end
+	}
+	for d, c := range e.count {
+		if c > 0 {
+			row[d] = paths[:c:c]
+			paths = paths[c:]
 		}
 	}
-	dfs(s)
-	return out
+}
+
+// walk extends the current prefix, which ends at u, along the shortest-
+// path DAG from s to d: a hop u->v is on a shortest path iff
+// dist[s][u] + 1 + dist[v][d] == dist[s][d].
+func (e *enumerator) walk(u int) {
+	if len(e.ends)-e.first >= e.cap {
+		return
+	}
+	if u == e.d {
+		e.ids = append(e.ids, e.cur...)
+		e.ends = append(e.ends, len(e.ids))
+		return
+	}
+	du, total := e.dist[e.s][u], e.dist[e.s][e.d]
+	for _, v := range e.t.Out(u) {
+		if du+1+e.dist[v][e.d] == total {
+			e.cur = append(e.cur, v)
+			e.walk(v)
+			e.cur = e.cur[:len(e.cur)-1]
+		}
+	}
 }
 
 // Routing is a single selected path per ordered flow.
@@ -169,9 +225,9 @@ func (r *Routing) Validate(t *topo.Topology) error {
 			if p[0] != s || p[len(p)-1] != d {
 				return fmt.Errorf("route: flow (%d,%d) path endpoints %v", s, d, p)
 			}
-			for _, l := range p.Links() {
-				if !t.Has(l[0], l[1]) {
-					return fmt.Errorf("route: flow (%d,%d) uses missing link %v", s, d, l)
+			for i := 0; i+1 < len(p); i++ {
+				if !t.Has(p[i], p[i+1]) {
+					return fmt.Errorf("route: flow (%d,%d) uses missing link %v", s, d, [2]int{p[i], p[i+1]})
 				}
 			}
 		}
@@ -240,18 +296,48 @@ func SurvivorRouting(name string, t *topo.Topology, aliveRouter func(r int) bool
 
 // RandomSelection picks one path per flow uniformly at random — the
 // "random selection of paths amongst the valid choices" used with
-// expert-topology routing.
+// expert-topology routing. The draws run in (src, dst) order.
 func RandomSelection(name string, ps *PathSet, seed int64) *Routing {
 	rng := rand.New(rand.NewSource(seed))
-	r := &Routing{Name: name, N: ps.N, Table: make([][]Path, ps.N)}
+	choice := make([]int, 0, ps.N*ps.N)
 	for s := 0; s < ps.N; s++ {
-		r.Table[s] = make([]Path, ps.N)
 		for d := 0; d < ps.N; d++ {
-			if s == d {
-				continue
+			if s != d {
+				choice = append(choice, rng.Intn(len(ps.Paths[s][d])))
 			}
-			cands := ps.Paths[s][d]
-			r.Table[s][d] = cands[rng.Intn(len(cands))]
+		}
+	}
+	return ps.routing(name, choice)
+}
+
+// routing returns the Routing that takes candidate choice[f] for the
+// f-th flow in (src, dst) order, diagonal skipped. The chosen paths are
+// copied into one arena the Routing owns, so it keeps no candidate
+// arena alive.
+func (ps *PathSet) routing(name string, choice []int) *Routing {
+	n := ps.N
+	total, f := 0, 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				total += len(ps.Paths[s][d][choice[f]])
+				f++
+			}
+		}
+	}
+	r := &Routing{Name: name, N: n, Table: make([][]Path, n)}
+	table := make([]Path, n*n)
+	ids := make([]int, 0, total)
+	f = 0
+	for s := 0; s < n; s++ {
+		r.Table[s] = table[s*n : (s+1)*n : (s+1)*n]
+		for d := 0; d < n; d++ {
+			if s != d {
+				start := len(ids)
+				ids = append(ids, ps.Paths[s][d][choice[f]]...)
+				r.Table[s][d] = ids[start:len(ids):len(ids)]
+				f++
+			}
 		}
 	}
 	return r
@@ -260,28 +346,56 @@ func RandomSelection(name string, ps *PathSet, seed int64) *Routing {
 // Filter returns a new PathSet keeping only paths accepted by keep;
 // flows whose candidates are all rejected fall back to their full
 // candidate list (counted in fallbacks), so the result is always
-// routable.
+// routable. Sources are filtered in parallel, so keep must be safe for
+// concurrent calls. Each source's kept candidates share one []Path
+// arena; a flow that keeps all or none of its candidates shares the
+// input's slice instead, and every kept Path shares the input's
+// routers.
 func (ps *PathSet) Filter(keep func(Path) bool) (*PathSet, int) {
-	out := &PathSet{N: ps.N, Paths: make([][][]Path, ps.N)}
-	fallbacks := 0
-	for s := 0; s < ps.N; s++ {
-		out.Paths[s] = make([][]Path, ps.N)
-		for d := 0; d < ps.N; d++ {
-			if s == d {
-				continue
-			}
-			var kept []Path
-			for _, p := range ps.Paths[s][d] {
-				if keep(p) {
-					kept = append(kept, p)
+	n := ps.N
+	out := &PathSet{N: n, Paths: flowRows(n)}
+	fallbacks := make([]int, n)
+	scratch := make([]filterScratch, par.Workers(n))
+	par.For(n, func(w, s int) {
+		f := &scratch[w]
+		f.kept, f.ends = f.kept[:0], f.ends[:0]
+		for d, cands := range ps.Paths[s] {
+			if d != s {
+				start := len(f.kept)
+				for _, p := range cands {
+					if keep(p) {
+						f.kept = append(f.kept, p)
+					}
+				}
+				if kept := len(f.kept) - start; kept == 0 || kept == len(cands) {
+					if kept == 0 {
+						fallbacks[s]++
+					}
+					out.Paths[s][d] = cands
+					f.kept = f.kept[:start]
 				}
 			}
-			if len(kept) == 0 {
-				kept = ps.Paths[s][d]
-				fallbacks++
-			}
-			out.Paths[s][d] = kept
+			f.ends = append(f.ends, len(f.kept))
 		}
+		arena := append([]Path(nil), f.kept...)
+		start := 0
+		for d, end := range f.ends {
+			if end > start {
+				out.Paths[s][d] = arena[start:end:end]
+			}
+			start = end
+		}
+	})
+	total := 0
+	for _, c := range fallbacks {
+		total += c
 	}
-	return out, fallbacks
+	return out, total
+}
+
+// filterScratch is one Filter worker's scratch: a source's kept
+// candidates back to back, and each destination's end offset in kept.
+type filterScratch struct {
+	kept []Path
+	ends []int
 }

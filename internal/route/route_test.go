@@ -1,6 +1,8 @@
 package route
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"netsmith/internal/expert"
@@ -267,6 +269,168 @@ func TestPathSetFilterFallback(t *testing.T) {
 			if s != d && len(filtered.Paths[s][d]) == 0 {
 				t.Fatal("fallback left a flow unroutable")
 			}
+		}
+	}
+}
+
+// serialWalk is the reference enumeration: one recursive walk of the
+// shortest-path DAG per flow, every path its own slice.
+func serialWalk(t *topo.Topology, maxPerFlow int) [][][]Path {
+	n, dist := t.N(), t.ShortestPaths()
+	out := make([][][]Path, n)
+	for s := range out {
+		out[s] = make([][]Path, n)
+		for d := range out[s] {
+			if s == d {
+				continue
+			}
+			cur := Path{s}
+			var walk func(u int)
+			walk = func(u int) {
+				if len(out[s][d]) >= maxPerFlow {
+					return
+				}
+				if u == d {
+					out[s][d] = append(out[s][d], append(Path(nil), cur...))
+					return
+				}
+				for _, v := range t.Out(u) {
+					if dist[s][u]+1+dist[v][d] == dist[s][d] {
+						cur = append(cur, v)
+						walk(v)
+						cur = cur[:len(cur)-1]
+					}
+				}
+			}
+			walk(s)
+		}
+	}
+	return out
+}
+
+// atEachGOMAXPROCS runs fn at GOMAXPROCS 1, 2, 3 and 8.
+func atEachGOMAXPROCS(fn func(procs int)) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		fn(procs)
+	}
+}
+
+// TestPathSetsMatchSerialWalk pins the parallel per-source enumeration
+// to the reference walk, candidate order and cap included, and Filter to
+// a serial filter, at several GOMAXPROCS.
+func TestPathSetsMatchSerialWalk(t *testing.T) {
+	kite, err := expert.Get(expert.NameKiteMedium, layout.Grid4x5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []*topo.Topology{mesh4x5(), smallRing(), kite, expert.Mesh(layout.Grid8x6)}
+	atEachGOMAXPROCS(func(procs int) {
+		for _, tp := range topos {
+			for _, maxPerFlow := range []int{1, 3, MaxPathsPerFlow} {
+				ps, err := AllShortestPaths(tp, maxPerFlow)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := serialWalk(tp, maxPerFlow)
+				if !reflect.DeepEqual(ps.Paths, want) {
+					t.Fatalf("%s, cap %d, GOMAXPROCS %d: candidates differ from the serial walk", tp.Name, maxPerFlow, procs)
+				}
+				keep := func(p Path) bool { return noDoubleBackX(tp, p) && p[1]%3 != 0 }
+				filtered, fallbacks := ps.Filter(keep)
+				wantFallbacks := 0
+				for s := range want {
+					for d, cands := range want[s] {
+						if s == d {
+							continue
+						}
+						var kept []Path
+						for _, p := range cands {
+							if keep(p) {
+								kept = append(kept, p)
+							}
+						}
+						if kept == nil {
+							kept = cands
+							wantFallbacks++
+						}
+						want[s][d] = kept
+					}
+				}
+				if fallbacks != wantFallbacks || !reflect.DeepEqual(filtered.Paths, want) {
+					t.Fatalf("%s, cap %d, GOMAXPROCS %d: filtered set differs from a serial filter", tp.Name, maxPerFlow, procs)
+				}
+			}
+		}
+	})
+}
+
+// TestMCLBSameAtAnyGOMAXPROCS checks that parallel restarts pick the
+// routing a single worker picks, which runs the restarts in order.
+func TestMCLBSameAtAnyGOMAXPROCS(t *testing.T) {
+	kite, err := expert.Get(expert.NameKiteMedium, layout.Grid4x5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := AllShortestPaths(kite, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]*Routing{}
+	atEachGOMAXPROCS(func(procs int) {
+		for seed := int64(1); seed <= 3; seed++ {
+			r := MCLBOnPaths(ps, MCLBOptions{Seed: seed, Restarts: 11, Sweeps: 4})
+			if procs == 1 {
+				want[seed] = r
+			} else if !reflect.DeepEqual(r, want[seed]) {
+				t.Fatalf("seed %d, GOMAXPROCS %d: routing differs from GOMAXPROCS 1", seed, procs)
+			}
+		}
+	})
+}
+
+// TestRoutingOwnsItsPaths overwrites every candidate of the path set a
+// routing was selected from: the routing must not change, because
+// RandomSelection and MCLBOnPaths copy the paths they choose.
+func TestRoutingOwnsItsPaths(t *testing.T) {
+	kite, err := expert.Get(expert.NameKiteMedium, layout.Grid4x5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		choose func(*PathSet) *Routing
+	}{
+		{"RandomSelection", func(ps *PathSet) *Routing { return RandomSelection("random", ps, 5) }},
+		{"MCLBOnPaths", func(ps *PathSet) *Routing { return MCLBOnPaths(ps, MCLBOptions{Seed: 5, Restarts: 3, Sweeps: 5}) }},
+	} {
+		ps, err := AllShortestPaths(kite, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := c.choose(ps)
+		want := make([][]Path, r.N)
+		for s, row := range r.Table {
+			for _, p := range row {
+				want[s] = append(want[s], append(Path(nil), p...))
+			}
+		}
+		for _, row := range ps.Paths {
+			for _, cands := range row {
+				for _, p := range cands {
+					for i := range p {
+						p[i] = -1
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(r.Table, want) {
+			t.Errorf("%s: overwriting the candidates changed the routing", c.name)
+		}
+		if err := r.Validate(kite); err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
 	}
 }

@@ -312,6 +312,10 @@ var badRequests = []struct{ path, body string }{
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["bursty:ponoff=nan"]}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","patterns":["bursty:poffon=nan"]}`},
 	{"/v1/jobs", `{"kind":"matrix","grid":"4x5","faults":["randlinks:rate=nan"]}`},
+	// Fixed-destination patterns under which no router of the grid
+	// originates a packet, alone and as bursty's base.
+	{"/v1/jobs", `{"kind":"matrix","grid":"1x8","topos":["mesh"],"patterns":["transpose"]}`},
+	{"/v1/jobs", `{"kind":"matrix","grid":"2x2","topos":["mesh"],"patterns":["bursty:base=tornado"]}`},
 	// Unified-endpoint rejections: missing/unknown kind, bad
 	// priority, out-of-range shards, typoed fields.
 	{"/v1/jobs", `{"grid":"4x5"}`},                                // missing kind

@@ -5,6 +5,7 @@ import (
 
 	"netsmith/internal/bitgraph"
 	"netsmith/internal/layout"
+	"netsmith/internal/par"
 	"netsmith/internal/topo"
 )
 
@@ -83,7 +84,7 @@ func (a *annealer) run() (*Result, error) {
 		// histories in the same order, so the topology and Result.Trace
 		// are identical for a given seed regardless of GOMAXPROCS.
 		results := make([]restartResult, a.cfg.Restarts)
-		parallelFor(len(results), func(r int) {
+		par.For(len(results), func(_, r int) {
 			results[r] = a.annealRestart(int64(r), a.cfg.Iterations)
 		})
 		for _, res := range results {

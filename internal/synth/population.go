@@ -3,12 +3,10 @@ package synth
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"netsmith/internal/bitgraph"
+	"netsmith/internal/par"
 	"netsmith/internal/store"
 )
 
@@ -78,7 +76,7 @@ func (a *annealer) runPopulation() {
 		plan := breedingPlan(planRNG, len(pop), cfg.Population)
 		children := make([]individual, len(plan))
 		worst := pop[len(pop)-1].score
-		parallelFor(len(children), func(c int) {
+		par.For(len(children), func(_, c int) {
 			children[c] = a.breed(pop, plan[c], bound, worst)
 		})
 		pop = popMerge(pop, children, cfg.Population)
@@ -326,7 +324,7 @@ func (a *annealer) rawObjective(g *bitgraph.Graph) (float64, bool) {
 func (a *annealer) initialPopulation() []individual {
 	fam := newAnnealer(a.familyConfig())
 	members := make([]*bitgraph.Graph, a.cfg.Population)
-	parallelFor(len(members), func(i int) {
+	par.For(len(members), func(_, i int) {
 		members[i] = a.portfolioMember(fam, i)
 	})
 	pop := make([]individual, len(members))
@@ -451,39 +449,4 @@ func (a *annealer) validLink(from, to int) bool {
 		}
 	}
 	return false
-}
-
-// parallelFor runs fn(i) for i in [0, n) across min(GOMAXPROCS, 8)
-// workers: the fixed-restart pool, the portfolio members and each
-// generation's children. Each item's computation depends only on its
-// index and read-only shared state, so scheduling cannot affect results.
-func parallelFor(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers > n {
-		workers = n
-	}
-	// The workers share one heap object for the wait group and the work
-	// counter: fn already escapes, and the benchdiff gate holds
-	// Generate's allocs/op exactly.
-	var pool struct {
-		wg   sync.WaitGroup
-		next atomic.Int64
-	}
-	for w := 0; w < workers; w++ {
-		pool.wg.Add(1)
-		go func() {
-			defer pool.wg.Done()
-			for {
-				i := pool.next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	pool.wg.Wait()
 }

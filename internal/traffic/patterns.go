@@ -114,6 +114,17 @@ func (f Fixed) Originates(src int) bool {
 	return dst >= 0 && dst != src
 }
 
+// silent reports whether no source originates a packet: every one is a
+// fixed point or has its destination outside the network.
+func (f Fixed) silent() bool {
+	for src := 0; src < f.rows*f.cols; src++ {
+		if f.Originates(src) {
+			return false
+		}
+	}
+	return true
+}
+
 // WeightMatrix returns the pattern's demand matrix for pattern-optimized
 // synthesis (NS-ShufOpt reads the shuffle's).
 func (f Fixed) WeightMatrix() [][]float64 {

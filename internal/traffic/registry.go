@@ -50,13 +50,25 @@ type Registry struct{ *spec.Registry[Builder] }
 var specKind = spec.Kind{Pkg: "traffic", Noun: "pattern"}
 
 // Build constructs a fresh instance of the named pattern, validating
-// that every supplied parameter is one the pattern declares.
+// that every supplied parameter is one the pattern declares. A
+// fixed-destination pattern under which no router of env originates a
+// packet is an error: it offers no load, and a matrix would report its
+// every rate as saturated. Bursty builds its base here, so it inherits
+// the error.
 func (r *Registry) Build(name string, env Env, p Params) (Pattern, error) {
 	build, a, err := r.Lookup(name, p)
 	if err != nil {
 		return nil, err
 	}
-	return build(env, a)
+	pat, err := build(env, a)
+	if f, ok := pat.(Fixed); ok && err == nil && f.silent() {
+		where := fmt.Sprintf("the %dx%d grid", env.Rows, env.Cols)
+		if env.Rows*env.Cols != env.N {
+			where = fmt.Sprintf("%d routers", env.N)
+		}
+		return nil, fmt.Errorf("traffic: %s: no router of %s originates a packet", name, where)
+	}
+	return pat, err
 }
 
 // Default returns the registry of built-in patterns. The returned

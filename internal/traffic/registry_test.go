@@ -1,8 +1,10 @@
 package traffic
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netsmith/internal/layout"
@@ -115,6 +117,39 @@ func TestRegistryErrors(t *testing.T) {
 	}
 	if _, err := reg.Build("uniform", Env{N: 1}, nil); err != nil {
 		t.Error("uniform over one node should build (it just never injects)")
+	}
+	// A fixed-destination pattern under which no router originates a
+	// packet offers no load, so it is refused with its name and the
+	// grid, and so is bursty over it.
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+	}{
+		{"transpose", 1, 8}, {"transpose", 8, 1}, {"transpose", 1, 2},
+		{"tornado", 2, 2}, {"tornado", 1, 2}, {"tornado", 2, 1},
+		{"shuffle", 1, 2}, {"shuffle", 2, 1}, {"bitrev", 1, 2}, {"bitrev", 2, 1},
+		{"shuffle", 1, 1}, {"transpose", 1, 1}, {"bitcomp", 1, 1}, {"bitrev", 1, 1}, {"tornado", 1, 1},
+	} {
+		env := GridEnv(layout.NewGrid(c.rows, c.cols))
+		grid := fmt.Sprintf("%dx%d", c.rows, c.cols)
+		for _, b := range []struct {
+			name string
+			p    Params
+		}{{c.name, nil}, {"bursty", Params{"base": c.name}}} {
+			_, err := reg.Build(b.name, env, b.p)
+			if err == nil || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), grid) {
+				t.Errorf("%s %v on %s: error %v, want one naming %s and the grid", b.name, b.p, grid, err, c.name)
+			}
+		}
+	}
+	// The smallest grids where some router originates still build.
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+	}{{"transpose", 2, 2}, {"tornado", 1, 3}, {"tornado", 3, 1}, {"shuffle", 1, 3}, {"bitcomp", 1, 2}, {"bitrev", 1, 3}} {
+		if _, err := reg.Build(c.name, GridEnv(layout.NewGrid(c.rows, c.cols)), nil); err != nil {
+			t.Errorf("%s on %dx%d: %v", c.name, c.rows, c.cols, err)
+		}
 	}
 	if err := reg.Register(Entry{Name: "uniform", Build: func(Env, spec.Args) (Pattern, error) { return nil, nil }}); err == nil {
 		t.Error("duplicate registration accepted")

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"netsmith/internal/par"
 	"netsmith/internal/route"
 )
 
@@ -35,11 +36,24 @@ type flow struct {
 	links []int32 // one per hop
 }
 
+// flowSet is a routing's flows, numbered for layering, with each link's
+// successor and predecessor counts in the union CDG of all flows. No
+// layer's CDG gives a link more edges than the union does, so each
+// graph carves its lists from one slab of that size and never grows
+// them.
+type flowSet struct {
+	n, links int
+	flows    []flow
+	out, in  []int32 // per link: successors and predecessors in the union CDG
+	edges    int     // union CDG edges
+}
+
 // numberFlows numbers the directed links the routing's paths use, in
 // first-use order, and returns every routed flow in (src, dst) order
-// together with the link count. Graph state then is O(links), not
-// O(routers²). Every flow's link IDs live in one shared array.
-func numberFlows(r *route.Routing) ([]flow, int) {
+// together with the link count and the union CDG's degrees. Graph state
+// then is O(links), not O(routers²). Every flow's link IDs live in one
+// shared array.
+func numberFlows(r *route.Routing) *flowSet {
 	n := r.N
 	count, hops := 0, 0
 	for s := 0; s < n; s++ {
@@ -51,9 +65,8 @@ func numberFlows(r *route.Routing) ([]flow, int) {
 		}
 	}
 	id := make([]int32, n*n) // from*n+to -> link ID + 1; 0 until first use
-	flows := make([]flow, 0, count)
+	fs := &flowSet{n: n, flows: make([]flow, 0, count)}
 	ids := make([]int32, hops)
-	links := 0
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			p := r.Table[s][d]
@@ -65,15 +78,30 @@ func numberFlows(r *route.Routing) ([]flow, int) {
 			for i := range f.links {
 				k := p[i]*n + p[i+1]
 				if id[k] == 0 {
-					links++
-					id[k] = int32(links)
+					fs.links++
+					id[k] = int32(fs.links)
 				}
 				f.links[i] = id[k] - 1
 			}
-			flows = append(flows, f)
+			fs.flows = append(fs.flows, f)
 		}
 	}
-	return flows, links
+	// A CDG edge a->b is fixed by a and the router b leads to, so
+	// seen[a*n+w] marks the union's edges.
+	seen := make([]bool, fs.links*n)
+	fs.out, fs.in = make([]int32, fs.links), make([]int32, fs.links)
+	for _, f := range fs.flows {
+		p := r.Table[f.s][f.d]
+		for i := 0; i+1 < len(f.links); i++ {
+			if k := int(f.links[i])*n + p[i+2]; !seen[k] {
+				seen[k] = true
+				fs.out[f.links[i]]++
+				fs.in[f.links[i+1]]++
+				fs.edges++
+			}
+		}
+	}
+	return fs
 }
 
 // cdg is a channel dependency graph: nodes are directed links, and an
@@ -83,6 +111,17 @@ func numberFlows(r *route.Routing) ([]flow, int) {
 type cdg [][]edge
 
 type edge struct{ to, refs int32 }
+
+// newCDG returns an empty graph whose successor lists come from one
+// slab: link l has room for out[l] edges.
+func newCDG(fs *flowSet) cdg {
+	g := make(cdg, fs.links)
+	slab := make([]edge, fs.edges)
+	for l, k := range fs.out {
+		g[l], slab = slab[:0:k], slab[k:]
+	}
+	return g
+}
 
 // ref adds a reference to edge a->b and reports whether the edge was
 // already there.
@@ -172,13 +211,20 @@ type orderedCDG struct {
 	s    *search
 }
 
-func newOrderedCDG(links int, s *search) *orderedCDG {
+// newOrderedCDG returns an empty graph over the flow set's links, its
+// successor and predecessor lists carved from one slab each, sized by
+// the union CDG.
+func newOrderedCDG(fs *flowSet, s *search) *orderedCDG {
 	g := &orderedCDG{
-		succ: make(cdg, links),
-		pred: make([][]int32, links),
-		ord:  make([]int32, links),
-		at:   make([]int32, links),
+		succ: newCDG(fs),
+		pred: make([][]int32, fs.links),
+		ord:  make([]int32, fs.links),
+		at:   make([]int32, fs.links),
 		s:    s,
+	}
+	slab := make([]int32, fs.edges)
+	for l, k := range fs.in {
+		g.pred[l], slab = slab[:0:k], slab[k:]
 	}
 	for l := range g.ord {
 		g.ord[l] = int32(l)
@@ -306,10 +352,10 @@ func (g *orderedCDG) reset() {
 	}
 }
 
-// search is the scratch shared by every graph of one Assign or Verify
-// call. Marks are epoch-stamped, so starting a search costs nothing:
-// per search, a link is unvisited below epoch, visited (grey in
-// Verify's DFS) at epoch and black at epoch+1.
+// search is the scratch shared by the graphs of one layering worker, of
+// balance or of Verify. Marks are epoch-stamped, so starting a search
+// costs nothing: per search, a link is unvisited below epoch, visited
+// (grey in Verify's DFS) at epoch and black at epoch+1.
 type search struct {
 	mark  []uint64
 	epoch uint64 // 64 bits: the stamps never wrap
@@ -339,63 +385,130 @@ type Options struct {
 	MaxVCs int // error if more layers are needed (0 = unlimited)
 }
 
-// Assign partitions the routing's paths into acyclic-CDG layers.
+// Assign partitions the routing's paths into acyclic-CDG layers. Tries
+// run in parallel: every try's random path order is drawn from the one
+// rng up front, in try order, and the lowest try index among those with
+// the fewest layers wins (or the lowest failing try's error), so the
+// result is the sequential one.
 func Assign(r *route.Routing, opts Options) (*Assignment, error) {
 	if opts.Tries == 0 {
 		opts.Tries = 8
 	}
-	n := r.N
-	flows, links := numberFlows(r)
-	s := newSearch(links)
-	g := newOrderedCDG(links, s)
+	fs := numberFlows(r)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	var best *Assignment
-	for try := 0; try < opts.Tries; try++ {
-		pending := rng.Perm(len(flows))
-		layerOf := make([][]int, n)
-		for s := range layerOf {
-			layerOf[s] = make([]int, n)
-			for d := range layerOf[s] {
-				layerOf[s][d] = -1
-			}
+	orders := make([][]int, opts.Tries)
+	for t := range orders {
+		orders[t] = rng.Perm(len(fs.flows))
+	}
+	workers := make([]*layering, par.Workers(opts.Tries))
+	par.For(opts.Tries, func(w, t int) {
+		l := workers[w]
+		if l == nil {
+			l = newLayering(fs)
+			workers[w] = l
 		}
-		layers := 0
-		for len(pending) > 0 {
-			g.reset()
-			var deferred []int
-			for _, fi := range pending {
-				f := flows[fi]
-				if g.tryAdd(f.links) {
-					layerOf[f.s][f.d] = layers
-				} else {
-					deferred = append(deferred, fi)
-				}
+		l.try(t, orders[t])
+	})
+	var best, failed *layering
+	for _, l := range workers {
+		switch {
+		case l == nil:
+		case l.err != nil:
+			if failed == nil || l.errTry < failed.errTry {
+				failed = l
 			}
-			if len(deferred) == len(pending) {
-				return nil, fmt.Errorf("vc: no progress assigning layer %d", layers)
-			}
-			pending = deferred
-			layers++
-		}
-		if best == nil || layers < best.NumVCs {
-			best = &Assignment{NumVCs: layers, LayerOf: layerOf}
+		case best == nil || l.bestVCs < best.bestVCs || (l.bestVCs == best.bestVCs && l.bestTry < best.bestTry):
+			best = l
 		}
 	}
-	if opts.MaxVCs > 0 && best.NumVCs > opts.MaxVCs {
-		return nil, fmt.Errorf("vc: %d layers needed, max %d", best.NumVCs, opts.MaxVCs)
+	if failed != nil {
+		return nil, failed.err
 	}
-	balance(flows, links, s, best)
-	return best, nil
+	a := &Assignment{NumVCs: best.bestVCs, LayerOf: make([][]int, fs.n)}
+	for s := range a.LayerOf {
+		a.LayerOf[s] = best.best[s*fs.n : (s+1)*fs.n : (s+1)*fs.n]
+	}
+	if opts.MaxVCs > 0 && a.NumVCs > opts.MaxVCs {
+		return nil, fmt.Errorf("vc: %d layers needed, max %d", a.NumVCs, opts.MaxVCs)
+	}
+	balance(fs, a)
+	return a, nil
+}
+
+// layering is one worker's scratch for layering tries: its own graph
+// and search, a spare path list, and the best layering among the tries
+// it ran (or its first failure). Acyclicity answers do not depend on
+// the order a graph starts from, so a worker's graph refuses exactly the
+// paths any other graph would.
+type layering struct {
+	fs      *flowSet
+	g       *orderedCDG
+	spare   []int
+	layerOf []int // src*n+dst -> layer, for the running try
+	// The worker's best try: fewest layers, then lowest index.
+	best             []int
+	bestVCs, bestTry int
+	err              error
+	errTry           int
+}
+
+func newLayering(fs *flowSet) *layering {
+	return &layering{
+		fs:      fs,
+		g:       newOrderedCDG(fs, newSearch(fs.links)),
+		spare:   make([]int, 0, len(fs.flows)),
+		layerOf: make([]int, fs.n*fs.n),
+	}
+}
+
+// try layers the flows in the given order: a path joins the current
+// layer unless it closes a cycle there, and waits for the next layer
+// otherwise. The worker's tries come in increasing index order, so the
+// strict comparison keeps the lowest index among equals, and a failure
+// ends the worker's share as it would end a sequential run.
+func (l *layering) try(t int, pending []int) {
+	if l.err != nil {
+		return
+	}
+	for i := range l.layerOf {
+		l.layerOf[i] = -1
+	}
+	layers := 0
+	for len(pending) > 0 {
+		l.g.reset()
+		deferred := l.spare[:0]
+		for _, fi := range pending {
+			f := l.fs.flows[fi]
+			if l.g.tryAdd(f.links) {
+				l.layerOf[f.s*l.fs.n+f.d] = layers
+			} else {
+				deferred = append(deferred, fi)
+			}
+		}
+		if len(deferred) == len(pending) {
+			l.err, l.errTry = fmt.Errorf("vc: no progress assigning layer %d", layers), t
+			return
+		}
+		l.spare, pending = pending, deferred
+		layers++
+	}
+	if l.best == nil || layers < l.bestVCs {
+		if l.best == nil {
+			l.best = make([]int, len(l.layerOf))
+		}
+		l.best, l.layerOf = l.layerOf, l.best
+		l.bestVCs, l.bestTry = layers, t
+	}
 }
 
 // layerGraphs builds every layer's ordered CDG from the assignment,
 // whose layers must be acyclic.
-func layerGraphs(flows []flow, links int, s *search, a *Assignment) []*orderedCDG {
+func layerGraphs(fs *flowSet, s *search, a *Assignment) []*orderedCDG {
 	graphs := make([]*orderedCDG, a.NumVCs)
 	for v := range graphs {
-		graphs[v] = newOrderedCDG(links, s)
+		graphs[v] = newOrderedCDG(fs, s)
 	}
-	for _, f := range flows {
+	for _, f := range fs.flows {
 		if !graphs[a.LayerOf[f.s][f.d]].tryAdd(f.links) {
 			panic("vc: an assigned layer's CDG has a cycle")
 		}
@@ -405,18 +518,19 @@ func layerGraphs(flows []flow, links int, s *search, a *Assignment) []*orderedCD
 
 // balance evens out path-length weighted VC occupancy: paths are moved
 // from heavier to lighter layers whenever the move preserves acyclicity.
-func balance(flows []flow, links int, s *search, a *Assignment) {
+// It runs serially: each move depends on the moves before it.
+func balance(fs *flowSet, a *Assignment) {
 	if a.NumVCs < 2 {
 		return
 	}
-	graphs := layerGraphs(flows, links, s, a)
+	graphs := layerGraphs(fs, newSearch(fs.links), a)
 	weight := make([]int, a.NumVCs)
-	for _, f := range flows {
+	for _, f := range fs.flows {
 		weight[a.LayerOf[f.s][f.d]] += len(f.links)
 	}
 	for pass := 0; pass < 3; pass++ {
 		moved := false
-		for _, f := range flows {
+		for _, f := range fs.flows {
 			from, hops := a.LayerOf[f.s][f.d], len(f.links)
 			for to := 0; to < a.NumVCs; to++ {
 				if to == from || weight[to]+hops >= weight[from] {
@@ -443,19 +557,19 @@ func balance(flows []flow, links int, s *search, a *Assignment) {
 // simulator's setup path, and checks each whole graph rather than
 // trusting how the layers were built.
 func (a *Assignment) Verify(r *route.Routing) error {
-	flows, links := numberFlows(r)
+	fs := numberFlows(r)
 	graphs := make([]cdg, a.NumVCs)
 	for v := range graphs {
-		graphs[v] = make(cdg, links)
+		graphs[v] = newCDG(fs)
 	}
-	for _, f := range flows {
+	for _, f := range fs.flows {
 		v := a.LayerOf[f.s][f.d]
 		if v < 0 || v >= a.NumVCs {
 			return fmt.Errorf("vc: flow (%d,%d) has invalid layer %d", f.s, f.d, v)
 		}
 		graphs[v].add(f.links)
 	}
-	s := newSearch(links)
+	s := newSearch(fs.links)
 	for v, g := range graphs {
 		if !g.acyclic(s) {
 			return fmt.Errorf("vc: layer %d CDG has a cycle", v)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -115,9 +117,14 @@ func (g *refCDG) wouldStayAcyclic(p route.Path) bool {
 
 // denseCDG returns an empty ordered CDG over every directed link of an
 // n-router network, numbering link (a, b) as a*n+b, and the function
-// that rewrites a path as those IDs.
+// that rewrites a path as those IDs. Every link has room for n
+// successors and n predecessors, all a link (a, b) can have.
 func denseCDG(n int) (*orderedCDG, func(route.Path) []int32) {
-	g := newOrderedCDG(n*n, newSearch(n*n))
+	fs := &flowSet{n: n, links: n * n, out: make([]int32, n*n), in: make([]int32, n*n), edges: n * n * n}
+	for l := range fs.out {
+		fs.out[l], fs.in[l] = int32(n), int32(n)
+	}
+	g := newOrderedCDG(fs, newSearch(n*n))
 	return g, func(p route.Path) []int32 {
 		ids := make([]int32, len(p)-1)
 		for i := range ids {
@@ -249,7 +256,8 @@ func TestCDGRefcounting(t *testing.T) {
 // whole-graph answer. It returns how many candidates were refused.
 func checkAgainstOracle(t *testing.T, name string, r *route.Routing, seed int64) int {
 	t.Helper()
-	flows, links := numberFlows(r)
+	fs := numberFlows(r)
+	flows, links := fs.flows, fs.links
 	s := newSearch(links)
 	code := make([]int, links) // link ID -> from*n+to, the reference's link
 	for _, f := range flows {
@@ -286,7 +294,7 @@ func checkAgainstOracle(t *testing.T, name string, r *route.Routing, seed int64)
 		a.LayerOf[src] = make([]int, r.N)
 	}
 	var refs []*refCDG
-	g := newOrderedCDG(links, s)
+	g := newOrderedCDG(fs, s)
 	for pending := rng.Perm(len(flows)); len(pending) > 0; a.NumVCs++ {
 		g.reset()
 		refs = append(refs, newRefCDG(r.N))
@@ -303,7 +311,7 @@ func checkAgainstOracle(t *testing.T, name string, r *route.Routing, seed int64)
 		}
 		pending = deferred
 	}
-	graphs := layerGraphs(flows, links, s, a)
+	graphs := layerGraphs(fs, s, a)
 	for _, g := range graphs {
 		checkOrder(t, g)
 	}
@@ -340,6 +348,27 @@ func checkAgainstOracle(t *testing.T, name string, r *route.Routing, seed int64)
 	}
 	if got, want := all.acyclic(s), ref.acyclic(); got != want {
 		t.Fatalf("%s: one-layer whole-graph check %v, reference %v", name, got, want)
+	}
+	// The union CDG's degrees are the plain graph's, and no list of any
+	// graph outgrew the room its slab gave it.
+	in := make([]int32, links)
+	for l, out := range all {
+		if int(fs.out[l]) != len(out) {
+			t.Fatalf("%s: link %d: %d successors counted, %d in the union", name, l, fs.out[l], len(out))
+		}
+		for _, e := range out {
+			in[e.to]++
+		}
+	}
+	if !slices.Equal(in, fs.in) {
+		t.Fatalf("%s: predecessor counts %v, union %v", name, fs.in, in)
+	}
+	for _, g := range append(graphs, g) {
+		for l := range g.succ {
+			if cap(g.succ[l]) != int(fs.out[l]) || cap(g.pred[l]) != int(fs.in[l]) {
+				t.Fatalf("%s: link %d's lists left their slabs", name, l)
+			}
+		}
 	}
 	return refused
 }
@@ -580,6 +609,55 @@ func TestAssignGoldenLayering(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("kite-medium-mclb-1", r, 1)
+}
+
+// TestAssignSameAtAnyGOMAXPROCS checks that parallel tries pick the
+// layering a single worker picks, which runs the tries in order, and
+// fail with the first failing try's error.
+func TestAssignSameAtAnyGOMAXPROCS(t *testing.T) {
+	kite, err := expert.Get(expert.NameKiteMedium, layout.Grid4x5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := route.MCLB(kite, route.MCLBOptions{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A path that repeats a link joins no layer, so every try fails, at
+	// a layer that depends on the try's order (2 or 3 here).
+	bad, err := route.MCLB(kite, route.MCLBOptions{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bad.Table[0][5]
+	bad.Table[0][5] = append(route.Path{p[0], p[1], p[0]}, p[1:]...)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	want := map[int64]*Assignment{}
+	wantErr := map[int64]string{}
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for seed := int64(1); seed <= 3; seed++ {
+			a, err := Assign(r, Options{Seed: seed, Tries: 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, badErr := Assign(bad, Options{Seed: seed, Tries: 13})
+			if badErr == nil {
+				t.Fatal("a path repeating a link was layered")
+			}
+			if procs == 1 {
+				want[seed], wantErr[seed] = a, badErr.Error()
+				continue
+			}
+			if !reflect.DeepEqual(a, want[seed]) {
+				t.Fatalf("seed %d, GOMAXPROCS %d: layering differs from GOMAXPROCS 1", seed, procs)
+			}
+			if badErr.Error() != wantErr[seed] {
+				t.Fatalf("seed %d, GOMAXPROCS %d: error %q, want %q", seed, procs, badErr, wantErr[seed])
+			}
+		}
+	}
 }
 
 func TestVerifyCatchesBadAssignment(t *testing.T) {
