@@ -537,44 +537,6 @@ func BenchmarkEngineSubRate(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineIdleFastForward measures the hybrid stepper's win on
-// quiescent stretches: a trace that dries up early in the warmup window
-// leaves the engine with nothing to do until the measure-window end,
-// and the dry replay lets it jump there instead of idling cycle by
-// cycle. The benchdiff baseline pins the fast-forwarded cost;
-// regressions here mean the skip gate stopped engaging.
-func BenchmarkEngineIdleFastForward(b *testing.B) {
-	s, err := sim.Prepare(expert.Mesh(layout.Grid4x5), sim.UseNDBT, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var recs []traffic.TraceRecord
-	for c := int64(0); c < 100; c++ {
-		for src := 0; src < 20; src++ {
-			recs = append(recs, traffic.TraceRecord{Cycle: c, Src: src, Dst: (src + 1) % 20, Flits: 1})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := traffic.NewReplay("idle", 20, recs, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(sim.Config{
-			Topo: s.Topo, Routing: s.Routing, VC: s.VC,
-			Pattern: rep, InjectionRate: 1.0,
-			WarmupCycles: 2000, MeasureCycles: 8000, DrainCycles: 8000,
-			Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stalled {
-			b.Fatal("stalled")
-		}
-	}
-}
-
 // BenchmarkMatrixBatched measures one smoke-fidelity scenario matrix on
 // a 4x4 mesh: the per-worker engine-reuse path that RunMatrix uses by
 // default, covering setup amortization across {pattern x rate} cells.

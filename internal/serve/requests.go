@@ -408,15 +408,17 @@ func traceFactory(path string, n int) (sim.PatternFactory, error) {
 		return sim.PatternFactory{}, err
 	}
 	tag := strings.TrimSuffix(filepath.Base(path), ".csv")
-	if _, err := traffic.NewReplay(tag, n, recs, true); err != nil {
+	if _, err := traffic.NewReplay(tag, n, recs); err != nil {
 		return sim.PatternFactory{}, err
 	}
 	sum := sha256.Sum256(raw)
 	return sim.PatternFactory{
 		Name: "trace/" + tag,
-		Key:  fmt.Sprintf("trace:%x:loop=true", sum[:8]),
+		// Every replay loops; the suffix stays so that stores already
+		// holding trace cells keep hitting.
+		Key: fmt.Sprintf("trace:%x:loop=true", sum[:8]),
 		New: func() (traffic.Pattern, error) {
-			return traffic.NewReplay(tag, n, recs, true)
+			return traffic.NewReplay(tag, n, recs)
 		},
 	}, nil
 }

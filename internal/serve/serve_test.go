@@ -501,12 +501,16 @@ func TestMatrixSeedDefault(t *testing.T) {
 var pinnedStoreKeys = []string{
 	"0d90100de7092043b91d7ca6ed1eb77edcb19dd8c5ceccea2292ebce3a41f772",
 	"2438ae66d7f46a1381d09f7945dbd4292d195ee0c5d04a22311c376a819f924f",
+	"2b15360609af1f8d94828cfdc471f25848e8b14e68944a04c70058a06289e8ee",
 	"2cc6baa597fe8c3240ad69bb142147571f2646a7895683b75e316a3cff2965fa",
 	"407dd0e1043d54b2904e2b5f412b72456afd0b2d54fd1c2b4da9ffc320beaf74",
 	"577e4472c817e1e0ba661088918febb028b60d113e85b3d5b81159df0634e06d",
 	"59a4f54e5b4c2be1dfc5968ee76cb1f04e4cc3cb941546035f61ed228b99c23c",
+	"6c7a3a0dc0e144014562364f59525877e03018df9677b55d4fe5d59b7e1e65e5",
 	"75745ea2e86afe1032b110c2aabd8d422bd13b7ad67a526af3692f6cc5f9b822",
+	"82285c1688c0ffd1dd4240b0e3318288dccde056d589e88571727aa40dcb5c0a",
 	"9309f681815dc7c0e913ac60a21e9ee8610c2a70fd86300a8a8769c9aeea731a",
+	"943535ff6853223266f3b04c78e0f903b5d53aa311baec0ef1703e022ecad56f",
 	"984a647bd7e206eec6592f3933d2d068552f157ad6e55b787ed1133225fa94f9",
 	"b1bca2ecf3e668f8a1f83076835fd0ffaeac7cfc27192d64ffc31b5d21c26bef",
 	"c506874676fd3edc409cc441875a1bfa91f8b556935367263c09a2c86f1699d7",
@@ -521,14 +525,16 @@ var pinnedStoreKeys = []string{
 
 // TestStoreKeysPinned runs fixed smoke jobs into an empty store and
 // pins every key they write: matrix cells with a fault schedule and
-// energy, a population-mode ns synthesis with its portfolio members,
-// and a pareto sweep with its frontier. The omitted matrix seed (42),
-// generation count (8) and pareto synthesis budget (20000) are part of
-// those keys, so a moved default or a reordered payload field fails
-// here instead of orphaning every existing store.
+// energy, trace-replay cells (CI's 4x4 replay.csv), a population-mode
+// ns synthesis with its portfolio members, and a pareto sweep with its
+// frontier. The omitted matrix seed (42), generation count (8) and
+// pareto synthesis budget (20000) are part of those keys, so a moved
+// default or a reordered payload field fails here instead of orphaning
+// every existing store.
 func TestStoreKeysPinned(t *testing.T) {
 	ctx := context.Background()
-	st, err := store.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,6 +542,16 @@ func TestStoreKeysPinned(t *testing.T) {
 		Grid: "3x3", Topos: []string{"mesh", "ns"}, Rates: []float64{0.02, 0.1},
 		Fidelity: sim.FidelitySmoke, Energy: true, Faults: []string{"klinks:k=1:seed=1:at=150"},
 		SynthIterations: 100, SynthPopulation: 2,
+	}, sim.Shard{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "replay.csv")
+	if err := os.WriteFile(trace, []byte("0,0,5,4\n3,1,7,2\n8,12,3,4\n10,6,15,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExecuteMatrix(ctx, st, MatrixRequest{
+		Grid: "4x4", Topos: []string{"mesh"}, Patterns: []string{"uniform"},
+		Rates: []float64{0.02, 0.1}, Fidelity: sim.FidelitySmoke, Trace: trace,
 	}, sim.Shard{}, nil); err != nil {
 		t.Fatal(err)
 	}

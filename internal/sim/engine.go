@@ -6,13 +6,13 @@ import "math/bits"
 
 // headFlit returns the head flit of slot s without popping it.
 func (e *engine) headFlit(s int32) *flit {
-	return &e.bufData[int(s)*e.bufCap+int(e.bufHead[s])]
+	return &e.bufData[int(s)*bufDepth+int(e.bufHead[s])]
 }
 
 // pushFlit appends a flit to slot s of router r and retargets the
 // occupancy masks when the buffer was empty (new head).
 func (e *engine) pushFlit(s int32, r int, f flit) {
-	e.bufData[int(s)*e.bufCap+int((e.bufHead[s]+e.bufCount[s])&e.bufMask)] = f
+	e.bufData[int(s)*bufDepth+int((e.bufHead[s]+e.bufCount[s])&bufMask)] = f
 	e.bufCount[s]++
 	e.bufferedFlits++
 	if e.actBufWrite != nil {
@@ -26,8 +26,8 @@ func (e *engine) pushFlit(s int32, r int, f flit) {
 // popFlit removes and returns the head flit of slot s of router r,
 // retargeting the masks for the new head (or emptiness).
 func (e *engine) popFlit(s int32, r int) flit {
-	f := e.bufData[int(s)*e.bufCap+int(e.bufHead[s])]
-	e.bufHead[s] = (e.bufHead[s] + 1) & e.bufMask
+	f := e.bufData[int(s)*bufDepth+int(e.bufHead[s])]
+	e.bufHead[s] = (e.bufHead[s] + 1) & bufMask
 	e.bufCount[s]--
 	e.bufferedFlits--
 	if e.actBufRead != nil {
@@ -150,24 +150,6 @@ func (e *engine) deliverArrivals() {
 	}
 }
 
-// nextArrival returns the earliest arrival cycle over all in-flight
-// link flits. Each link ring is FIFO with a fixed per-link latency, so
-// its head is its earliest arrival. Only called on the fast-forward
-// path, with at least one flit in flight.
-func (e *engine) nextArrival() int64 {
-	next := int64(1)<<62 - 1
-	for wi, w := range e.lqPending {
-		for w != 0 {
-			lid := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if at := e.lqData[lid*e.lqCap+int(e.lqHead[lid])].arriveAt; at < next {
-				next = at
-			}
-		}
-	}
-	return next
-}
-
 // linkPush enqueues a forwarded flit on link lid's in-flight ring.
 func (e *engine) linkPush(lid int32, inf inflight) {
 	cnt := e.lqCount[lid]
@@ -281,12 +263,12 @@ func (e *engine) ejectAndSwitch() {
 	}
 }
 
-// eject drains up to EjectBandwidth flits destined locally at router r,
+// eject drains up to portBandwidth flits destined locally at router r,
 // scanning only slots whose head is at its final hop (ejectMask), in
 // round-robin order starting at rrEject[r]. now is the router's slot
 // count through this cycle.
 func (e *engine) eject(r int, now int64) {
-	budget := e.cfg.EjectBandwidth
+	budget := portBandwidth
 	slots := int(e.numPorts[r]) * e.numVCs
 	start := int(e.rrEject[r])
 	// Catch up the +1-per-slot advance of the router's slots since its
@@ -503,7 +485,7 @@ func (e *engine) inject() {
 		if q.empty() {
 			continue
 		}
-		budget := e.cfg.InjectBandwidth
+		budget := portBandwidth
 		base := int32(r * e.slotsPerRouter) // port 0, vc 0
 		for budget > 0 && !q.empty() {
 			p := q.front()

@@ -10,11 +10,10 @@ import (
 	"netsmith/internal/traffic"
 )
 
-// ffTrace builds a short trace that dries up well inside the warmup
-// window: at injection rate 1.0 every source pops one record per cycle,
-// so after ~60 cycles the replay is permanently dry (Replay.Dry) and
-// the engine's generation-phase fast-forward carries the run to the
-// measure-window end.
+// ffTrace builds a 60-cycle trace of mixed 1- and 9-flit packets from
+// every source. At injection rate 1.0 every source pops one record per
+// cycle and the replay wraps every 60 cycles, which saturates the
+// network.
 func ffTrace(t testing.TB) []traffic.TraceRecord {
 	t.Helper()
 	var recs []traffic.TraceRecord
@@ -58,10 +57,10 @@ func cdcLatency(tp *topo.Topology, rates []float64) map[[2]int]int {
 
 // ffScenarios returns fresh-Config builders covering the paths the
 // event-driven stepper must keep bit-identical to runReference: steady
-// uniform load, energy collection, fault epochs (including a boundary
-// inside a fast-forward window), stateful patterns, trace replay that
-// dries up, and sub-rate clock domains. Builders return fresh pattern
-// instances so paired runs never share state.
+// uniform load, energy collection, fault epochs, stateful patterns,
+// saturating trace replay (with an epoch flush of a full network), and
+// sub-rate clock domains. Builders return fresh pattern instances so
+// paired runs never share state.
 func ffScenarios(t *testing.T) map[string]func() Config {
 	t.Helper()
 	s := meshSetup(t)
@@ -73,7 +72,7 @@ func ffScenarios(t *testing.T) map[string]func() Config {
 		}
 	}
 	replay := func() traffic.Pattern {
-		rep, err := traffic.NewReplay("ff", 20, ffTrace(t), false)
+		rep, err := traffic.NewReplay("ff", 20, ffTrace(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,22 +120,32 @@ func ffScenarios(t *testing.T) map[string]func() Config {
 			cfg.InjectionRate = 0.03
 			return cfg
 		},
-		"trace-dry-energy": func() Config {
+		"trace-energy": func() Config {
 			cfg := base()
 			cfg.Pattern = replay()
 			cfg.InjectionRate = 1.0
 			cfg.CollectEnergy = true
 			return cfg
 		},
-		"trace-dry-fault-in-window": func() Config {
-			// The boundary at cycle 900 lands long after the trace dried
-			// (~cycle 60): without clamping, fast-forward would jump the
-			// epoch flush entirely.
+		"trace-fault": func() Config {
+			// The boundary at cycle 900 purges a saturated network.
 			cfg := base()
 			cfg.Pattern = replay()
 			cfg.InjectionRate = 1.0
 			cfg.CollectEnergy = true
 			cfg.FaultSchedule = buildSched(t, cfg, "klinks:k=2:seed=9:at=900")
+			return cfg
+		},
+		"trace-full-system-ratios": func() Config {
+			// Measuring from cycle 1 puts the trace's first packets into
+			// the latency average, under the full-system clock domains.
+			cfg := base()
+			cfg.Pattern = replay()
+			cfg.InjectionRate = 1.0
+			cfg.CollectEnergy = true
+			cfg.WarmupCycles, cfg.MeasureCycles = 1, 3000
+			cfg.NodeRate = fullSystemRates(20)
+			cfg.ExtraLinkLatency = cdcLatency(s.Topo, cfg.NodeRate)
 			return cfg
 		},
 		"sub-rate-clocks": func() Config {
@@ -167,11 +176,11 @@ func ffScenarios(t *testing.T) map[string]func() Config {
 	}
 }
 
-// TestFastForwardEquivalence pins the stepper's contract: the
-// event-driven, fast-forwarding engine and the plain every-cycle,
-// every-router reference loop produce DeepEqual Results — latency,
-// energy counters, fault accounting — on every scenario class.
-func TestFastForwardEquivalence(t *testing.T) {
+// TestEventScanEquivalence pins the stepper's contract: the event-driven
+// engine and the plain every-router reference loop produce DeepEqual
+// Results — latency, energy counters, fault accounting — on every
+// scenario class.
+func TestEventScanEquivalence(t *testing.T) {
 	for name, mk := range ffScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			got, err := Run(mk())
@@ -186,79 +195,6 @@ func TestFastForwardEquivalence(t *testing.T) {
 				t.Fatalf("engine diverged from the reference stepper:\ngot:  %+v\nwant: %+v", got, want)
 			}
 		})
-	}
-}
-
-// TestFastForwardEngages verifies (white-box) that the dried-up trace
-// actually triggers cycle skipping, and that a fault boundary inside
-// the skipped window still fires its epoch flush at the right cycle.
-func TestFastForwardEngages(t *testing.T) {
-	mk := ffScenarios(t)["trace-dry-fault-in-window"]
-	cfg, err := defaulted(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(cfg)
-	res, err := e.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ffSkipped == 0 {
-		t.Fatal("dried-up trace run never fast-forwarded")
-	}
-	if res.RerouteEvents != 1 {
-		t.Fatalf("fault boundary inside the skipped window applied %d reroutes, want 1", res.RerouteEvents)
-	}
-	if e.nextBoundary != len(e.boundaries) {
-		t.Fatalf("processed %d of %d fault boundaries", e.nextBoundary, len(e.boundaries))
-	}
-	// And the pure-drain case (no faults) should skip much more.
-	cfg2, err := defaulted(ffScenarios(t)["trace-dry-energy"]())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := newEngine(cfg2)
-	if _, err := e2.run(); err != nil {
-		t.Fatal(err)
-	}
-	if e2.ffSkipped < 100 {
-		t.Fatalf("quiescent run skipped only %d cycles", e2.ffSkipped)
-	}
-	// With nothing measured in flight the run must end exactly at the
-	// measure-window boundary, like the cycle-by-cycle path.
-	if want := int64(cfg2.WarmupCycles + cfg2.MeasureCycles); e2.cycle != want {
-		t.Fatalf("quiescent run ended at cycle %d, want %d", e2.cycle, want)
-	}
-	// Sub-rate clock domains skip quiescent windows too, and still
-	// match the reference loop. Measuring from cycle 1 puts the trace's
-	// packets into the latency average, and the long window outlasts
-	// the slower routers' drain of the burst.
-	dry := ffScenarios(t)["trace-dry-energy"]
-	mkSub := func() Config {
-		cfg := dry()
-		cfg.WarmupCycles, cfg.MeasureCycles = 1, 3000
-		cfg.NodeRate = fullSystemRates(20)
-		cfg.ExtraLinkLatency = cdcLatency(cfg.Topo, cfg.NodeRate)
-		return cfg
-	}
-	cfg3, err := defaulted(mkSub())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e3 := newEngine(cfg3)
-	got, err := e3.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e3.ffSkipped < 100 {
-		t.Fatalf("quiescent sub-rate run skipped only %d cycles", e3.ffSkipped)
-	}
-	want, err := runReference(mkSub())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fast-forwarded sub-rate run diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -363,7 +299,7 @@ func TestMatrixBatchedMatchesFresh(t *testing.T) {
 				return traffic.NewBursty(traffic.Uniform{N: 20}, 20, 0.05, 0.02)
 			}},
 			{Name: "trace", New: func() (traffic.Pattern, error) {
-				return traffic.NewReplay("ff", 20, ffTrace(t), false)
+				return traffic.NewReplay("ff", 20, ffTrace(t))
 			}},
 		},
 		Rates: []float64{0.02, 0.10},

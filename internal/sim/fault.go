@@ -55,13 +55,11 @@ func boolsEqual(a, b []bool) bool {
 	return true
 }
 
-// purgeNetwork drops every buffered and in-flight flit and resets all
-// per-slot and per-link engine state to the post-setup shape: empty
-// rings, full credits on real ports (phantom slots stay at zero), no
-// owners, no mask bits. Returns the set of packets whose flits were
-// purged; fully-injected ones are recycled here, partially-injected
-// ones still sit in their source's injection queue and are recycled by
-// flushInjectQueues.
+// purgeNetwork drops every buffered and in-flight flit, counting each,
+// and then empties the network (emptyNetwork). Returns the set of
+// packets whose flits were purged; fully-injected ones are recycled
+// here, partially-injected ones still sit in their source's injection
+// queue and are recycled by flushInjectQueues.
 func (e *engine) purgeNetwork() map[*packet]bool {
 	purged := make(map[*packet]bool)
 	for lid := 0; lid < e.numLinks; lid++ {
@@ -71,42 +69,16 @@ func (e *engine) purgeNetwork() map[*packet]bool {
 		for i := int32(0); i < cnt; i++ {
 			e.dropFlit(e.lqData[base+int((head+i)&e.lqMask)].f, purged)
 		}
-		e.lqCount[lid] = 0
-		e.lqHead[lid] = 0
 	}
-	e.linkFlits = 0
 	for s := range e.bufCount {
 		cnt := e.bufCount[s]
-		base := s * e.bufCap
+		base := s * bufDepth
 		head := e.bufHead[s]
 		for i := int32(0); i < cnt; i++ {
-			e.dropFlit(e.bufData[base+int((head+i)&e.bufMask)], purged)
-		}
-		e.bufCount[s] = 0
-		e.bufHead[s] = 0
-		e.owner[s] = nil
-		e.slotWhere[s] = whereNone
-	}
-	e.bufferedFlits = 0
-	for i := range e.ejectMask {
-		e.ejectMask[i] = 0
-	}
-	for i := range e.candMask {
-		e.candMask[i] = 0
-	}
-	clear(e.lqPending)
-	clear(e.ejectPending)
-	clear(e.candPending)
-	for i := range e.free {
-		e.free[i] = 0
-	}
-	for r := 0; r < e.n; r++ {
-		for p := 0; p < int(e.numPorts[r]); p++ {
-			for v := 0; v < e.numVCs; v++ {
-				e.free[(r*e.maxPorts+p)*e.numVCs+v] = int32(e.bufDepth)
-			}
+			e.dropFlit(e.bufData[base+int((head+i)&bufMask)], purged)
 		}
 	}
+	e.emptyNetwork()
 	return purged
 }
 

@@ -74,9 +74,9 @@ func TestCreditConservation(t *testing.T) {
 			for v := 0; v < e.numVCs; v++ {
 				s := (r*e.maxPorts+p)*e.numVCs + v
 				occupied := int(e.bufCount[s]) + inflightTo[s]
-				if int(e.free[s])+occupied != e.bufDepth {
+				if int(e.free[s])+occupied != bufDepth {
 					t.Fatalf("router %d port %d vc %d: free %d + occupied %d != depth %d",
-						r, p, v, e.free[s], occupied, e.bufDepth)
+						r, p, v, e.free[s], occupied, bufDepth)
 				}
 			}
 		}

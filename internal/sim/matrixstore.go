@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"netsmith/internal/power"
 	"netsmith/internal/store"
 )
 
@@ -118,6 +117,8 @@ type linkLatKV struct {
 // cell's cache key. Every field that influences the cell's Result is
 // present; the simulator knobs are recorded post-defaulting so a zero
 // Config and an explicit Config with the default values share entries.
+// BufDepth, LinkLatency and the port bandwidths record the engine's
+// fixed router parameters, so changing any of them moves every key.
 type cellPayload struct {
 	Setup   string `json:"setup"`
 	Pattern string `json:"pattern"`
@@ -128,19 +129,18 @@ type cellPayload struct {
 	Rate  float64 `json:"rate"`
 	Seed  int64   `json:"seed"` // effective per-cell seed
 
-	NumVCs          int          `json:"num_vcs"`
-	BufDepth        int          `json:"buf_depth"`
-	LinkLatency     int          `json:"link_latency"`
-	ClockGHz        float64      `json:"clock_ghz"`
-	InjectBandwidth int          `json:"inject_bw"`
-	EjectBandwidth  int          `json:"eject_bw"`
-	WarmupCycles    int          `json:"warmup"`
-	MeasureCycles   int          `json:"measure"`
-	DrainCycles     int          `json:"drain"`
-	CollectEnergy   bool         `json:"collect_energy"`
-	EnergyModel     *power.Model `json:"energy_model,omitempty"`
-	NodeRate        []float64    `json:"node_rate,omitempty"`
-	ExtraLinkLat    []linkLatKV  `json:"extra_link_latency,omitempty"`
+	NumVCs          int         `json:"num_vcs"`
+	BufDepth        int         `json:"buf_depth"`
+	LinkLatency     int         `json:"link_latency"`
+	ClockGHz        float64     `json:"clock_ghz"`
+	InjectBandwidth int         `json:"inject_bw"`
+	EjectBandwidth  int         `json:"eject_bw"`
+	WarmupCycles    int         `json:"warmup"`
+	MeasureCycles   int         `json:"measure"`
+	DrainCycles     int         `json:"drain"`
+	CollectEnergy   bool        `json:"collect_energy"`
+	NodeRate        []float64   `json:"node_rate,omitempty"`
+	ExtraLinkLat    []linkLatKV `json:"extra_link_latency,omitempty"`
 }
 
 // cellKey builds the store key for one matrix cell. cfg must be the
@@ -154,16 +154,15 @@ func cellKey(setupFP, patternKey, faultKey string, cfg Config) store.Key {
 		Seed:    cfg.Seed,
 
 		NumVCs:          cfg.NumVCs,
-		BufDepth:        cfg.BufDepth,
-		LinkLatency:     cfg.LinkLatency,
+		BufDepth:        bufDepth,
+		LinkLatency:     linkLatency,
 		ClockGHz:        cfg.ClockGHz,
-		InjectBandwidth: cfg.InjectBandwidth,
-		EjectBandwidth:  cfg.EjectBandwidth,
+		InjectBandwidth: portBandwidth,
+		EjectBandwidth:  portBandwidth,
 		WarmupCycles:    cfg.WarmupCycles,
 		MeasureCycles:   cfg.MeasureCycles,
 		DrainCycles:     cfg.DrainCycles,
 		CollectEnergy:   cfg.CollectEnergy,
-		EnergyModel:     cfg.EnergyModel,
 		NodeRate:        cfg.NodeRate,
 	}
 	for k, v := range cfg.ExtraLinkLatency {

@@ -1,12 +1,12 @@
 package sim
 
 // runReference is the stepping oracle the engine is checked against:
-// the plain loop that the event scan, the slot tables and fast-forward
-// must reproduce bit for bit. It steps every cycle, never
-// fast-forwards, visits every router and every out-link in router-major
-// order, and advances each router's clock-domain accumulator once per
-// cycle instead of reading slot tables. Ejection and switch allocation
-// run on every service slot, so the round-robin catch-up never fires.
+// the plain loop that the event scan and the slot tables must reproduce
+// bit for bit. It visits every router and every out-link in
+// router-major order every cycle, and advances each router's
+// clock-domain accumulator once per cycle instead of reading slot
+// tables. Ejection and switch allocation run on every service slot, so
+// the round-robin catch-up never fires.
 func runReference(c Config) (*Result, error) {
 	cfg, err := defaulted(c)
 	if err != nil {
@@ -26,7 +26,7 @@ func runReference(c Config) (*Result, error) {
 	total := int64(cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles)
 	measStart := int64(cfg.WarmupCycles)
 	measEnd := measStart + int64(cfg.MeasureCycles)
-	idle, idleLimit := 0, 4*(cfg.LinkLatency+8)*e.n
+	idle, idleLimit := 0, 4*(linkLatency+8)*e.n
 	for e.cycle = 0; e.cycle < total; e.cycle++ {
 		if e.nextBoundary < len(e.boundaries) && e.boundaries[e.nextBoundary] == e.cycle {
 			e.applyFaultBoundary()

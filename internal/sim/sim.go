@@ -28,12 +28,6 @@ type Config struct {
 	// NumVCs is the physical VC count per input port (paper Table IV: 6
 	// total for synthetic runs). Must be >= VC.NumVCs. Default 6.
 	NumVCs int
-	// BufDepth is the flit capacity of each VC buffer. Default 4.
-	BufDepth int
-	// LinkLatency is the cycle count from switch allocation to arrival
-	// in the downstream buffer (router pipeline + wire). Default 2,
-	// matching the paper's 2-cycle router latency.
-	LinkLatency int
 	// ClockGHz converts cycles to nanoseconds. Default: the topology
 	// class clock.
 	ClockGHz float64
@@ -42,12 +36,6 @@ type Config struct {
 	// injecting node per cycle.
 	Pattern       traffic.Pattern
 	InjectionRate float64
-
-	// InjectBandwidth / EjectBandwidth are flits per node per cycle
-	// (default 4 each: the paper's concentration attaches four cores per
-	// NoI router, so local ports are not the bottleneck).
-	InjectBandwidth int
-	EjectBandwidth  int
 
 	// WarmupCycles run before measurement; MeasureCycles are measured;
 	// after the measure window the simulation drains up to DrainCycles
@@ -58,12 +46,10 @@ type Config struct {
 
 	// CollectEnergy enables per-router/per-link activity counters on the
 	// hot path (plain uint64 increments; no extra allocations) and fills
-	// Result.Energy with the measured-energy report. The counting branches
-	// are gated on nil slices, so runs without it pay nothing.
+	// Result.Energy with the measured-energy report, priced with
+	// power.Default22nm(). The counting branches are gated on nil
+	// slices, so runs without it pay nothing.
 	CollectEnergy bool
-	// EnergyModel supplies the technology constants for the energy
-	// conversion; nil selects power.Default22nm().
-	EnergyModel *power.Model
 
 	// FaultSchedule, when non-empty, deterministically kills links and
 	// routers during the run per the schedule's events. At every cycle
@@ -84,7 +70,7 @@ type Config struct {
 	// sub-rate router (0 < rate < 1) ejects and switches only on its
 	// service slots: the base cycles on which a per-router accumulator,
 	// advanced by rate every cycle, reaches 1. Sub-rate engines use the
-	// same event scan and fast-forward as uniform-clock ones.
+	// same event scan as uniform-clock ones.
 	NodeRate []float64
 	// ExtraLinkLatency adds per-link latency cycles (e.g. CDC
 	// crossings), keyed by [from][to]. Nil = none. The engine densifies
@@ -240,6 +226,22 @@ func (r *pktRing) pop() *packet {
 	return p
 }
 
+// Fixed router parameters (paper Table IV).
+const (
+	// bufDepth is the flit capacity of each VC buffer. A power of two,
+	// so a VC ring wraps with bufMask.
+	bufDepth = 4
+	bufMask  = bufDepth - 1
+	// linkLatency is the cycle count from switch allocation to arrival
+	// in the downstream buffer (router pipeline + wire): the paper's
+	// 2-cycle router latency.
+	linkLatency = 2
+	// portBandwidth is the injection and ejection bandwidth in flits per
+	// node per cycle: the paper's concentration attaches four cores per
+	// NoI router, so local ports are not the bottleneck.
+	portBandwidth = 4
+)
+
 // slotWhere sentinel values; non-negative entries are link IDs.
 const (
 	whereNone  int32 = -1 // buffer empty (or head unroutable)
@@ -253,11 +255,10 @@ const (
 // nothing: VC buffers and link queues are fixed-capacity rings over
 // shared backing arrays, and packet objects are pooled per engine.
 type engine struct {
-	cfg      Config
-	n        int
-	rng      *rand.Rand
-	numVCs   int
-	bufDepth int
+	cfg    Config
+	n      int
+	rng    *rand.Rand
+	numVCs int
 
 	// Port geometry: port 0 is injection; ports 1.. map upstream routers
 	// in Topo.In order. Phantom slots of routers with fewer than
@@ -267,10 +268,8 @@ type engine struct {
 	slotsPerRouter int
 	wordsPerRouter int // occupancy-mask words per router
 
-	// VC buffers: per-slot rings of capacity bufCap (power of two >=
-	// BufDepth) over one shared backing array.
-	bufCap   int
-	bufMask  int32
+	// VC buffers: per-slot rings of capacity bufDepth over one shared
+	// backing array.
 	bufData  []flit
 	bufHead  []int32
 	bufCount []int32
@@ -301,7 +300,7 @@ type engine struct {
 	linkFrom     []int32
 	linkTo       []int32
 	linkDownBase []int32 // destination slot base: (to*maxPorts+downPort)*numVCs
-	linkLat      []int64 // LinkLatency + ExtraLinkLatency, per link
+	linkLat      []int64 // linkLatency + ExtraLinkLatency, per link
 	linkIDAt     []int32 // n*n lookup (from*n+to) -> link ID, -1 absent
 
 	// Link in-flight queues: per-link rings of capacity lqCap over one
@@ -332,17 +331,14 @@ type engine struct {
 	// lastEject/lastOut record the router's slot count when its ejector
 	// / a link's switch allocator last ran, letting the +1-per-slot
 	// round-robin advance of skipped no-op slots be reconstructed
-	// lazily (the property that also makes whole-cycle fast-forward
-	// round-robin-exact). queuedPkts counts packets across all
-	// injection queues for an O(1) idle check.
+	// lazily. queuedPkts counts packets across all injection queues for
+	// an O(1) idle check.
 	lqPending    []uint64
 	ejectPending []uint64
 	candPending  []uint64
 	lastEject    []int64
 	lastOut      []int64
 	queuedPkts   int
-	replay       *traffic.Replay // the pattern when it is a trace replay
-	ffSkipped    int64           // cycles fast-forwarded (stats/tests only)
 
 	pktFree []*packet // packet pool
 
@@ -404,20 +400,8 @@ func (c Config) normalized() Config {
 	if cfg.NumVCs == 0 {
 		cfg.NumVCs = 6
 	}
-	if cfg.BufDepth == 0 {
-		cfg.BufDepth = 4
-	}
-	if cfg.LinkLatency == 0 {
-		cfg.LinkLatency = 2
-	}
 	if cfg.ClockGHz == 0 && cfg.Topo != nil {
 		cfg.ClockGHz = cfg.Topo.Class.ClockGHz()
-	}
-	if cfg.InjectBandwidth == 0 {
-		cfg.InjectBandwidth = 4
-	}
-	if cfg.EjectBandwidth == 0 {
-		cfg.EjectBandwidth = 4
 	}
 	if cfg.WarmupCycles == 0 {
 		cfg.WarmupCycles = 4000
@@ -453,9 +437,9 @@ func Run(c Config) (*Result, error) {
 }
 
 // runReused executes cfg on the cached engine in *slot, rebuilding it
-// only when the geometry changed (different topology or sizing knobs)
-// and resetting it otherwise. This is the batched matrix-cell path:
-// consecutive cells of one prepared topology skip the port-map,
+// only when the geometry changed (different topology, VC count or clock
+// domains) and resetting it otherwise. This is the batched matrix-cell
+// path: consecutive cells of one prepared topology skip the port-map,
 // flat-array and link-table construction. Results are bit-identical
 // to Run's.
 func runReused(slot **engine, c Config) (*Result, error) {
@@ -489,7 +473,6 @@ func newEngine(cfg Config) *engine {
 	e := &engine{
 		n:        n,
 		numVCs:   cfg.NumVCs,
-		bufDepth: cfg.BufDepth,
 		numPorts: make([]int32, n),
 		slotTab:  make([][]int32, n),
 	}
@@ -514,9 +497,7 @@ func newEngine(cfg Config) *engine {
 	e.wordsPerRouter = (e.slotsPerRouter + 63) / 64
 
 	totalSlots := n * e.slotsPerRouter
-	e.bufCap = pow2(e.bufDepth)
-	e.bufMask = int32(e.bufCap - 1)
-	e.bufData = make([]flit, totalSlots*e.bufCap)
+	e.bufData = make([]flit, totalSlots*bufDepth)
 	e.bufHead = make([]int32, totalSlots)
 	e.bufCount = make([]int32, totalSlots)
 	e.free = make([]int32, totalSlots)
@@ -539,14 +520,14 @@ func newEngine(cfg Config) *engine {
 	for i := range e.linkIDAt {
 		e.linkIDAt[i] = -1
 	}
-	maxLat := int64(cfg.LinkLatency)
+	maxLat := int64(linkLatency)
 	for id := 0; id < L; id++ {
 		l := cfg.Topo.LinkByID(id)
 		e.linkFrom[id] = int32(l.From)
 		e.linkTo[id] = int32(l.To)
 		e.linkDownBase[id] = int32((l.To*e.maxPorts + portOf[l.To][l.From]) * e.numVCs)
 		e.linkIDAt[l.From*n+l.To] = int32(id)
-		lat := int64(cfg.LinkLatency)
+		lat := int64(linkLatency)
 		if cfg.ExtraLinkLatency != nil {
 			lat += int64(cfg.ExtraLinkLatency[[2]int{l.From, l.To}])
 		}
@@ -581,8 +562,7 @@ func newEngine(cfg Config) *engine {
 // engine.
 func (e *engine) compatible(cfg Config) bool {
 	old := e.cfg
-	if cfg.Topo != old.Topo || cfg.NumVCs != old.NumVCs ||
-		cfg.BufDepth != old.BufDepth || cfg.LinkLatency != old.LinkLatency {
+	if cfg.Topo != old.Topo || cfg.NumVCs != old.NumVCs {
 		return false
 	}
 	if len(cfg.NodeRate) != len(old.NodeRate) {
@@ -612,30 +592,9 @@ func (e *engine) compatible(cfg Config) bool {
 func (e *engine) reset(cfg Config) {
 	e.cfg = cfg
 	e.rng = rand.New(rand.NewSource(cfg.Seed))
-	e.replay, _ = cfg.Pattern.(*traffic.Replay)
 	e.sizeSlotTables(cfg)
 
-	clear(e.bufHead)
-	clear(e.bufCount)
-	clear(e.owner)
-	clear(e.free)
-	for s := range e.slotWhere {
-		e.slotWhere[s] = whereNone
-	}
-	for r := 0; r < e.n; r++ {
-		for p := 0; p < int(e.numPorts[r]); p++ {
-			for v := 0; v < e.numVCs; v++ {
-				e.free[(r*e.maxPorts+p)*e.numVCs+v] = int32(e.bufDepth)
-			}
-		}
-	}
-	clear(e.ejectMask)
-	clear(e.candMask)
-	clear(e.ejectPending)
-	clear(e.candPending)
-	clear(e.lqPending)
-	clear(e.lqHead)
-	clear(e.lqCount)
+	e.emptyNetwork()
 	clear(e.rrOut)
 	clear(e.rrEject)
 	clear(e.lastOut)
@@ -688,7 +647,6 @@ func (e *engine) reset(cfg Config) {
 		}
 	}
 
-	e.bufferedFlits, e.linkFlits = 0, 0
 	e.delivered, e.measured = 0, 0
 	e.measuredInFlight = 0
 	e.latencySum = 0
@@ -700,7 +658,35 @@ func (e *engine) reset(cfg Config) {
 	e.measuredOffered = 0
 	e.preLatSum, e.postLatSum = 0, 0
 	e.preMeasured, e.postMeasured = 0, 0
-	e.ffSkipped = 0
+}
+
+// emptyNetwork returns every VC buffer and link pipeline to the
+// post-setup shape: empty rings, no owners, no mask or pending bits,
+// and full credits on real ports (phantom slots stay at zero). It
+// leaves the round-robin state and the injection queues alone.
+func (e *engine) emptyNetwork() {
+	clear(e.bufHead)
+	clear(e.bufCount)
+	clear(e.owner)
+	for s := range e.slotWhere {
+		e.slotWhere[s] = whereNone
+	}
+	clear(e.ejectMask)
+	clear(e.candMask)
+	clear(e.ejectPending)
+	clear(e.candPending)
+	clear(e.lqPending)
+	clear(e.lqHead)
+	clear(e.lqCount)
+	clear(e.free)
+	for r := 0; r < e.n; r++ {
+		for p := 0; p < int(e.numPorts[r]); p++ {
+			for v := 0; v < e.numVCs; v++ {
+				e.free[(r*e.maxPorts+p)*e.numVCs+v] = bufDepth
+			}
+		}
+	}
+	e.bufferedFlits, e.linkFlits = 0, 0
 }
 
 // sizeSlotTables gives every sub-rate router a slot table covering
@@ -745,38 +731,11 @@ func (e *engine) run() (*Result, error) {
 	measStart := int64(cfg.WarmupCycles)
 	measEnd := measStart + int64(cfg.MeasureCycles)
 	idleCycles := 0
-	idleLimit := 4 * (cfg.LinkLatency + 8) * e.n
+	idleLimit := 4 * (linkLatency + 8) * e.n
 	for e.cycle = 0; e.cycle < total; e.cycle++ {
 		if e.nextBoundary < len(e.boundaries) && e.boundaries[e.nextBoundary] == e.cycle {
 			e.applyFaultBoundary()
 			e.nextBoundary++
-		}
-		if e.bufferedFlits == 0 && e.queuedPkts == 0 {
-			if target := e.skipTarget(measEnd, total); target > e.cycle {
-				// Nothing observable happens in [cycle, target): no flit
-				// can move (buffers and injection queues are empty; link
-				// pipelines next deliver at target or later), no injection
-				// can occur (drain phase, or the trace replay ran dry),
-				// and no fault boundary lands inside the window. Jump the
-				// cycle counter: leakage energy integrates over the final
-				// e.cycle at report time, round-robin state catches up
-				// lazily from lastEject/lastOut, and service slots are a
-				// function of the cycle alone.
-				e.ffSkipped += target - e.cycle
-				if e.networkEmpty() {
-					idleCycles = 0
-				} else {
-					// Replicate the per-cycle watchdog across the window:
-					// flits sit in link pipelines and nothing forwards, so
-					// the count rises by one per skipped cycle.
-					idleCycles += int(target - e.cycle)
-					if idleCycles > idleLimit {
-						return &Result{Stalled: true}, nil
-					}
-				}
-				e.cycle = target - 1
-				continue
-			}
 		}
 		generating := e.cycle < measEnd
 		measuring := e.cycle >= measStart && e.cycle < measEnd
@@ -846,9 +805,6 @@ func (e *engine) result() (*Result, error) {
 // energy report.
 func (e *engine) energyReport() (*EnergyReport, error) {
 	m := power.Default22nm()
-	if e.cfg.EnergyModel != nil {
-		m = *e.cfg.EnergyModel
-	}
 	rep, err := m.ActivityReport(e.cfg.Topo, power.Activity{
 		Cycles:      e.cycle,
 		ClockGHz:    e.cfg.ClockGHz,
@@ -885,48 +841,6 @@ func (e *engine) injectingNodes() int {
 // maintained at every push/pop.
 func (e *engine) networkEmpty() bool {
 	return e.bufferedFlits == 0 && e.linkFlits == 0
-}
-
-// skipTarget returns the first cycle > e.cycle at which anything
-// observable can happen again, or e.cycle when the current cycle must
-// be simulated. The caller guarantees empty buffers and injection
-// queues; the remaining wake-ups are link-pipeline arrivals, injection
-// opportunities, the next fault boundary, and the measure-window end
-// (where the drain-exit check must run cycle by cycle).
-func (e *engine) skipTarget(measEnd, total int64) int64 {
-	if e.cycle >= measEnd && e.pendingMeasured() == 0 {
-		// The drain-exit check fires after this cycle executes; skipping
-		// past it would end the run at a later cycle than the
-		// cycle-by-cycle path (observable through leakage-energy
-		// integration). During any legal skip window measuredInFlight is
-		// constant — measured flits still in link pipelines clamp the
-		// window via nextArrival — so the exit condition can only become
-		// true at an executed cycle.
-		return e.cycle
-	}
-	target := total
-	if e.cycle < measEnd {
-		// Generation is live. The Bernoulli gate draws rng once per
-		// router per cycle whatever the pattern would answer, so
-		// skipping is only legal when those draws are unobservable: a
-		// dry trace replay never again returns ok from Inject and never
-		// again consumes rng in Inject or OnDeliver.
-		if e.replay == nil || !e.replay.Dry() {
-			return e.cycle
-		}
-		if measEnd < target {
-			target = measEnd
-		}
-	}
-	if e.linkFlits > 0 {
-		if a := e.nextArrival(); a < target {
-			target = a
-		}
-	}
-	if e.nextBoundary < len(e.boundaries) && e.boundaries[e.nextBoundary] < target {
-		target = e.boundaries[e.nextBoundary]
-	}
-	return target
 }
 
 func (e *engine) pendingMeasured() int {

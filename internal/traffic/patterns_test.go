@@ -261,20 +261,17 @@ func TestReplayPattern(t *testing.T) {
 		{Cycle: 10, Src: 0, Dst: 1, Flits: 1},
 		{Cycle: 20, Src: 2, Dst: 0, Flits: 1},
 	}
-	r, err := NewReplay("t", 4, recs, false)
+	r, err := NewReplay("t", 4, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	// Source 0 replays its records in cycle order, then dries up.
+	// Source 0 replays its records in cycle order.
 	if dst, flits, ok := r.Inject(0, rng); !ok || dst != 1 || flits != 1 {
 		t.Fatalf("first replay = (%d,%d,%v), want (1,1,true)", dst, flits, ok)
 	}
 	if dst, flits, ok := r.Inject(0, rng); !ok || dst != 2 || flits != 9 {
 		t.Fatalf("second replay = (%d,%d,%v), want (2,9,true)", dst, flits, ok)
-	}
-	if _, _, ok := r.Inject(0, rng); ok {
-		t.Fatal("non-looping replay must dry up")
 	}
 	// Sources without records never originate; recorded ones do.
 	if r.Originates(1) || r.Originates(3) {
@@ -283,25 +280,21 @@ func TestReplayPattern(t *testing.T) {
 	if !r.Originates(0) || !r.Originates(2) {
 		t.Error("recorded sources must originate")
 	}
-	// Looping replay wraps around.
-	r2, err := NewReplay("t", 4, recs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The replay wraps around.
 	for i := 0; i < 5; i++ {
 		wantDst := []int{1, 2, 1, 2, 1}[i]
-		if dst, _, ok := r2.Inject(0, rng); !ok || dst != wantDst {
+		if dst, _, ok := r.Inject(0, rng); !ok || dst != wantDst {
 			t.Fatalf("loop step %d: dst %d ok=%v, want %d", i, dst, ok, wantDst)
 		}
 	}
 	// Validation: out-of-range, self-sends and empty traces rejected.
-	if _, err := NewReplay("t", 2, recs, false); err == nil {
+	if _, err := NewReplay("t", 2, recs); err == nil {
 		t.Error("out-of-range record accepted")
 	}
-	if _, err := NewReplay("t", 4, []TraceRecord{{Src: 1, Dst: 1, Flits: 1}}, false); err == nil {
+	if _, err := NewReplay("t", 4, []TraceRecord{{Src: 1, Dst: 1, Flits: 1}}); err == nil {
 		t.Error("self-send accepted")
 	}
-	if _, err := NewReplay("t", 4, nil, false); err == nil {
+	if _, err := NewReplay("t", 4, nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 }

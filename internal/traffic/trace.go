@@ -73,9 +73,8 @@ type replayEntry struct {
 // Replay feeds recorded (src, dst, flits) tuples back into the
 // simulator. The engine's injection process owns *when* a source gets an
 // injection opportunity; Replay supplies the recorded destination/size
-// sequence of that source in trace-cycle order, looping when Loop is set
-// (so long measurement windows re-run short traces) and drying up
-// (ok=false) otherwise.
+// sequence of that source in trace-cycle order, looping so long
+// measurement windows re-run short traces.
 //
 // Replay keeps per-source cursors and is NOT safe to share across
 // concurrent simulations — construct one instance per run.
@@ -83,21 +82,19 @@ type Replay struct {
 	tag    string
 	perSrc [][]replayEntry
 	next   []int
-	loop   bool
-	live   int // sources with records left; only decrements when !loop
 }
 
 // NewReplay validates records against the node count n and builds a
 // replay pattern. Records are replayed per source in ascending Cycle
 // order (ties keep input order).
-func NewReplay(tag string, n int, recs []TraceRecord, loop bool) (*Replay, error) {
+func NewReplay(tag string, n int, recs []TraceRecord) (*Replay, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("traffic: empty trace")
 	}
 	sorted := make([]TraceRecord, len(recs))
 	copy(sorted, recs)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cycle < sorted[j].Cycle })
-	r := &Replay{tag: tag, perSrc: make([][]replayEntry, n), next: make([]int, n), loop: loop}
+	r := &Replay{tag: tag, perSrc: make([][]replayEntry, n), next: make([]int, n)}
 	for _, rec := range sorted {
 		if rec.Src < 0 || rec.Src >= n || rec.Dst < 0 || rec.Dst >= n {
 			return nil, fmt.Errorf("traffic: trace record %+v outside [0,%d)", rec, n)
@@ -110,11 +107,6 @@ func NewReplay(tag string, n int, recs []TraceRecord, loop bool) (*Replay, error
 		}
 		r.perSrc[rec.Src] = append(r.perSrc[rec.Src], replayEntry{dst: rec.Dst, flits: rec.Flits})
 	}
-	for _, q := range r.perSrc {
-		if len(q) > 0 {
-			r.live++
-		}
-	}
 	return r, nil
 }
 
@@ -126,20 +118,17 @@ func (r *Replay) Name() string {
 	return "trace"
 }
 
-// Inject implements Pattern: pop the source's next recorded packet.
+// Inject implements Pattern: pop the source's next recorded packet,
+// wrapping to its first after its last.
 func (r *Replay) Inject(src int, rng *rand.Rand) (int, int, bool) {
 	q := r.perSrc[src]
-	if len(q) == 0 || r.next[src] >= len(q) {
+	if len(q) == 0 {
 		return 0, 0, false
 	}
 	e := q[r.next[src]]
 	r.next[src]++
 	if r.next[src] == len(q) {
-		if r.loop {
-			r.next[src] = 0
-		} else {
-			r.live--
-		}
+		r.next[src] = 0
 	}
 	return e.dst, e.flits, true
 }
@@ -151,9 +140,3 @@ func (r *Replay) OnDeliver(src, dst int, rng *rand.Rand) (int, int, bool) { retu
 // Originates implements Pattern: a source originates iff the trace
 // recorded at least one packet from it.
 func (r *Replay) Originates(src int) bool { return len(r.perSrc[src]) > 0 }
-
-// Dry reports that every source's cursor is used up (non-loop traces
-// only). A dry replay stays dry: Inject returns ok=false without
-// touching rng or state, and OnDeliver never draws, so the simulator
-// may fast-forward the rest of the generation phase.
-func (r *Replay) Dry() bool { return r.live == 0 }

@@ -380,9 +380,8 @@ func (s *search) begin() uint64 {
 
 // Options controls VC assignment.
 type Options struct {
-	Seed   int64
-	Tries  int // randomized orders tried (default 8)
-	MaxVCs int // error if more layers are needed (0 = unlimited)
+	Seed  int64
+	Tries int // randomized orders tried (default 8)
 }
 
 // Assign partitions the routing's paths into acyclic-CDG layers. Tries
@@ -427,9 +426,6 @@ func Assign(r *route.Routing, opts Options) (*Assignment, error) {
 	a := &Assignment{NumVCs: best.bestVCs, LayerOf: make([][]int, fs.n)}
 	for s := range a.LayerOf {
 		a.LayerOf[s] = best.best[s*fs.n : (s+1)*fs.n : (s+1)*fs.n]
-	}
-	if opts.MaxVCs > 0 && a.NumVCs > opts.MaxVCs {
-		return nil, fmt.Errorf("vc: %d layers needed, max %d", a.NumVCs, opts.MaxVCs)
 	}
 	balance(fs, a)
 	return a, nil

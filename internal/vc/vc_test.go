@@ -493,19 +493,6 @@ func TestAssignKiteAndNetSmith(t *testing.T) {
 	}
 }
 
-func TestMaxVCsEnforced(t *testing.T) {
-	g := layout.NewGrid(1, 6)
-	tp := topo.New("ring", g, layout.Large)
-	for i := 0; i < 6; i++ {
-		tp.AddLink(i, (i+1)%6)
-	}
-	ps, _ := route.AllShortestPaths(tp, 0)
-	r := route.RandomSelection("ring", ps, 1)
-	if _, err := Assign(r, Options{Seed: 1, MaxVCs: 1}); err == nil {
-		t.Error("MaxVCs=1 must fail on a unidirectional ring")
-	}
-}
-
 func TestOccupancyBalanced(t *testing.T) {
 	m := expert.Mesh(layout.Grid4x5)
 	ps, _ := route.AllShortestPaths(m, 0)

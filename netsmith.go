@@ -377,9 +377,8 @@ func AnalyzePower(n *Network, rate float64, m PowerModel) PowerReport {
 
 // RunEnergy simulates a prepared network under a pattern with activity
 // counters enabled and returns the measured-energy report alongside the
-// run result. cfg-level control (cycle budgets, custom models) is
-// available through SimConfig.CollectEnergy / SimConfig.EnergyModel with
-// RunMatrix or sim.Run.
+// run result. cfg-level control (cycle budgets) is available through
+// SimConfig.CollectEnergy with RunMatrix or sim.Run.
 func RunEnergy(n *Network, p Pattern, rate float64, seed int64) (*sim.Result, *EnergyReport, error) {
 	res, err := sim.Run(sim.Config{
 		Topo: n.Topo, Routing: n.Routing, VC: n.VC,
